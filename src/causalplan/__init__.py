@@ -1,59 +1,12 @@
-"""Causally-informed online POMDP planning under unobserved confounding."""
+"""Causally-informed online POMDP planning under unobserved confounding.
 
-from .scm import (
-    CategoricalTable,
-    CapacityError,
-    DegenerateEvidenceError,
-    DeterministicRule,
-    Dist,
-    ScmError,
-    ScmSpec,
-    SpecificationError,
-    UsageError,
-    VariableId,
-    ZeroProbabilityEvidenceError,
-    exact_query,
-    importance_query,
-    kl_divergence,
-    mutilate,
-    sample_world,
-    sample_worlds,
-    total_variation,
-)
-from .model import (
-    Belief,
-    InconsistentObservationError,
-    TransitionMode,
-    UcPomdpModel,
-    belief_update,
-    deterministic_step,
-    observation_dist,
-    reward,
-    sample_reactive_action,
-    transition_dist,
-)
-from .despot import (
-    DespotNode,
-    DespotTree,
-    EpisodeTrace,
-    PlannerConfig,
-    Scenario,
-    default_lower_bound,
-    initial_upper_bound,
-    run_episode,
-    run_trial,
-    sample_scenarios,
-    search,
-)
-from .gridworld import GridMap, MapParseError, build_model, default_map, parse_map
-from .learning import (
-    Dataset,
-    LearnedParams,
-    Record,
-    assemble_model,
-    eval_kl_full_transition,
-    fit,
-    generate_dataset,
-)
+The submodules ``scm``, ``model``, ``despot``, ``learning``, ``gridworld``
+and ``cli`` hold the API; the package root re-exports the names the README's
+library example uses.
+"""
+
+from .despot import PlannerConfig, run_episode
+from .gridworld import build_model, default_map
+from .model import TransitionMode
 
 __version__ = "0.1.0"

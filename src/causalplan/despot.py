@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -65,23 +64,18 @@ class PlannerConfig:
             raise UsageError("seed must be >= 0")
 
 
-@dataclass
-class Scenario:
-    """One determinized execution thread: a start state plus a stream of
-    (transition, observation) unit-interval pairs indexed by depth."""
-
-    initial_state: int
-    stream: np.ndarray  # shape (depth, 2)
-
-    def pair(self, depth: int) -> np.ndarray:
-        return self.stream[depth]
-
-
 def sample_scenarios(
     belief: Belief, count: int, seed: int, depth: int = 15
-) -> list[Scenario]:
-    """Draw ``count`` scenarios with i.i.d. start states from the belief and
-    independent streams; fully determined by ``seed``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` scenarios, each a start state plus a per-depth stream of
+    (transition, observation) unit-interval pairs; fully determined by
+    ``seed``.  Returns ``(starts, streams)`` of shapes ``(count,)`` and
+    ``(count, depth, 2)``.
+
+    Start states are i.i.d. from the belief, drawn by one generator seeded
+    with ``(seed, 0)``; scenario ``i``'s stream comes from its own generator
+    seeded with ``(seed, 1, i)``.
+    """
     if count < 1:
         raise UsageError("scenario count must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
@@ -90,11 +84,12 @@ def sample_scenarios(
     starts = np.minimum(
         np.searchsorted(cdf, rng.random(count), side="right"), len(cdf) - 1
     )
-    scenarios = []
+    streams = np.empty((count, depth, 2))
     for i in range(count):
-        stream_rng = np.random.default_rng(np.random.SeedSequence((seed, 1, i)))
-        scenarios.append(Scenario(int(starts[i]), stream_rng.random((depth, 2))))
-    return scenarios
+        np.random.default_rng(np.random.SeedSequence((seed, 1, i))).random(
+            out=streams[i]
+        )
+    return starts, streams
 
 
 class DespotNode:
@@ -102,7 +97,7 @@ class DespotNode:
 
     __slots__ = (
         "depth", "scenario_ids", "states", "weight",
-        "lower", "upper", "default_value", "default_action", "children",
+        "lower", "upper", "default_value", "children",
     )
 
     def __init__(self, depth: int, scenario_ids: np.ndarray, states: np.ndarray,
@@ -114,7 +109,6 @@ class DespotNode:
         self.lower = 0.0
         self.upper = 0.0
         self.default_value = 0.0
-        self.default_action = 0
         self.children: list[ActionEdge] | None = None   # None = frontier
 
 
@@ -126,19 +120,6 @@ class ActionEdge:
         self.children = children  # (observation, node), canonical observation order
 
 
-def default_lower_bound(
-    node: DespotNode,
-    model: UcPomdpModel,
-    config: PlannerConfig,
-    scenarios: Sequence[Scenario],
-) -> float:
-    """Scenario-average discounted return of the default rollout policy,
-    simulated to the planning horizon, minus the regularization penalty."""
-    streams = np.stack([scenarios[i].stream for i in node.scenario_ids])
-    vals = _rollout_returns(model, config, node.states, streams, node.depth)
-    return float(vals.mean()) - config.regularization
-
-
 def initial_upper_bound(
     node: DespotNode, model: UcPomdpModel, config: PlannerConfig
 ) -> float:
@@ -148,32 +129,62 @@ def initial_upper_bound(
     return float(model.upper_hint[node.states].mean())
 
 
-def _rollout_returns(
-    model: UcPomdpModel,
-    config: PlannerConfig,
-    states: np.ndarray,
-    streams: np.ndarray,
-    depth: int,
-) -> np.ndarray:
-    """Per-scenario discounted returns of the default policy from ``depth``
-    to the horizon, consuming each scenario's own stream entries."""
-    n = len(states)
-    vals = np.zeros(n)
-    horizon = config.depth - depth
-    if horizon <= 0 or n == 0:
-        return vals
-    s = states.copy()
-    disc = 1.0
-    first_ordinary = model.n_states - 2
-    for t in range(horizon):
-        if np.all(s >= first_ordinary):
-            break
-        actions = model.rollout_policy[s]
-        s, r = model.batch_policy_step(s, actions, streams[:, depth + t, 0],
-                                       config.mode)
-        vals += disc * r
-        disc *= config.gamma
-    return vals
+class DefaultValueTable:
+    """Discounted default-policy returns of one search: ``table[d][k, s]``
+    is the return from state ``s`` at depth ``d`` to the horizon along
+    scenario ``k``'s stream (zero at terminals and at the horizon).
+
+    Rows are filled on first use, as a search reads only the depths it
+    expands to; each depth's successors take one batched policy step over
+    every (scenario, ordinary state) pair.  Rollouts add their rewards
+    forward like a scalar :func:`~causalplan.model.deterministic_step`
+    rollout and stop once absorbed, so each entry equals it bit for bit.
+    """
+
+    def __init__(self, model: UcPomdpModel, config: PlannerConfig,
+                 streams: np.ndarray):
+        self.model, self.config, self.streams = model, config, streams
+        n = model.n_states
+        # the default action's reward, at s * n + s2
+        self._rewards = model._reward_table[model.rollout_policy, np.arange(n)].ravel()
+        self._successors: list[np.ndarray | None] = [None] * config.depth
+        self._rows: list[np.ndarray | None] = [None] * (config.depth + 1)
+
+    def __getitem__(self, depth: int) -> np.ndarray:
+        if self._rows[depth] is None:
+            self._rows[depth] = self._fill(depth)
+        return self._rows[depth]
+
+    def _successor(self, depth: int) -> np.ndarray:
+        """Successor of each pair ``k * (S - 2) + s`` at ``depth``, stored in
+        the narrowest integer type that holds a state."""
+        if self._successors[depth] is None:
+            n = self.model.n_states
+            states = np.tile(np.arange(n - 2), len(self.streams))
+            s2, _ = self.model.batch_policy_step(
+                states, self.model.rollout_policy[states],
+                np.repeat(self.streams[:, depth, 0], n - 2), self.config.mode,
+            )
+            self._successors[depth] = s2.astype(np.min_scalar_type(n - 1))
+        return self._successors[depth]
+
+    def _fill(self, depth: int) -> np.ndarray:
+        k, n = len(self.streams), self.model.n_states
+        row = np.zeros(k * n)
+        # running rollouts: their cell in the row and their current pair
+        cells = np.flatnonzero(np.arange(k * n) % n < n - 2)
+        at = np.arange(len(cells))
+        discount = 1.0
+        for t in range(depth, self.config.depth):
+            if not len(at):
+                break
+            s = at % (n - 2)
+            s2 = self._successor(t).take(at)
+            row[cells] += discount * self._rewards.take(s * n + s2)
+            discount *= self.config.gamma
+            running = np.flatnonzero(s2 < n - 2)
+            cells, at = cells.take(running), (at - s + s2).take(running)
+        return row.reshape(k, n)
 
 
 class DespotTree:
@@ -184,29 +195,19 @@ class DespotTree:
             raise UsageError("belief length does not match the model")
         self.model = model
         self.config = config
-        self.scenarios = sample_scenarios(
+        starts, self.streams = sample_scenarios(
             belief, config.scenarios, config.seed, config.depth
         )
-        self.streams = np.stack([sc.stream for sc in self.scenarios])
+        self.default_values = DefaultValueTable(model, config, self.streams)
         self.n_expansions = 0
         self.n_trials = 0
-        states = np.array([sc.initial_state for sc in self.scenarios])
-        self.root = self._make_node(0, np.arange(config.scenarios), states)
+        self.root = DespotNode(0, np.arange(config.scenarios), starts,
+                               config.scenarios)
+        # the default policy's action at the root's most common state
+        counts = np.bincount(starts, minlength=model.n_states)
+        self.default_action = int(model.rollout_policy[int(np.argmax(counts))])
         self.root.upper = initial_upper_bound(self.root, model, config)
         self.root.lower = self.root.default_value
-
-    # -- node construction ----------------------------------------------------
-
-    def _make_node(self, depth: int, ids: np.ndarray, states: np.ndarray) -> DespotNode:
-        node = DespotNode(depth, ids, states, self.config.scenarios)
-        counts = np.bincount(states, minlength=self.model.n_states)
-        node.default_action = int(self.model.rollout_policy[int(np.argmax(counts))])
-        return node
-
-    def _rollout(self, states: np.ndarray, ids: np.ndarray, depth: int) -> np.ndarray:
-        return _rollout_returns(
-            self.model, self.config, states, self.streams[ids], depth
-        )
 
     # -- trial machinery --------------------------------------------------------
 
@@ -232,15 +233,15 @@ class DespotTree:
         ids = node.scenario_ids
         phi1 = self.streams[ids, d, 0]
         phi2 = self.streams[ids, d, 1]
-        child_depth = d + 1
+        values = self.default_values[d + 1]
         edges = []
         for a in range(model.n_actions):
             s2, z, r = model.batch_step(node.states, a, phi1, phi2, config.mode)
-            cont = self._rollout(s2, ids, child_depth)
+            cont = values[ids, s2]
             children = []
             for obs in np.unique(z):
                 sel = z == obs
-                child = self._make_node(child_depth, ids[sel], s2[sel])
+                child = DespotNode(d + 1, ids[sel], s2[sel], config.scenarios)
                 child.default_value = float(cont[sel].mean()) - config.regularization
                 child.lower = child.default_value
                 child.upper = initial_upper_bound(child, model, config)
@@ -298,14 +299,14 @@ class DespotTree:
         policy's action if the root is unexpanded or the default bound wins."""
         root = self.root
         if root.children is None:
-            return root.default_action
+            return self.default_action
         best_a, best_q = None, -np.inf
         for a, edge in enumerate(root.children):
             q = self._q_lower(edge, root) - self.config.regularization
             if q > best_q:
                 best_a, best_q = a, q
         if root.default_value > best_q:
-            return root.default_action
+            return self.default_action
         return best_a
 
     def bounds(self) -> tuple[float, float]:

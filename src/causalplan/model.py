@@ -170,6 +170,7 @@ class UcPomdpModel:
         self._obs = obs
         self._obs_cdf = np.cumsum(obs, axis=1)
         self._obs_cdf /= self._obs_cdf[:, -1:]
+        self._obs_keys = _cdf_keys(self._obs_cdf)
 
         self.initial_belief = self._pad_belief(initial_belief)
         self.rollout_policy = self._pad_int_vector(rollout_policy, "rollout policy")
@@ -286,9 +287,7 @@ class UcPomdpModel:
             for a in range(n_a):
                 for m in range(2):
                     rel = self._rel_region[m, a] if region else self._rel_free[a]
-                    row = trans[m, a, s]
-                    for ds in range(self.n_ds):
-                        row[self.successor_table[s, ds]] += rel[ds]
+                    trans[m, a, s] = self._fold(s, rel)
         for term in (self.goal_state, self.collided_state):
             trans[:, :, term, term] = 1.0
         trans.setflags(write=False)
@@ -296,6 +295,7 @@ class UcPomdpModel:
         cdf = np.cumsum(trans, axis=3)
         cdf /= cdf[..., -1:]
         self._trans_cdf = cdf
+        self._trans_keys = _cdf_keys(cdf.reshape(2, n_a * n, n))
 
         rew = np.zeros((n_a, n, n))
         for a in range(n_a):
@@ -337,10 +337,14 @@ class UcPomdpModel:
             rel = self.p_uc.row((a, u))
         else:
             rel = self.p_0.row((a,))
-        row = np.zeros(self.n_states)
-        for ds in range(self.n_ds):
-            row[self.successor_table[s, ds]] += rel[ds]
-        return row
+        return self._fold(s, rel)
+
+    def _fold(self, s: int, rel: np.ndarray) -> np.ndarray:
+        """Successor-state row of ordinary state ``s`` from its
+        relative-outcome row: entry ``ds`` adds to column
+        ``successor_table[s, ds]``, in ``ds`` order."""
+        return np.bincount(self.successor_table[s], weights=rel,
+                           minlength=self.n_states)
 
     def with_tables(
         self,
@@ -388,18 +392,38 @@ class UcPomdpModel:
 
     def batch_step(self, states, action: int, phi1, phi2, mode: TransitionMode):
         """Vectorized :func:`deterministic_step` for one shared action."""
-        rows = self._trans_cdf[_MODE_INDEX[mode], action][states]
-        s2 = (rows <= phi1[:, None]).sum(axis=1)
-        z = (self._obs_cdf[s2] <= phi2[:, None]).sum(axis=1)
-        r = self._reward_table[action, states, s2]
+        s2, r = self.batch_policy_step(states, action, phi1, mode)
+        z = _invert_cdf(self._obs_keys, s2, phi2, self.n_observations)
         return s2, z, r
 
     def batch_policy_step(self, states, actions, phi1, mode: TransitionMode):
-        """Vectorized transition step with a per-element action vector."""
-        rows = self._trans_cdf[_MODE_INDEX[mode]][actions, states]
-        s2 = (rows <= phi1[:, None]).sum(axis=1)
-        r = self._reward_table[actions, states, s2]
-        return s2, r
+        """Vectorized transition half of :func:`deterministic_step` with a
+        per-element action vector: successor states and rewards."""
+        n = self.n_states
+        pairs = np.asarray(actions) * n + states
+        s2 = _invert_cdf(self._trans_keys[_MODE_INDEX[mode]], pairs, phi1, n)
+        return s2, self._reward_table.reshape(-1).take(pairs * n + s2)
+
+
+def _cdf_keys(cdf: np.ndarray) -> np.ndarray:
+    """Keys ``i + cdf[i, j]*1j`` that invert every row of a CDF table in one
+    ``searchsorted``: numpy orders complex numbers by real part first, so a
+    query ``i + u*1j`` lands after every key of the rows before ``i`` and
+    after the entries of row ``i`` that are ``<= u``.  Leading axes of
+    ``cdf`` index separate tables."""
+    rows, width = cdf.shape[-2:]
+    keys = np.empty(cdf.shape[:-2] + (rows * width,), dtype=complex)
+    keys.real = np.repeat(np.arange(rows), width)
+    keys.imag = cdf.reshape(keys.shape)
+    return keys
+
+
+def _invert_cdf(keys: np.ndarray, rows, u, width: int) -> np.ndarray:
+    """How many entries of CDF row ``rows[i]`` are ``<= u[i]``: the category
+    :func:`deterministic_step` draws (every row ends at 1.0 > ``u``)."""
+    query = np.empty(len(u), dtype=complex)
+    query.real, query.imag = rows, u
+    return keys.searchsorted(query, side="right") - rows * width
 
 
 # -- module-level operations ---------------------------------------------------
@@ -429,10 +453,7 @@ def transition_dist(
         rel = region[_MODE_INDEX[mode], a]
     else:
         rel = free[a]
-    row = np.zeros(model.n_states)
-    for ds in range(model.n_ds):
-        row[model.successor_table[s, ds]] += rel[ds]
-    return Dist(tuple(range(model.n_states)), row)
+    return Dist(tuple(range(model.n_states)), model._fold(s, rel))
 
 
 def observation_dist(model: UcPomdpModel, s_next: int, a: int | None = None) -> Dist:

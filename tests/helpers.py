@@ -150,15 +150,15 @@ def policy_tree_value(model, tree, state, stream, depth, gamma, mode) -> float:
     return r + gamma * cont
 
 
-def brute_force_optimum(model, scenarios, depth, gamma, mode,
+def brute_force_optimum(model, starts, streams, depth, gamma, mode,
                         observations=(0, 1)) -> float:
     """Max over all policy trees of the scenario-average determinized return."""
     best = -np.inf
     for tree in enumerate_policy_trees(model.n_actions, observations, depth):
         total = 0.0
-        for sc in scenarios:
+        for state, stream in zip(starts, streams):
             total += policy_tree_value(
-                model, tree, sc.initial_state, sc.stream, 0, gamma, mode
+                model, tree, int(state), stream, 0, gamma, mode
             )
-        best = max(best, total / len(scenarios))
+        best = max(best, total / len(starts))
     return float(best)

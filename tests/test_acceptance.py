@@ -130,6 +130,7 @@ def _episode_batch(plan, execu, mode, n_episodes, trials):
     return rewards, first_actions
 
 
+@pytest.mark.slow
 def test_criterion_4_planner_ordering(truth, learned_800k):
     start = time.perf_counter()
     learned, _ = learned_800k
@@ -164,8 +165,8 @@ def test_criterion_5_small_instance_optimality():
         regularization=0.0, budget_trials=100_000, seed=5,
     )
     belief = Belief(np.array([0.5, 0.5, 0.0, 0.0]))
-    scenarios = sample_scenarios(belief, 24, seed=5, depth=3)
-    oracle = brute_force_optimum(model, scenarios, 3, 0.95, config.mode)
+    starts, streams = sample_scenarios(belief, 24, seed=5, depth=3)
+    oracle = brute_force_optimum(model, starts, streams, 3, 0.95, config.mode)
     tree = DespotTree(model, config, belief)
     while True:
         before = (tree.root.lower, tree.root.upper)

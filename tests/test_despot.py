@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from causalplan.despot import (
+    DefaultValueTable,
     DespotNode,
     DespotTree,
     PlannerConfig,
-    Scenario,
-    default_lower_bound,
     initial_upper_bound,
     run_episode,
     sample_scenarios,
@@ -39,8 +38,8 @@ class TestPlannerConfig:
 class TestSampleScenarios:
     def test_point_mass_belief(self, truth):
         b = Belief.point_mass(truth.n_states, 3)
-        scenarios = sample_scenarios(b, 50, seed=1, depth=5)
-        assert all(sc.initial_state == 3 for sc in scenarios)
+        starts, _ = sample_scenarios(b, 50, seed=1, depth=5)
+        assert np.all(starts == 3)
 
     def test_uniform_belief_counts(self, truth):
         n_free = truth.n_states - 2
@@ -50,8 +49,7 @@ class TestSampleScenarios:
         counts = np.zeros(n_free)
         n_seeds = 20
         for seed in range(n_seeds):
-            scenarios = sample_scenarios(b, 500, seed=seed, depth=3)
-            starts = np.array([sc.initial_state for sc in scenarios])
+            starts, _ = sample_scenarios(b, 500, seed=seed, depth=3)
             counts += np.bincount(starts, minlength=n_free)
         mean_counts = counts / n_seeds
         p = 1.0 / n_free
@@ -62,14 +60,13 @@ class TestSampleScenarios:
         b = truth.initial_belief
         first = sample_scenarios(b, 40, seed=9, depth=8)
         second = sample_scenarios(b, 40, seed=9, depth=8)
-        for a, b_ in zip(first, second):
-            assert a.initial_state == b_.initial_state
-            assert np.array_equal(a.stream, b_.stream)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
 
     def test_streams_differ_across_scenarios(self, truth):
-        scenarios = sample_scenarios(truth.initial_belief, 10, seed=4, depth=6)
-        streams = {sc.stream.tobytes() for sc in scenarios}
-        assert len(streams) == 10
+        _, streams = sample_scenarios(truth.initial_belief, 10, seed=4, depth=6)
+        assert streams.shape == (10, 6, 2)
+        assert len({stream.tobytes() for stream in streams}) == 10
 
     def test_count_must_be_positive(self, truth):
         with pytest.raises(UsageError):
@@ -77,11 +74,16 @@ class TestSampleScenarios:
 
 
 def make_node(truth, config, state, k=16, phi=0.5, depth=0):
-    scenarios = [
-        Scenario(state, np.full((config.depth, 2), phi)) for _ in range(k)
-    ]
+    streams = np.full((k, config.depth, 2), phi)
     node = DespotNode(depth, np.arange(k), np.full(k, state), k)
-    return node, scenarios
+    return node, streams
+
+
+def default_lower_bound(node, model, config, streams):
+    """The node's default-policy bound as the planner forms it: the mean of
+    its scenarios' table entries minus the regularization penalty."""
+    values = DefaultValueTable(model, config, streams)[node.depth]
+    return float(values[node.scenario_ids, node.states].mean()) - config.regularization
 
 
 class TestBounds:
@@ -89,14 +91,14 @@ class TestBounds:
         config = PlannerConfig(scenarios=16, depth=15, regularization=0.01, seed=0)
         s = truth.state_index((0, 2))
         # phi = 0.5 lands in the goal bucket of the UP transition CDF
-        node, scenarios = make_node(truth, config, s)
-        value = default_lower_bound(node, truth, config, scenarios)
+        node, streams = make_node(truth, config, s)
+        value = default_lower_bound(node, truth, config, streams)
         assert value == pytest.approx(99.0 - config.regularization, abs=1e-9)
 
     def test_all_terminal_node(self, truth):
         config = PlannerConfig(scenarios=8, depth=15, regularization=0.01, seed=0)
-        node, scenarios = make_node(truth, config, truth.goal_state, k=8)
-        assert default_lower_bound(node, truth, config, scenarios) == pytest.approx(
+        node, streams = make_node(truth, config, truth.goal_state, k=8)
+        assert default_lower_bound(node, truth, config, streams) == pytest.approx(
             -config.regularization
         )
         assert initial_upper_bound(node, truth, config) == 0.0
@@ -120,6 +122,52 @@ class TestBounds:
         assert initial_upper_bound(node, truth, config) == 0.0
 
 
+def scalar_rollout(model, config, state, stream, depth):
+    """The default policy's discounted return from ``state`` at ``depth``,
+    one :func:`deterministic_step` at a time."""
+    value, discount = 0.0, 1.0
+    for t in range(depth, config.depth):
+        action = int(model.rollout_policy[state])
+        state, _, r = deterministic_step(model, state, action, tuple(stream[t]),
+                                         config.mode)
+        value += discount * r
+        discount *= config.gamma
+    return value
+
+
+class TestDefaultValueTable:
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    @pytest.mark.parametrize("which", ["truth", "two_state"])
+    def test_every_entry_equals_a_scalar_rollout(self, truth, which, mode):
+        model = truth if which == "truth" else two_state_model()
+        config = PlannerConfig(scenarios=10, depth=15, mode=mode, seed=3)
+        _, streams = sample_scenarios(model.initial_belief, 10, seed=3, depth=15)
+        table = DefaultValueTable(model, config, streams)
+        for depth in range(config.depth, -1, -1):  # fill rows out of order
+            row = table[depth]
+            assert row.shape == (10, model.n_states)
+            for k in range(10):
+                for s in range(model.n_states):
+                    assert row[k, s] == scalar_rollout(model, config, s, streams[k], depth)
+
+    def test_one_policy_step_per_depth(self, truth, monkeypatch):
+        calls = []
+        step = type(truth).batch_policy_step
+
+        def counted(self, *args):
+            calls.append(1)
+            return step(self, *args)
+
+        monkeypatch.setattr(type(truth), "batch_policy_step", counted)
+        config = PlannerConfig(scenarios=20, depth=15, seed=0)
+        _, streams = sample_scenarios(truth.initial_belief, 20, seed=0, depth=15)
+        table = DefaultValueTable(truth, config, streams)
+        for depth in range(config.depth + 1):
+            table[depth]
+            table[depth]
+        assert len(calls) <= config.depth
+
+
 class TestRunTrial:
     def test_first_trial_expands_root_and_tightens(self, truth):
         config = PlannerConfig(scenarios=100, depth=10, budget_trials=10, seed=0)
@@ -139,12 +187,11 @@ class TestRunTrial:
             regularization=0.0, budget_trials=1000, seed=12,
         )
         belief = Belief(np.array([0.5, 0.5, 0.0, 0.0]))
-        scenarios = sample_scenarios(belief, 30, seed=12, depth=1)
+        starts, streams = sample_scenarios(belief, 30, seed=12, depth=1)
         best = max(
             np.mean([
-                deterministic_step(model, sc.initial_state, a,
-                                   tuple(sc.stream[0]), config.mode)[2]
-                for sc in scenarios
+                deterministic_step(model, s, a, tuple(stream[0]), config.mode)[2]
+                for s, stream in zip(starts, streams)
             ])
             for a in range(model.n_actions)
         )

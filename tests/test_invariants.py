@@ -242,8 +242,8 @@ class TestPlannerInvariants:
             regularization=0.0, budget_trials=100_000, seed=5,
         )
         belief = Belief(np.array([0.5, 0.5, 0.0, 0.0]))
-        scenarios = sample_scenarios(belief, 24, seed=5, depth=3)
-        oracle = brute_force_optimum(model, scenarios, 3, 0.95, config.mode)
+        starts, streams = sample_scenarios(belief, 24, seed=5, depth=3)
+        oracle = brute_force_optimum(model, starts, streams, 3, 0.95, config.mode)
         tree = DespotTree(model, config, belief)
         while True:
             before = (tree.root.lower, tree.root.upper)

@@ -215,3 +215,48 @@ class TestDeterministicStep:
                     truth, int(states[i]), a, (phi1[i], phi2[i]), INT
                 )
                 assert (int(s2[i]), int(z[i]), float(r[i])) == expect
+
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    def test_batch_matches_scalar_at_cdf_ties(self, truth, mode):
+        # draws equal to a CDF entry, where the side of the comparison matters
+        ties = np.unique(np.concatenate([truth._trans_cdf.ravel(),
+                                         truth._obs_cdf.ravel()]))
+        ties = ties[ties < 1.0]
+        for s in range(truth.n_states - 2):
+            for a in range(truth.n_actions):
+                n = len(ties)
+                s2, z, r = truth.batch_step(np.full(n, s), a, ties, ties, mode)
+                for i, phi in enumerate(ties):
+                    expect = deterministic_step(truth, s, a, (phi, phi), mode)
+                    assert (int(s2[i]), int(z[i]), float(r[i])) == expect
+
+
+def _fold_loop(model, s, rel):
+    """Relative outcomes folded into successors one entry at a time."""
+    row = np.zeros(model.n_states)
+    for ds in range(model.n_ds):
+        row[model.successor_table[s, ds]] += rel[ds]
+    return row
+
+
+class TestFold:
+    def test_transition_matrix_matches_loop(self, truth):
+        for mode in (INT, OBS):
+            m = 0 if mode is OBS else 1
+            matrix = truth.transition_matrix(mode)
+            for a in range(truth.n_actions):
+                for s in range(truth.n_states - 2):
+                    region = s in truth.confounded_states
+                    rel = truth._rel_region[m, a] if region else truth._rel_free[a]
+                    assert np.array_equal(matrix[a, s], _fold_loop(truth, s, rel))
+
+    def test_mechanism_rows_match_loop(self, truth):
+        for s in range(truth.n_states - 2):
+            for a in range(truth.n_actions):
+                for u in range(truth.n_confounder):
+                    if s in truth.confounded_states:
+                        rel = truth.p_uc.row((a, u))
+                    else:
+                        rel = truth.p_0.row((a,))
+                    assert np.array_equal(truth.mechanism_transition_row(s, a, u),
+                                          _fold_loop(truth, s, rel))

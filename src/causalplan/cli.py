@@ -217,6 +217,8 @@ def cmd_tables(options) -> int:
 
 
 def cmd_eval(options) -> int:
+    if options["episodes"] < 1:
+        raise UsageError("--episodes must be >= 1")
     grid = _load_map(options)
     truth = gridworld.build_model(grid, options["gamma"])
     plan = _plan_model(options, truth)

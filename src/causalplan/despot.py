@@ -24,6 +24,7 @@ from .model import (
     TransitionMode,
     UcPomdpModel,
     belief_update,
+    deterministic_step,
 )
 from .scm import UsageError
 
@@ -60,6 +61,8 @@ class PlannerConfig:
             raise UsageError("regularization must be >= 0")
         if self.budget_trials is not None and self.budget_trials < 0:
             raise UsageError("budget_trials must be >= 0")
+        if self.budget_ms is not None and self.budget_ms < 0:
+            raise UsageError("budget_ms must be >= 0")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
 
@@ -79,11 +82,7 @@ def sample_scenarios(
     if count < 1:
         raise UsageError("scenario count must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    cdf = np.cumsum(belief.probs)
-    cdf /= cdf[-1]
-    starts = np.minimum(
-        np.searchsorted(cdf, rng.random(count), side="right"), len(cdf) - 1
-    )
+    starts = belief.sample(rng, count)
     streams = np.empty((count, depth, 2))
     for i in range(count):
         np.random.default_rng(np.random.SeedSequence((seed, 1, i))).random(
@@ -324,11 +323,6 @@ class DespotTree:
                         stack.append(child)
 
 
-def run_trial(tree: DespotTree) -> DespotTree:
-    tree.run_trial()
-    return tree
-
-
 def search(
     belief: Belief, model: UcPomdpModel, config: PlannerConfig
 ) -> tuple[int, tuple[float, float]]:
@@ -401,25 +395,26 @@ def run_episode(
     interventional law of the execution model; the confounder still drives
     the outcome inside the confounded region.  If the planning model assigns
     the received observation zero probability the episode is flagged and the
-    belief resets to the executed position.
+    belief resets to the executed position.  Each executed step is
+    :func:`~causalplan.model.deterministic_step` at the next two draws of the
+    episode's execution generator.
     """
     if max_steps < 1:
         raise UsageError("max_steps must be >= 1")
     if model_plan.n_states != model_exec.n_states:
         raise UsageError("planning and execution models disagree on states")
     exec_rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-    state = model_exec.initial_belief.sample(exec_rng)
+    state = int(model_exec.initial_belief.sample(exec_rng))
     belief = model_plan.initial_belief
     trace = EpisodeTrace(seed=seed)
     total = 0.0
     for t in range(max_steps):
         step_config = replace(config, seed=_step_seed(seed, t))
         action, (lower, upper) = search(belief, model_plan, step_config)
-        s_next = model_exec.sample_transition(
-            state, action, TransitionMode.INTERVENTIONAL, exec_rng
+        s_next, z, r = deterministic_step(
+            model_exec, state, action, (exec_rng.random(), exec_rng.random()),
+            TransitionMode.INTERVENTIONAL,
         )
-        z = model_exec.sample_observation(s_next, exec_rng)
-        r = float(model_exec._reward_table[action, state, s_next])
         total += config.gamma ** t * r
         trace.steps.append(
             EpisodeStep(belief.top_state, action, lower, upper, s_next, z, r)

@@ -142,28 +142,6 @@ def parse_map(text: str) -> GridMap:
     )
 
 
-def serialize_map(grid: GridMap) -> str:
-    rows = []
-    for y in range(grid.height - 1, -1, -1):
-        row = []
-        for x in range(grid.width):
-            cell = (x, y)
-            if cell == grid.magnet:
-                row.append("M")
-            elif cell in grid.occupied:
-                row.append("#")
-            elif cell == grid.start:
-                row.append("S")
-            elif cell == grid.goal:
-                row.append("G")
-            elif cell in grid.confounded:
-                row.append("C")
-            else:
-                row.append(".")
-        rows.append("".join(row))
-    return "\n".join(rows) + "\n"
-
-
 def default_map() -> GridMap:
     text = resources.files("causalplan").joinpath("maps/default.map").read_text()
     return parse_map(text)

@@ -8,23 +8,13 @@ fit.  File formats (dataset CSV, parameter text) are documented in the README.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .model import TransitionMode, UcPomdpModel
-from .scm import CategoricalTable, UsageError, kl_divergence
-
-
-@dataclass(frozen=True)
-class Record:
-    """One privileged observation: region flag, confounder, action, outcome."""
-
-    uc: bool
-    u: int
-    a: int
-    ds: int
+from .scm import CategoricalTable, UsageError, cdf_index, kl_divergence
 
 
 @dataclass(frozen=True)
@@ -38,7 +28,8 @@ class DatasetMeta:
 
 
 class Dataset:
-    """Columnar store of records; iterates as :class:`Record` objects."""
+    """Columnar store of privileged records: region flag, confounder,
+    action and relative outcome, one array each."""
 
     def __init__(self, uc: np.ndarray, u: np.ndarray, a: np.ndarray,
                  ds: np.ndarray, meta: DatasetMeta):
@@ -53,19 +44,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.meta.n_records
-
-    def __iter__(self) -> Iterator[Record]:
-        for i in range(len(self)):
-            yield self.record(i)
-
-    def record(self, i: int) -> Record:
-        return Record(bool(self.uc[i]), int(self.u[i]), int(self.a[i]),
-                      int(self.ds[i]))
-
-    def permuted(self, order) -> "Dataset":
-        order = np.asarray(order)
-        return Dataset(self.uc[order], self.u[order], self.a[order],
-                       self.ds[order], self.meta)
 
 
 @dataclass(frozen=True)
@@ -86,6 +64,10 @@ class LearnedParams:
 
 
 def _inverse_cdf(cdf_rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Category of ``draws[i]`` under CDF row ``cdf_rows[i]``, as
+    :func:`~causalplan.scm.cdf_index` counts it.  At 800k records this
+    gather-and-compare form measured 2x faster than the complex-key lookup
+    the planner uses (``model._invert_cdf``)."""
     return np.minimum(
         (cdf_rows <= draws[:, None]).sum(axis=1), cdf_rows.shape[1] - 1
     )
@@ -105,21 +87,17 @@ def generate_dataset(model: UcPomdpModel, n: int, seed: int) -> Dataset:
     n_ordinary = model.n_states - 2
     n_a = model.n_actions
 
-    u = _inverse_cdf(
-        np.broadcast_to(model.confounder_prior.cdf[0], (n, model.n_confounder)),
-        rng.random(n),
-    )
+    u = cdf_index(model.confounder_prior.cdf[0], rng.random(n))
     cells = rng.integers(0, n_ordinary, size=n)
     region_mask = np.zeros(n_ordinary, dtype=bool)
     region_mask[list(model.confounded_states)] = True
     uc = region_mask[cells]
 
     action_draws = rng.random(n)
-    uniform_cdf = np.arange(1, n_a + 1) / n_a
     a = np.where(
         uc,
         _inverse_cdf(model.reactive_policy.cdf[u], action_draws),
-        _inverse_cdf(np.broadcast_to(uniform_cdf, (n, n_a)), action_draws),
+        cdf_index(np.arange(1, n_a + 1) / n_a, action_draws),
     )
 
     ds_draws = rng.random(n)
@@ -255,35 +233,6 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
                      f"{dataset.a[i]},{dataset.ds[i]}\n")
 
 
-def load_dataset_csv(path) -> Dataset:
-    meta_fields = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, value = token.split("=", 1)
-                        meta_fields[key] = value
-                continue
-            if line == "uc,u,a,ds":
-                continue
-            rows.append(tuple(int(v) for v in line.split(",")))
-    data = np.array(rows, dtype=np.int64).reshape(len(rows), 4)
-    meta = DatasetMeta(
-        seed=int(meta_fields.get("seed", 0)),
-        model_name=meta_fields.get("model", "unknown"),
-        n_records=len(rows),
-        n_u=int(meta_fields["n_u"]),
-        n_a=int(meta_fields["n_a"]),
-        n_ds=int(meta_fields["n_ds"]),
-    )
-    return Dataset(data[:, 0].astype(bool), data[:, 1], data[:, 2], data[:, 3], meta)
-
-
 def save_params(params: LearnedParams, path) -> None:
     meta = params.meta
     n_a, n_u = params.p_uc.parent_arities
@@ -307,48 +256,61 @@ def save_params(params: LearnedParams, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_SECTION = re.compile(r"\[(p_u|p_uc a=(\d+) u=(\d+)|p_0 a=(\d+))\]")
+
+
 def load_params(path) -> LearnedParams:
+    """Read a parameter file; malformed input raises :class:`UsageError`
+    naming the file and the line."""
     n_records, smoothing = 0, 1.0
-    sections: dict[str, np.ndarray] = {}
-    counts: dict[str, np.ndarray] = {}
-    current = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("n_records="):
-                        n_records = int(token.split("=", 1)[1])
-                    elif token.startswith("smoothing="):
-                        smoothing = float(token.split("=", 1)[1])
-                    elif token.startswith("count=") and current is not None:
-                        counts[current] = np.array(
-                            [float(v) for v in token.split("=", 1)[1].split(",")]
-                        )
-                continue
-            if line.startswith("["):
-                current = line[1:-1]
-                continue
-            sections[current] = np.array([float(v) for v in line.split()])
-    p_u = sections["p_u"]
-    uc_keys = sorted(
-        (k for k in sections if k.startswith("p_uc")),
-        key=lambda k: (int(k.split("a=")[1].split()[0]), int(k.split("u=")[1])),
-    )
-    free_keys = sorted(
-        (k for k in sections if k.startswith("p_0")),
-        key=lambda k: int(k.split("a=")[1]),
-    )
-    n_u = len({k.split("u=")[1] for k in uc_keys})
+    sections: dict[tuple, np.ndarray] = {}
+    counts: dict[tuple, np.ndarray] = {}
+    current, where = None, "line 0"
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                where = f"line {lineno}"
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    for token in line[1:].split():
+                        if token.startswith("n_records="):
+                            n_records = int(token.split("=", 1)[1])
+                        elif token.startswith("smoothing="):
+                            smoothing = float(token.split("=", 1)[1])
+                        elif token.startswith("count=") and current is not None:
+                            counts[current] = np.array(
+                                [float(v) for v in token.split("=", 1)[1].split(",")]
+                            )
+                    continue
+                if line.startswith("["):
+                    match = _SECTION.fullmatch(line)
+                    if match is None:
+                        raise ValueError(f"unknown section {line}")
+                    # ("p_u",), ("p_uc", a, u) or ("p_0", a): sorts a-major
+                    current = (match.group(1).split()[0],
+                               *(int(g) for g in match.groups()[1:] if g is not None))
+                    continue
+                if current is None:
+                    raise ValueError("values before the first [section]")
+                sections[current] = np.array([float(v) for v in line.split()])
+        where = f"end of file after {where}"
+        if ("p_u",) not in sections:
+            raise ValueError("no [p_u] section")
+        uc_keys = sorted(k for k in sections if k[0] == "p_uc")
+        free_keys = sorted(k for k in sections if k[0] == "p_0")
+        p_uc = np.stack([sections[k] for k in uc_keys])
+        p_0 = np.stack([sections[k] for k in free_keys])
+    except ValueError as exc:
+        raise UsageError(f"{path}, {where}: {exc}") from None
+    p_u = sections[("p_u",)]
+    n_u = len({k[2] for k in uc_keys})
     n_a = len(free_keys)
-    p_uc = np.stack([sections[k] for k in uc_keys])
-    p_0 = np.stack([sections[k] for k in free_keys])
     meta = FitMeta(
         n_records=n_records,
         smoothing=smoothing,
-        u_count=counts.get("p_u", np.zeros(len(p_u))),
+        u_count=counts.get(("p_u",), np.zeros(len(p_u))),
         uc_row_counts=np.array([float(counts.get(k, [0.0])[0]) for k in uc_keys]),
         free_row_counts=np.array([float(counts.get(k, [0.0])[0]) for k in free_keys]),
     )

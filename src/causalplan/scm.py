@@ -157,6 +157,13 @@ class CategoricalTable:
         )
 
 
+def cdf_index(cdf: np.ndarray, u):
+    """The category a unit draw ``u`` selects from one CDF row: the number of
+    entries ``<= u``, clamped to the last category (rows end at 1, above any
+    draw).  ``u`` may be a scalar or an array."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
 class DeterministicRule:
     """Assignment function mapping a full parent assignment to one category.
 
@@ -232,11 +239,7 @@ def _desugar(var: VariableId, parents: Sequence[str], table: CategoricalTable,
     noise = VariableId(noise_name, n_seg)
     prior = CategoricalTable((), lengths / lengths.sum())
     # category per (row, segment): the CDF bucket the segment midpoint falls in
-    lookup = np.empty((table.n_rows, n_seg), dtype=np.int64)
-    for r in range(table.n_rows):
-        lookup[r] = np.minimum(
-            np.searchsorted(cdf[r], mids, side="right"), table.n_categories - 1
-        )
+    lookup = np.array([cdf_index(row, mids) for row in cdf], dtype=np.int64)
     shape = tuple(table.parent_arities) + (n_seg,)
     rule = DeterministicRule(lookup.reshape(shape))
     return noise, prior, rule
@@ -380,27 +383,13 @@ def _check_assignment(spec: ScmSpec, assignment: Mapping[str, int], role: str):
             )
 
 
-def sample_world(spec: ScmSpec, rng: np.random.Generator) -> dict[str, int]:
-    """Draw one full assignment: exogenous from priors, endogenous by rule."""
-    world: dict[str, int] = {}
-    for var, prior in spec.exogenous:
-        idx = int(np.searchsorted(prior.cdf[0], rng.random(), side="right"))
-        world[var.name] = min(idx, var.arity - 1)
-    for var, parents, rule in spec.endogenous:
-        world[var.name] = rule(tuple(world[p] for p in parents))
-    return world
-
-
 def sample_worlds(spec: ScmSpec, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Vectorized forward sampling; returns one integer array per variable."""
     if n < 1:
         raise UsageError("n must be >= 1")
     world: dict[str, np.ndarray] = {}
     for var, prior in spec.exogenous:
-        draws = rng.random(n)
-        world[var.name] = np.minimum(
-            np.searchsorted(prior.cdf[0], draws, side="right"), var.arity - 1
-        )
+        world[var.name] = cdf_index(prior.cdf[0], rng.random(n))
     for var, parents, rule in spec.endogenous:
         world[var.name] = rule.table[tuple(world[p] for p in parents)]
     return world
@@ -541,9 +530,3 @@ def kl_divergence(p, q) -> float:
     if np.any(b[mask] == 0):
         return math.inf
     return float(np.sum(a[mask] * np.log(a[mask] / b[mask])))
-
-
-def total_variation(p, q) -> float:
-    """Total-variation distance between two distributions on a shared support."""
-    a, b = _coerce_pair(p, q)
-    return 0.5 * float(np.abs(a - b).sum())

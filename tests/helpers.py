@@ -6,10 +6,13 @@ action table, 90/5/5 drift) and compute mixtures directly, so library output
 can be checked against them.
 """
 
+from pathlib import Path
+
 import numpy as np
 
+from causalplan.learning import Dataset, DatasetMeta
 from causalplan.model import UcPomdpModel, deterministic_step
-from causalplan.scm import CategoricalTable
+from causalplan.scm import CategoricalTable, cdf_index
 
 PRIOR = {-90: 0.10, 0: 0.80, 90: 0.10}
 REACTIVE = {
@@ -162,3 +165,43 @@ def brute_force_optimum(model, starts, streams, depth, gamma, mode,
             )
         best = max(best, total / len(starts))
     return float(best)
+
+
+def sample_reactive_action(model, s: int, u: int, rng: np.random.Generator) -> int:
+    """The agent's reflexive action: Table-driven inside the confounded
+    region, uniform elsewhere."""
+    if s in model.confounded_states:
+        cdf = model.reactive_policy.cdf[u]
+    else:
+        cdf = np.arange(1, model.n_actions + 1) / model.n_actions
+    return int(cdf_index(cdf, rng.random()))
+
+
+def total_variation(p, q) -> float:
+    """Total-variation distance between two distributions on a shared support."""
+    assert p.support == q.support
+    return 0.5 * float(np.abs(p.probs - q.probs).sum())
+
+
+def load_dataset_csv(path) -> Dataset:
+    """Read a ``learn --write-dataset`` file back into a :class:`Dataset`."""
+    header = Path(path).read_text().splitlines()[0]
+    meta = dict(token.split("=", 1) for token in header[1:].split())
+    uc, u, a, ds = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=2, ndmin=2).T
+    return Dataset(uc.astype(bool), u, a, ds, DatasetMeta(
+        int(meta["seed"]), meta["model"], len(uc),
+        int(meta["n_u"]), int(meta["n_a"]), int(meta["n_ds"])))
+
+
+def permuted(dataset: Dataset, order) -> Dataset:
+    """The same records in another order."""
+    return Dataset(dataset.uc[order], dataset.u[order], dataset.a[order],
+                   dataset.ds[order], dataset.meta)
+
+
+def serialize_map(grid) -> str:
+    """Map text that ``parse_map`` reads back as ``grid``."""
+    glyph = {**{c: "C" for c in grid.confounded}, **{c: "#" for c in grid.occupied},
+             grid.start: "S", grid.goal: "G", grid.magnet: "M"}
+    return "".join("".join(glyph.get((x, y), ".") for x in range(grid.width)) + "\n"
+                   for y in range(grid.height - 1, -1, -1))

@@ -17,9 +17,11 @@ from scipy import stats
 from causalplan import cli, gridworld, learning
 from causalplan.despot import DespotTree, PlannerConfig, run_episode, sample_scenarios
 from causalplan.model import Belief, TransitionMode
-from causalplan.scm import exact_query, importance_query, total_variation
+from causalplan.scm import exact_query, importance_query
 
-from helpers import brute_force_optimum, hand_confounded_tables, two_state_model
+from helpers import (
+    brute_force_optimum, hand_confounded_tables, total_variation, two_state_model,
+)
 
 INT = TransitionMode.INTERVENTIONAL
 OBS = TransitionMode.OBSERVATIONAL

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from causalplan import cli, despot, learning
+from causalplan import cli, despot
+
+from helpers import load_dataset_csv
 
 FAST = [
     "--scenarios", "100", "--depth", "15", "--budget-trials", "200",
@@ -59,7 +61,7 @@ class TestLearnCommand:
         assert run([
             "learn", "--dataset-n", "50", "--write-dataset", "--out", str(tmp_path)
         ]) == 0
-        ds = learning.load_dataset_csv(tmp_path / "dataset.csv")
+        ds = load_dataset_csv(tmp_path / "dataset.csv")
         assert len(ds) == 50
 
 
@@ -241,3 +243,40 @@ class TestConfigHandling:
             "--params", str(tmp_path / "missing.txt"),
             "--out", str(tmp_path), *FAST,
         ]) == 3
+
+
+class TestUsageErrors:
+    """Bad input exits 2 with an ``error[usage]`` line, not a traceback."""
+
+    def expect_usage_error(self, capsys, args, *fragments):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[usage]:")
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_negative_budget_ms(self, tmp_path, capsys):
+        self.expect_usage_error(
+            capsys, ["simulate", "--budget-ms", "-5", "--out", str(tmp_path)], "budget_ms")
+
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_episode_count_below_one(self, tmp_path, capsys, episodes):
+        self.expect_usage_error(
+            capsys, ["eval", "--episodes", episodes, "--out", str(tmp_path)], "--episodes")
+        assert not (tmp_path / "summary.txt").exists()
+
+    def _params(self, tmp_path, small_params, edit):
+        lines = small_params.read_text().splitlines()
+        path = tmp_path / "bad_params.txt"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return path, ["tables", "--params", str(path), "--out", str(tmp_path)]
+
+    def test_params_non_numeric_value(self, tmp_path, capsys, small_params):
+        # line 4 is the [p_u] probability row
+        path, args = self._params(
+            tmp_path, small_params, lambda lines: lines[:3] + ["0.1 zero 0.1"] + lines[4:])
+        self.expect_usage_error(capsys, args, str(path), "line 4")
+
+    def test_params_without_p_u_section(self, tmp_path, capsys, small_params):
+        path, args = self._params(tmp_path, small_params, lambda lines: [lines[0]] + lines[4:])
+        self.expect_usage_error(capsys, args, str(path), "line", "[p_u]")

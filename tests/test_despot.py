@@ -33,6 +33,8 @@ class TestPlannerConfig:
             PlannerConfig(xi=0.0)
         with pytest.raises(UsageError):
             PlannerConfig(regularization=-0.1)
+        with pytest.raises(UsageError):
+            PlannerConfig(budget_ms=-5.0)
 
 
 class TestSampleScenarios:

@@ -15,11 +15,10 @@ from causalplan.gridworld import (
     effective_heading,
     parse_map,
     relative_transition,
-    serialize_map,
 )
-from causalplan.model import TransitionMode, transition_dist
+from causalplan.model import TransitionMode
 
-from helpers import hand_confounded_tables
+from helpers import hand_confounded_tables, serialize_map
 
 RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
 
@@ -171,15 +170,15 @@ class TestMapTopology:
 class TestBuildModel:
     def test_folded_interventional_up(self, grid, truth):
         s = truth.state_index((0, 2))
-        d = transition_dist(truth, s, UP, TransitionMode.INTERVENTIONAL)
-        assert d.probs[truth.goal_state] == pytest.approx(0.73, abs=1e-12)
-        assert d.probs[truth.collided_state] == pytest.approx(0.26, abs=1e-12)
-        assert d.probs[truth.state_index((0, 1))] == pytest.approx(0.01, abs=1e-12)
+        row = truth.transition_matrix(TransitionMode.INTERVENTIONAL)[UP, s]
+        assert row[truth.goal_state] == pytest.approx(0.73, abs=1e-12)
+        assert row[truth.collided_state] == pytest.approx(0.26, abs=1e-12)
+        assert row[truth.state_index((0, 1))] == pytest.approx(0.01, abs=1e-12)
 
     def test_folded_observational_up(self, truth):
         s = truth.state_index((0, 2))
-        d = transition_dist(truth, s, UP, TransitionMode.OBSERVATIONAL)
-        assert d.probs[truth.goal_state] == pytest.approx(89 / 420, abs=1e-12)
+        row = truth.transition_matrix(TransitionMode.OBSERVATIONAL)[UP, s]
+        assert row[truth.goal_state] == pytest.approx(89 / 420, abs=1e-12)
 
     def test_relative_tables_match_hand_mixture(self, truth):
         do_tables, obs_tables = hand_confounded_tables()

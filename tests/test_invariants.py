@@ -25,11 +25,10 @@ from causalplan.scm import (
     importance_query,
     mutilate,
     sample_worlds,
-    total_variation,
 )
 from causalplan import gridworld
 
-from helpers import brute_force_optimum, two_state_model
+from helpers import brute_force_optimum, permuted, total_variation, two_state_model
 
 INT = TransitionMode.INTERVENTIONAL
 OBS = TransitionMode.OBSERVATIONAL
@@ -292,7 +291,7 @@ class TestLearningInvariants:
 
     def test_fit_order_independent(self, truth):
         ds = generate_dataset(truth, 20_000, seed=6)
-        shuffled = ds.permuted(np.random.default_rng(3).permutation(len(ds)))
+        shuffled = permuted(ds, np.random.default_rng(3).permutation(len(ds)))
         a, b = fit(ds), fit(shuffled)
         assert np.array_equal(a.p_uc.values, b.p_uc.values)
         assert np.array_equal(a.p_0.values, b.p_0.values)

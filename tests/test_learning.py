@@ -10,7 +10,6 @@ from causalplan.learning import (
     eval_kl_full_transition,
     fit,
     generate_dataset,
-    load_dataset_csv,
     load_params,
     max_abs_table_error,
     save_dataset_csv,
@@ -18,6 +17,8 @@ from causalplan.learning import (
 )
 from causalplan.model import TransitionMode
 from causalplan.scm import UsageError
+
+from helpers import load_dataset_csv, permuted
 
 RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
 INT = TransitionMode.INTERVENTIONAL
@@ -49,12 +50,6 @@ class TestGenerateDataset:
         for col in ("uc", "u", "a", "ds"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
 
-    def test_records_iterate(self, truth):
-        ds = generate_dataset(truth, 10, seed=3)
-        records = list(ds)
-        assert len(records) == 10
-        assert records[0] == ds.record(0)
-
 
 class TestFit:
     def test_hand_counted_confounder_prior(self):
@@ -83,7 +78,7 @@ class TestFit:
     def test_permutation_invariance(self, truth):
         ds = generate_dataset(truth, 5_000, seed=1)
         params_a = fit(ds)
-        params_b = fit(ds.permuted(np.random.default_rng(0).permutation(len(ds))))
+        params_b = fit(permuted(ds, np.random.default_rng(0).permutation(len(ds))))
         assert np.array_equal(params_a.p_u.values, params_b.p_u.values)
         assert np.array_equal(params_a.p_uc.values, params_b.p_uc.values)
         assert np.array_equal(params_a.p_0.values, params_b.p_0.values)

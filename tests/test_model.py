@@ -2,19 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from causalplan.learning import _inverse_cdf
 from causalplan.model import (
     Belief,
     InconsistentObservationError,
     TransitionMode,
+    _cdf_keys,
+    _invert_cdf,
     belief_update,
     deterministic_step,
-    observation_dist,
-    reward,
-    sample_reactive_action,
-    transition_dist,
 )
-from causalplan.scm import UsageError
+from causalplan.scm import cdf_index, importance_query
+
+from helpers import sample_reactive_action
 
 INT = TransitionMode.INTERVENTIONAL
 OBS = TransitionMode.OBSERVATIONAL
@@ -47,39 +49,37 @@ class TestTransitionDist:
             if s in truth.confounded_states:
                 continue
             for a in range(truth.n_actions):
-                inter = transition_dist(truth, s, a, INT).probs
-                obser = transition_dist(truth, s, a, OBS).probs
+                inter = truth.transition_matrix(INT)[a, s]
+                obser = truth.transition_matrix(OBS)[a, s]
                 assert obser == pytest.approx(inter, abs=1e-12)
 
-    def test_terminal_state_rejected(self, truth):
-        with pytest.raises(UsageError):
-            transition_dist(truth, truth.goal_state, UP, INT)
-
     def test_importance_method_matches_exact(self, truth, rng):
+        # the model's own causal spec, answered by sampling, folds into the
+        # exactly enumerated transition row
         s = truth.state_index((0, 2))
-        exact = transition_dist(truth, s, UP, INT).probs
-        approx = transition_dist(
-            truth, s, UP, INT, method="importance", n_particles=20000, rng=rng
-        ).probs
-        assert np.abs(exact - approx).max() <= 0.02
+        exact = truth.transition_matrix(INT)[UP, s]
+        rel = importance_query(truth._spec_region, "DS", intervention={"A": UP},
+                               n_particles=20000, rng=rng).probs
+        assert np.abs(exact - truth._fold(s, rel)).max() <= 0.02
 
 
 class TestObservationDist:
     def test_noiseless_position(self, truth):
         s = truth.state_index((2, 1))
-        d = observation_dist(truth, s, UP)
-        assert d.probs[s] == 1.0
+        assert truth._obs[s, s] == 1.0
 
     def test_terminals_emit_terminal_observation(self, truth):
         for t in (truth.goal_state, truth.collided_state):
-            d = observation_dist(truth, t, RIGHT)
-            assert d.probs[truth.terminal_observation] == 1.0
+            assert truth._obs[t, truth.terminal_observation] == 1.0
 
-    def test_action_independence(self, truth):
-        for s in range(truth.n_states):
-            rows = [observation_dist(truth, s, a).probs for a in range(4)]
-            for row in rows[1:]:
-                assert np.array_equal(row, rows[0])
+    def test_action_independence(self, truth, rng):
+        # the observation drawn at phi[1] depends on the successor alone
+        for phi in rng.random((50, 2)):
+            seen = {}
+            for s in range(truth.n_states - 2):
+                for a in range(truth.n_actions):
+                    s2, z, _ = deterministic_step(truth, s, a, tuple(phi), INT)
+                    assert seen.setdefault(s2, z) == z
 
 
 class TestBeliefUpdate:
@@ -129,21 +129,24 @@ class TestBeliefUpdate:
 
 
 class TestReward:
+    """Rewards as the kernels and ``run_episode`` read them:
+    ``_reward_table[a, s, s_next]``."""
+
     def test_ordinary_move(self, truth):
         s = truth.state_index((0, 0))
-        assert reward(truth, s, UP, truth.state_index((0, 1))) == -1.0
+        assert truth._reward_table[UP, s, truth.state_index((0, 1))] == -1.0
 
     def test_goal_arrival(self, truth):
         s = truth.state_index((0, 2))
-        assert reward(truth, s, UP, truth.goal_state) == 99.0
+        assert truth._reward_table[UP, s, truth.goal_state] == 99.0
 
     def test_collision(self, truth):
         s = truth.state_index((0, 0))
-        assert reward(truth, s, LEFT, truth.collided_state) == -51.0
+        assert truth._reward_table[LEFT, s, truth.collided_state] == -51.0
 
     def test_terminal_absorbs_with_zero(self, truth):
-        assert reward(truth, truth.goal_state, UP, truth.goal_state) == 0.0
-        assert reward(truth, truth.collided_state, DOWN, truth.collided_state) == 0.0
+        assert truth._reward_table[UP, truth.goal_state, truth.goal_state] == 0.0
+        assert truth._reward_table[DOWN, truth.collided_state, truth.collided_state] == 0.0
 
 
 class TestReactiveAction:
@@ -177,8 +180,7 @@ class TestReactiveAction:
 class TestDeterministicStep:
     def test_phi_zero_selects_first_successor(self, truth):
         s = truth.state_index((0, 2))
-        dist = transition_dist(truth, s, UP, INT)
-        first = int(np.flatnonzero(dist.probs)[0])
+        first = int(np.flatnonzero(truth.transition_matrix(INT)[UP, s])[0])
         s2, _, _ = deterministic_step(truth, s, UP, (0.0, 0.0), INT)
         assert s2 == first
 
@@ -190,7 +192,7 @@ class TestDeterministicStep:
             np.full(1_000_000, s), UP, phi1, phi2, INT
         )
         freq = np.bincount(s2, minlength=truth.n_states) / len(s2)
-        assert np.abs(freq - transition_dist(truth, s, UP, INT).probs).max() <= 0.005
+        assert np.abs(freq - truth.transition_matrix(INT)[UP, s]).max() <= 0.005
 
     def test_pure_function_of_inputs(self, truth):
         s = truth.state_index((0, 1))
@@ -260,3 +262,38 @@ class TestFold:
                         rel = truth.p_0.row((a,))
                     assert np.array_equal(truth.mechanism_transition_row(s, a, u),
                                           _fold_loop(truth, s, rel))
+
+
+@st.composite
+def cdf_rows_and_draws(draw):
+    """A CDF table with zero-probability entries and repeated values, row
+    indices, and unit draws that include 0.0 and exact CDF values (ties)."""
+    width = draw(st.integers(1, 5))
+    weight = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 3.0])
+    rows = draw(st.lists(st.lists(weight, min_size=width, max_size=width).filter(any),
+                         min_size=1, max_size=4))
+    cdf = np.cumsum(rows, axis=1)
+    cdf /= cdf[:, -1:]
+    # unit draws lie in [0, 1), so a tie is a CDF value below 1
+    ties = sorted(set(cdf[cdf < 1.0].tolist())) or [0.0]
+    unit = st.one_of(st.just(0.0), st.sampled_from(ties),
+                     st.floats(0.0, 1.0, exclude_max=True))
+    n = draw(st.integers(1, 30))
+    ids = np.array(draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n)))
+    return cdf, ids, np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+
+
+class TestCdfInverters:
+    @given(cdf_rows_and_draws())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_shared_helper_and_both_batched_forms_agree(self, case):
+        cdf, ids, u = case
+        scalar = np.array([cdf_index(cdf[i], x) for i, x in zip(ids, u)])
+        per_row = np.empty_like(scalar)
+        for i in range(len(cdf)):
+            per_row[ids == i] = cdf_index(cdf[i], u[ids == i])
+        complex_keys = _invert_cdf(_cdf_keys(cdf), ids, u, cdf.shape[1])
+        gather = _inverse_cdf(cdf[ids], u)
+        assert np.array_equal(scalar, per_row)
+        assert np.array_equal(scalar, complex_keys)
+        assert np.array_equal(scalar, gather)

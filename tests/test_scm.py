@@ -21,12 +21,10 @@ from causalplan.scm import (
     importance_query,
     kl_divergence,
     mutilate,
-    sample_world,
     sample_worlds,
-    total_variation,
 )
 
-from helpers import hand_confounded_tables
+from helpers import hand_confounded_tables, total_variation
 
 
 def single_prior_spec():
@@ -72,16 +70,6 @@ class TestSampleWorld:
         )
         worlds = sample_worlds(spec, 10_000, rng)
         assert np.array_equal(worlds["V"], worlds["U"])
-        one = sample_world(spec, np.random.default_rng(3))
-        assert one["V"] == one["U"]
-
-    def test_scalar_and_batch_sampling_agree_in_distribution(self, rng):
-        spec = single_prior_spec()
-        scalar = np.array(
-            [sample_world(spec, np.random.default_rng(i))["U"] for i in range(4000)]
-        )
-        freq = np.bincount(scalar, minlength=3) / len(scalar)
-        assert np.all(np.abs(freq - [0.1, 0.8, 0.1]) <= 0.03)
 
     def test_fragment_joint_matches_enumeration(self, confounded_fragment, rng):
         worlds = sample_worlds(confounded_fragment, 1_000_000, rng)

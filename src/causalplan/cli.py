@@ -71,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--dataset-n", dest="dataset_n", type=int)
         p.add_argument("--smoothing", type=float)
+        p.set_defaults(command_parser=p)  # config values are checked against its flags
 
     learn = sub.add_parser("learn", help="fit tables from privileged records")
     add_common(learn)
@@ -90,22 +91,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(key: str, value, flag: argparse.Action | None):
+    """A config file's ``value`` for ``key``, held to the type and choices
+    its command-line ``flag`` declares; a bare switch takes a boolean."""
+    if flag is None or (value is None and DEFAULTS[key] is None):
+        return value
+    kind = bool if flag.nargs == 0 else flag.type or str
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        raise UsageError(f"config value {key}={value!r} is not of type {kind.__name__}")
+    if flag.choices and value not in flag.choices:
+        raise UsageError(f"config value {key}={value!r} is not one of {flag.choices}")
+    return kind(value)
+
+
 def _merge_options(args: argparse.Namespace) -> dict:
     options = dict(DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"{args.config}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise UsageError(f"{args.config}: config must be a JSON object")
+        flags = {flag.dest: flag for flag in args.command_parser._actions}
         for key, value in loaded.items():
             key = key.replace("-", "_")
             if key == "lambda":
                 key = "lambda_"
             if key not in options:
                 raise UsageError(f"unknown config key {key!r}")
-            options[key] = value
+            options[key] = _config_value(key, value, flags.get(key))
     for key in options:
         value = getattr(args, key, None)
         if value is not None:
             options[key] = value
+    if not 0 < options["gamma"] < 1:
+        raise UsageError("gamma must lie in (0, 1)")
     return options
 
 

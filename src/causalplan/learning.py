@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TransitionMode, UcPomdpModel
-from .scm import CategoricalTable, UsageError, cdf_index, kl_divergence
+from .scm import CategoricalTable, UsageError, kl_divergence
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,15 @@ class LearnedParams:
     meta: FitMeta
 
 
-def _inverse_cdf(cdf_rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Category of ``draws[i]`` under CDF row ``cdf_rows[i]``, as
-    :func:`~causalplan.scm.cdf_index` counts it.  At 800k records this
-    gather-and-compare form measured 2x faster than the complex-key lookup
-    the planner uses (``model._invert_cdf``)."""
-    return np.minimum(
-        (cdf_rows <= draws[:, None]).sum(axis=1), cdf_rows.shape[1] - 1
-    )
+def _inverse_cdf(cdf: np.ndarray, rows, draws: np.ndarray) -> np.ndarray:
+    """Category of ``draws[i]`` under CDF row ``cdf[rows[i]]`` (``rows`` may
+    be a scalar), as :func:`~causalplan.scm.cdf_index` counts it.  Rows end
+    at 1.0, so counting the first ``width - 1`` columns gives the clamped
+    count, one column at a time and without an (n, width) gather."""
+    out = np.zeros(len(draws), dtype=np.int64)
+    for j in range(cdf.shape[1] - 1):
+        out += np.take(cdf[:, j], rows) <= draws
+    return out
 
 
 def generate_dataset(model: UcPomdpModel, n: int, seed: int) -> Dataset:
@@ -87,27 +88,26 @@ def generate_dataset(model: UcPomdpModel, n: int, seed: int) -> Dataset:
     n_ordinary = model.n_states - 2
     n_a = model.n_actions
 
-    u = cdf_index(model.confounder_prior.cdf[0], rng.random(n))
+    u = _inverse_cdf(model.confounder_prior.cdf, 0, rng.random(n))
     cells = rng.integers(0, n_ordinary, size=n)
     region_mask = np.zeros(n_ordinary, dtype=bool)
     region_mask[list(model.confounded_states)] = True
     uc = region_mask[cells]
+    # every record takes the out-of-region branch, then the region's records
+    # are inverted again from the same draws
+    region = np.flatnonzero(uc)
+    u_region = u.take(region)
 
     action_draws = rng.random(n)
-    a = np.where(
-        uc,
-        _inverse_cdf(model.reactive_policy.cdf[u], action_draws),
-        cdf_index(np.arange(1, n_a + 1) / n_a, action_draws),
-    )
+    a = _inverse_cdf(np.arange(1, n_a + 1)[None, :] / n_a, 0, action_draws)
+    a_region = _inverse_cdf(model.reactive_policy.cdf, u_region,
+                            action_draws.take(region))
+    a[region] = a_region
 
     ds_draws = rng.random(n)
-    uc_rows = model.p_uc.cdf[a * model.n_confounder + u]
-    free_rows = model.p_0.cdf[a]
-    ds = np.where(
-        uc,
-        _inverse_cdf(uc_rows, ds_draws),
-        _inverse_cdf(free_rows, ds_draws),
-    )
+    ds = _inverse_cdf(model.p_0.cdf, a, ds_draws)
+    ds[region] = _inverse_cdf(model.p_uc.cdf, a_region * model.n_confounder + u_region,
+                              ds_draws.take(region))
 
     meta = DatasetMeta(
         seed=seed,
@@ -136,35 +136,26 @@ def fit(dataset: Dataset, smoothing: float = 1.0) -> LearnedParams:
 
     u_counts = np.bincount(dataset.u, minlength=n_u).astype(float)
     p_u = (u_counts + smoothing) / (u_counts.sum() + n_u * smoothing)
-
-    in_region = dataset.uc
-    rows = dataset.a[in_region] * n_u + dataset.u[in_region]
-    uc_counts = np.bincount(
-        rows * n_ds + dataset.ds[in_region], minlength=n_a * n_u * n_ds
-    ).astype(float).reshape(n_a * n_u, n_ds)
-    p_uc = (uc_counts + smoothing) / (
-        uc_counts.sum(axis=1, keepdims=True) + n_ds * smoothing
-    )
-
-    free_counts = np.bincount(
-        dataset.a[~in_region] * n_ds + dataset.ds[~in_region],
-        minlength=n_a * n_ds,
-    ).astype(float).reshape(n_a, n_ds)
-    p_0 = (free_counts + smoothing) / (
-        free_counts.sum(axis=1, keepdims=True) + n_ds * smoothing
-    )
+    # one count over (action, confounder or n_u outside the region, outcome)
+    u_or_free = np.where(dataset.uc, dataset.u, n_u)
+    counts = np.bincount(
+        (dataset.a * (n_u + 1) + u_or_free) * n_ds + dataset.ds,
+        minlength=n_a * (n_u + 1) * n_ds,
+    ).astype(float).reshape(n_a, n_u + 1, n_ds)
+    row_totals = counts.sum(axis=2)
+    probs = (counts + smoothing) / (row_totals[..., None] + n_ds * smoothing)
 
     meta = FitMeta(
         n_records=len(dataset),
         smoothing=float(smoothing),
         u_count=u_counts,
-        uc_row_counts=uc_counts.sum(axis=1),
-        free_row_counts=free_counts.sum(axis=1),
+        uc_row_counts=row_totals[:, :n_u].ravel(),
+        free_row_counts=row_totals[:, n_u],
     )
     return LearnedParams(
         p_u=CategoricalTable((), p_u),
-        p_uc=CategoricalTable((n_a, n_u), p_uc),
-        p_0=CategoricalTable((n_a,), p_0),
+        p_uc=CategoricalTable((n_a, n_u), probs[:, :n_u].reshape(n_a * n_u, n_ds)),
+        p_0=CategoricalTable((n_a,), probs[:, n_u]),
         meta=meta,
     )
 
@@ -228,9 +219,8 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
         fh.write(f"# seed={m.seed} model={m.model_name} n={m.n_records} "
                  f"n_u={m.n_u} n_a={m.n_a} n_ds={m.n_ds}\n")
         fh.write("uc,u,a,ds\n")
-        for i in range(len(dataset)):
-            fh.write(f"{int(dataset.uc[i])},{dataset.u[i]},"
-                     f"{dataset.a[i]},{dataset.ds[i]}\n")
+        np.savetxt(fh, np.column_stack([dataset.uc, dataset.u, dataset.a, dataset.ds]),
+                   fmt="%d", delimiter=",")
 
 
 def save_params(params: LearnedParams, path) -> None:
@@ -242,18 +232,20 @@ def save_params(params: LearnedParams, path) -> None:
         "# count=" + ",".join(repr(float(c)) for c in meta.u_count),
         " ".join(repr(float(v)) for v in params.p_u.values[0]),
     ]
-    for a in range(n_a):
-        for u in range(n_u):
-            row = a * n_u + u
-            lines.append(f"[p_uc a={a} u={u}]")
-            lines.append(f"# count={float(meta.uc_row_counts[row])!r}")
-            lines.append(" ".join(repr(float(v)) for v in params.p_uc.values[row]))
-    for a in range(n_a):
-        lines.append(f"[p_0 a={a}]")
-        lines.append(f"# count={float(meta.free_row_counts[a])!r}")
-        lines.append(" ".join(repr(float(v)) for v in params.p_0.values[a]))
+    uc_names, free_names = _section_names(n_a, n_u)
+    for names, counts, table in ((uc_names, meta.uc_row_counts, params.p_uc),
+                                 (free_names, meta.free_row_counts, params.p_0)):
+        for name, count, row in zip(names, counts, table.values):
+            lines += [name, f"# count={float(count)!r}",
+                      " ".join(repr(float(v)) for v in row)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _section_names(n_a: int, n_u: int) -> tuple[list[str], list[str]]:
+    """Headers of the ``p_uc`` and ``p_0`` sections, in file order."""
+    return ([f"[p_uc a={a} u={u}]" for a in range(n_a) for u in range(n_u)],
+            [f"[p_0 a={a}]" for a in range(n_a)])
 
 
 _SECTION = re.compile(r"\[(p_u|p_uc a=(\d+) u=(\d+)|p_0 a=(\d+))\]")
@@ -261,10 +253,10 @@ _SECTION = re.compile(r"\[(p_u|p_uc a=(\d+) u=(\d+)|p_0 a=(\d+))\]")
 
 def load_params(path) -> LearnedParams:
     """Read a parameter file; malformed input raises :class:`UsageError`
-    naming the file and the line."""
-    n_records, smoothing = 0, 1.0
-    sections: dict[tuple, np.ndarray] = {}
-    counts: dict[tuple, np.ndarray] = {}
+    naming the file and the line, or the section that is missing."""
+    n_records, smoothing, n_a = 0, 1.0, 1
+    sections: dict[str, np.ndarray] = {}
+    counts: dict[str, np.ndarray] = {}
     current, where = None, "line 0"
     try:
         with open(path) as fh:
@@ -288,29 +280,36 @@ def load_params(path) -> LearnedParams:
                     match = _SECTION.fullmatch(line)
                     if match is None:
                         raise ValueError(f"unknown section {line}")
-                    # ("p_u",), ("p_uc", a, u) or ("p_0", a): sorts a-major
-                    current = (match.group(1).split()[0],
-                               *(int(g) for g in match.groups()[1:] if g is not None))
+                    current = line
+                    action = match.group(2) or match.group(4)
+                    if action is not None:
+                        n_a = max(n_a, int(action) + 1)
                     continue
                 if current is None:
                     raise ValueError("values before the first [section]")
                 sections[current] = np.array([float(v) for v in line.split()])
         where = f"end of file after {where}"
-        if ("p_u",) not in sections:
+        if "[p_u]" not in sections:
             raise ValueError("no [p_u] section")
-        uc_keys = sorted(k for k in sections if k[0] == "p_uc")
-        free_keys = sorted(k for k in sections if k[0] == "p_0")
+        # [p_u] fixes n_u and the largest action index (at least 0) fixes
+        # n_a; every (a, u) pair and every a needs its own section
+        p_u = sections["[p_u]"]
+        n_u = len(p_u)
+        uc_keys, free_keys = _section_names(n_a, n_u)
+        for key in uc_keys + free_keys:
+            if key not in sections:
+                raise ValueError(f"no {key} section")
+        extra = sorted(sections.keys() - {"[p_u]", *uc_keys, *free_keys})
+        if extra:
+            raise ValueError(f"{extra[0]} lies outside the {n_u} categories of [p_u]")
         p_uc = np.stack([sections[k] for k in uc_keys])
         p_0 = np.stack([sections[k] for k in free_keys])
     except ValueError as exc:
         raise UsageError(f"{path}, {where}: {exc}") from None
-    p_u = sections[("p_u",)]
-    n_u = len({k[2] for k in uc_keys})
-    n_a = len(free_keys)
     meta = FitMeta(
         n_records=n_records,
         smoothing=smoothing,
-        u_count=counts.get(("p_u",), np.zeros(len(p_u))),
+        u_count=counts.get("[p_u]", np.zeros(n_u)),
         uc_row_counts=np.array([float(counts.get(k, [0.0])[0]) for k in uc_keys]),
         free_row_counts=np.array([float(counts.get(k, [0.0])[0]) for k in free_keys]),
     )

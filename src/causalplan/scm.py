@@ -10,7 +10,6 @@ which preserves the joint distribution.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -177,9 +176,6 @@ class DeterministicRule:
         tbl = np.array(table, dtype=np.int64)
         tbl.setflags(write=False)
         self.table = tbl
-
-    def __call__(self, assignment: tuple) -> int:
-        return int(self.table[assignment])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeterministicRule):
@@ -387,11 +383,19 @@ def sample_worlds(spec: ScmSpec, n: int, rng: np.random.Generator) -> dict[str, 
     """Vectorized forward sampling; returns one integer array per variable."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    world: dict[str, np.ndarray] = {}
-    for var, prior in spec.exogenous:
-        world[var.name] = cdf_index(prior.cdf[0], rng.random(n))
+    return _evaluate(spec, {var.name: cdf_index(prior.cdf[0], rng.random(n))
+                            for var, prior in spec.exogenous})
+
+
+def _evaluate(spec: ScmSpec, world: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Every variable's value per world, gathering through the rule tables
+    from ``world``'s exogenous index arrays; each value is broadcast to their
+    common shape, so even a constant has one entry per world."""
+    shape = np.broadcast_shapes(*(v.shape for v in world.values()))
+    world = {name: np.broadcast_to(v, shape) for name, v in world.items()}
     for var, parents, rule in spec.endogenous:
-        world[var.name] = rule.table[tuple(world[p] for p in parents)]
+        world[var.name] = np.broadcast_to(
+            rule.table[tuple(world[p] for p in parents)], shape)
     return world
 
 
@@ -440,40 +444,32 @@ def exact_query(
     """Posterior of ``target`` by exhaustive enumeration of exogenous worlds.
 
     Mutilates by the intervention, sums prior weight over every exogenous
-    assignment consistent with the evidence, and normalizes.  Exact up to
-    floating-point rounding; cost is the product of exogenous arities.
+    assignment consistent with the evidence, and normalizes.  The worlds are
+    broadcast index arrays, each weight is the prior product taken left to
+    right, and the sum runs in ``itertools.product`` order.  Time and memory
+    are O(worlds), the product of exogenous arities, which
+    ``enumeration_limit`` bounds.
     """
     m, evidence = _query_setup(spec, target, evidence, intervention)
-    size = 1
-    for var, _ in m.exogenous:
-        size *= var.arity
+    arities = tuple(var.arity for var, _ in m.exogenous)
+    size = math.prod(arities)
     if size > enumeration_limit:
         raise CapacityError(
             f"enumeration over {size} exogenous worlds exceeds limit "
             f"{enumeration_limit}"
         )
-    priors = [prior.values[0] for _, prior in m.exogenous]
-    exo_names = [var.name for var, _ in m.exogenous]
-    arity = m.arity(target)
-    acc = np.zeros(arity)
-    for combo in itertools.product(*(range(v.arity) for v, _ in m.exogenous)):
-        w = 1.0
-        for p, c in zip(priors, combo):
-            w *= p[c]
-        if w == 0.0:
-            continue
-        world = dict(zip(exo_names, combo))
-        for var, parents, rule in m.endogenous:
-            world[var.name] = rule(tuple(world[p] for p in parents))
-        if any(world[k] != v for k, v in evidence.items()):
-            continue
-        acc[world[target]] += w
+    index = np.indices(arities, sparse=True)
+    weight = np.ones(())
+    for idx, (_, prior) in zip(index, m.exogenous):
+        weight = weight * prior.values[0][idx]
+    world = _evaluate(m, {var.name: idx for idx, (var, _) in zip(index, m.exogenous)})
+    acc = _target_mass(m, world, target, evidence, weight)
     total = float(acc.sum())
     if total <= 0.0:
         raise ZeroProbabilityEvidenceError(
             f"evidence {evidence} has zero probability under the model"
         )
-    return Dist(tuple(range(arity)), acc / total)
+    return Dist(tuple(range(len(acc))), acc / total)
 
 
 def importance_query(
@@ -495,18 +491,23 @@ def importance_query(
     if n_particles < 1:
         raise UsageError("n_particles must be >= 1")
     m, evidence = _query_setup(spec, target, evidence, intervention)
-    worlds = sample_worlds(m, n_particles, rng)
-    mask = np.ones(n_particles, dtype=bool)
-    for name, value in evidence.items():
-        mask &= worlds[name] == value
-    accepted = int(mask.sum())
+    counts = _target_mass(m, sample_worlds(m, n_particles, rng), target, evidence)
+    accepted = int(counts.sum())
     if accepted == 0:
         raise DegenerateEvidenceError(
             f"all {n_particles} particles have zero weight under evidence {evidence}"
         )
-    arity = m.arity(target)
-    counts = np.bincount(worlds[target][mask], minlength=arity)
-    return Dist(tuple(range(arity)), counts / accepted)
+    return Dist(tuple(range(len(counts))), counts / accepted)
+
+
+def _target_mass(spec: ScmSpec, world, target: str, evidence, weights=None) -> np.ndarray:
+    """Per category of ``target``, the summed ``weights`` (or the count) of
+    the worlds that agree with ``evidence``, added in the worlds' C order."""
+    keep = np.ones(world[target].shape, dtype=bool)
+    for name, value in evidence.items():
+        keep &= world[name] == value
+    return np.bincount(world[target][keep], None if weights is None else weights[keep],
+                       minlength=spec.arity(target))
 
 
 def _coerce_pair(p, q) -> tuple[np.ndarray, np.ndarray]:

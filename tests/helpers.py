@@ -6,13 +6,14 @@ action table, 90/5/5 drift) and compute mixtures directly, so library output
 can be checked against them.
 """
 
+import itertools
 from pathlib import Path
 
 import numpy as np
 
 from causalplan.learning import Dataset, DatasetMeta
 from causalplan.model import UcPomdpModel, deterministic_step
-from causalplan.scm import CategoricalTable, cdf_index
+from causalplan.scm import CategoricalTable, _query_setup, cdf_index
 
 PRIOR = {-90: 0.10, 0: 0.80, 90: 0.10}
 REACTIVE = {
@@ -205,3 +206,58 @@ def serialize_map(grid) -> str:
              grid.start: "S", grid.goal: "G", grid.magnet: "M"}
     return "".join("".join(glyph.get((x, y), ".") for x in range(grid.width)) + "\n"
                    for y in range(grid.height - 1, -1, -1))
+
+
+def exact_query_loop(spec, target, evidence=None, intervention=None) -> np.ndarray:
+    """Unnormalized posterior mass of ``target``: one exogenous world at a
+    time in ``itertools.product`` order, the reference for the array form of
+    ``scm.exact_query``."""
+    m, evidence = _query_setup(spec, target, evidence, intervention)
+    priors = [prior.values[0] for _, prior in m.exogenous]
+    exo_names = [var.name for var, _ in m.exogenous]
+    acc = np.zeros(m.arity(target))
+    for combo in itertools.product(*(range(v.arity) for v, _ in m.exogenous)):
+        w = 1.0
+        for p, c in zip(priors, combo):
+            w *= p[c]
+        if w == 0.0:
+            continue
+        world = dict(zip(exo_names, combo))
+        for var, parents, rule in m.endogenous:
+            world[var.name] = int(rule.table[tuple(world[p] for p in parents)])
+        if any(world[k] != v for k, v in evidence.items()):
+            continue
+        acc[world[target]] += w
+    return acc
+
+
+def _gather_inverse_cdf(cdf_rows, draws):
+    return np.minimum((cdf_rows <= draws[:, None]).sum(axis=1), cdf_rows.shape[1] - 1)
+
+
+def generate_dataset_two_branch(model, n: int, seed: int) -> Dataset:
+    """``learning.generate_dataset`` with both branches of each region
+    choice computed for every record and picked by ``np.where``: the
+    reference for the one-branch form."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 10)))
+    n_ordinary = model.n_states - 2
+    n_a = model.n_actions
+    u = cdf_index(model.confounder_prior.cdf[0], rng.random(n))
+    cells = rng.integers(0, n_ordinary, size=n)
+    region_mask = np.zeros(n_ordinary, dtype=bool)
+    region_mask[list(model.confounded_states)] = True
+    uc = region_mask[cells]
+    action_draws = rng.random(n)
+    a = np.where(
+        uc,
+        _gather_inverse_cdf(model.reactive_policy.cdf[u], action_draws),
+        cdf_index(np.arange(1, n_a + 1) / n_a, action_draws),
+    )
+    ds_draws = rng.random(n)
+    ds = np.where(
+        uc,
+        _gather_inverse_cdf(model.p_uc.cdf[a * model.n_confounder + u], ds_draws),
+        _gather_inverse_cdf(model.p_0.cdf[a], ds_draws),
+    )
+    return Dataset(uc, u, a, ds, DatasetMeta(
+        seed, model.name, n, model.n_confounder, n_a, model.n_ds))

@@ -227,6 +227,16 @@ class TestConfigHandling:
         ]) == 0
         assert len(read_rows(out_b / "episodes.csv")[1:]) == 2
 
+    def test_config_number_reads_like_the_flag(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"smoothing": 2, "dataset-n": 100}))
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert run(["learn", "--config", str(cfg_path), "--out", str(out_a)]) == 0
+        assert run(["learn", "--smoothing", "2", "--dataset-n", "100",
+                    "--out", str(out_b)]) == 0
+        for name in ("params.txt", "learn_report.txt"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))
@@ -265,6 +275,32 @@ class TestUsageErrors:
             capsys, ["eval", "--episodes", episodes, "--out", str(tmp_path)], "--episodes")
         assert not (tmp_path / "summary.txt").exists()
 
+    @pytest.mark.parametrize("command, config, fragment", [
+        ("eval", {"episodes": "3"}, "episodes='3'"),
+        ("eval", {"scenarios": 2.5}, "scenarios=2.5"),
+        ("eval", {"gamma": True}, "gamma=True"),
+        ("eval", {"mode": "bogus"}, "mode='bogus'"),
+        ("learn", {"write-dataset": 1}, "write_dataset=1"),
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, command, config, fragment):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        self.expect_usage_error(
+            capsys, [command, "--config", str(cfg_path), "--out", str(tmp_path)], fragment)
+
+    @pytest.mark.parametrize("text", ["[1]", "{not json"])
+    def test_config_not_a_json_object(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        self.expect_usage_error(
+            capsys, ["eval", "--config", str(cfg_path), "--out", str(tmp_path)], str(cfg_path))
+
+    @pytest.mark.parametrize("command", ["eval", "learn"])
+    @pytest.mark.parametrize("gamma", ["1.5", "0"])
+    def test_gamma_outside_unit_interval(self, tmp_path, capsys, command, gamma):
+        self.expect_usage_error(
+            capsys, [command, "--gamma", gamma, "--out", str(tmp_path)], "gamma")
+
     def _params(self, tmp_path, small_params, edit):
         lines = small_params.read_text().splitlines()
         path = tmp_path / "bad_params.txt"
@@ -280,3 +316,16 @@ class TestUsageErrors:
     def test_params_without_p_u_section(self, tmp_path, capsys, small_params):
         path, args = self._params(tmp_path, small_params, lambda lines: [lines[0]] + lines[4:])
         self.expect_usage_error(capsys, args, str(path), "line", "[p_u]")
+
+    @pytest.mark.parametrize("section", ["[p_uc a=3 u=2]", "[p_uc a=0 u=0]", "[p_0 a=1]"])
+    def test_params_missing_section(self, tmp_path, capsys, small_params, section):
+        def drop(lines):
+            at = lines.index(section)
+            return lines[:at] + lines[at + 3:]  # header, count comment, values
+        path, args = self._params(tmp_path, small_params, drop)
+        self.expect_usage_error(capsys, args, str(path), section)
+
+    def test_params_section_beyond_confounder_arity(self, tmp_path, capsys, small_params):
+        path, args = self._params(tmp_path, small_params, lambda lines: lines + [
+            "[p_uc a=0 u=3]", "0.25 0.25 0.25 0.25"])
+        self.expect_usage_error(capsys, args, str(path), "[p_uc a=0 u=3]")

@@ -1,9 +1,11 @@
 """Golden outputs: CLI files are pinned by sha256.
 
-The digests were recorded before the planner tabulated its default-policy
-rollouts, so they hold the search to the old per-node rollout arithmetic bit
-for bit.  A change that alters any of them changes planner behaviour and
-must say so.
+The ``eval``/``simulate`` digests were recorded before the planner tabulated
+its default-policy rollouts, so they hold the search to the old per-node
+rollout arithmetic bit for bit.  The ``learn`` digests were recorded before
+dataset generation inverted its CDFs column by column and exact queries
+enumerated worlds as arrays, so they hold both to the old loops.  A change
+that alters any of them changes behaviour and must say so.
 """
 
 import hashlib
@@ -38,6 +40,20 @@ SIMULATE = {
     ("observational", 11): "91bd1680d608c75a611a9faeac2ac01fad0f5ee536a332bad589eed1585dd9d7",
 }
 
+LEARN = {
+    3: (
+        "0d56870a3be3a46b49e72640e05b4e6b415c137345eb9632a839a43a6bdd9fcc",
+        "f72b96c55ac6934d13348f2c482ed7feecb020b812d9831135d4b20f7cc47d16",
+        "6c3bd3b7ec06d265ed53b1a813a3ef06a595562153febc791a6a440f3aff30c3",
+    ),
+    11: (
+        "17403928a05b655d1b25658731a0281833802ff92e1b97e3a7291bbfbacff409",
+        "fbb836f8be0c094e16ecd2d669effab07db2fa89c0c7244078af7d7a8ecc6750",
+        "fa78bb07221950c30592c93693f4606bce08ce9ced539b8568442ad98317648a",
+    ),
+}
+LEARN_FILES = ("params.txt", "learn_report.txt", "dataset.csv")
+
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -60,3 +76,11 @@ def test_eval_outputs_are_pinned(tmp_path, mode, seed):
 def test_simulate_trace_is_pinned(tmp_path, mode, seed):
     out = _run(tmp_path, "simulate", mode, seed)
     assert _digest(out / "trace.csv") == SIMULATE[mode, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(LEARN))
+def test_learn_outputs_are_pinned(tmp_path, seed):
+    argv = ["learn", "--seed", str(seed), "--dataset-n", "2000",
+            "--write-dataset", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert tuple(_digest(tmp_path / name) for name in LEARN_FILES) == LEARN[seed]

@@ -18,7 +18,12 @@ from causalplan.learning import (
 from causalplan.model import TransitionMode
 from causalplan.scm import UsageError
 
-from helpers import load_dataset_csv, permuted
+from helpers import (
+    generate_dataset_two_branch,
+    load_dataset_csv,
+    permuted,
+    two_state_model,
+)
 
 RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
 INT = TransitionMode.INTERVENTIONAL
@@ -43,6 +48,16 @@ class TestGenerateDataset:
     def test_region_frequency_matches_uniform_cells(self, truth, dataset_100k):
         expected = len(truth.confounded_states) / (truth.n_states - 2)
         assert abs(dataset_100k.uc.mean() - expected) <= 0.01
+
+    @pytest.mark.parametrize("seed", [0, 7, 123, 999])
+    @pytest.mark.parametrize("n", [1, 7, 100_000])
+    def test_matches_two_branch_reference(self, truth, seed, n):
+        # two_state_model has no confounded cells, so no record takes the region branch
+        for model in (truth, two_state_model()):
+            got = generate_dataset(model, n, seed)
+            want = generate_dataset_two_branch(model, n, seed)
+            for col in ("uc", "u", "a", "ds"):
+                assert np.array_equal(getattr(got, col), getattr(want, col)), col
 
     def test_deterministic_given_seed(self, truth):
         a = generate_dataset(truth, 5_000, seed=7)

@@ -267,16 +267,17 @@ class TestFold:
 @st.composite
 def cdf_rows_and_draws(draw):
     """A CDF table with zero-probability entries and repeated values, row
-    indices, and unit draws that include 0.0 and exact CDF values (ties)."""
+    indices, and unit draws that include 0.0, 1.0 and exact CDF values
+    (ties)."""
     width = draw(st.integers(1, 5))
     weight = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 3.0])
     rows = draw(st.lists(st.lists(weight, min_size=width, max_size=width).filter(any),
                          min_size=1, max_size=4))
     cdf = np.cumsum(rows, axis=1)
     cdf /= cdf[:, -1:]
-    # unit draws lie in [0, 1), so a tie is a CDF value below 1
-    ties = sorted(set(cdf[cdf < 1.0].tolist())) or [0.0]
-    unit = st.one_of(st.just(0.0), st.sampled_from(ties),
+    # 1.0 is a tie with every row's last entry: each inverter must clamp it
+    ties = sorted(set(cdf.ravel().tolist()))
+    unit = st.one_of(st.just(0.0), st.just(1.0), st.sampled_from(ties),
                      st.floats(0.0, 1.0, exclude_max=True))
     n = draw(st.integers(1, 30))
     ids = np.array(draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n)))
@@ -293,7 +294,7 @@ class TestCdfInverters:
         for i in range(len(cdf)):
             per_row[ids == i] = cdf_index(cdf[i], u[ids == i])
         complex_keys = _invert_cdf(_cdf_keys(cdf), ids, u, cdf.shape[1])
-        gather = _inverse_cdf(cdf[ids], u)
+        column_wise = _inverse_cdf(cdf, ids, u)
         assert np.array_equal(scalar, per_row)
         assert np.array_equal(scalar, complex_keys)
-        assert np.array_equal(scalar, gather)
+        assert np.array_equal(scalar, column_wise)

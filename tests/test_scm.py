@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalplan.scm import (
     CapacityError,
@@ -24,7 +25,7 @@ from causalplan.scm import (
     sample_worlds,
 )
 
-from helpers import hand_confounded_tables, total_variation
+from helpers import exact_query_loop, hand_confounded_tables, total_variation
 
 
 def single_prior_spec():
@@ -96,7 +97,7 @@ class TestMutilate:
             e for e in cut.endogenous if e[0].name == "A"
         )
         assert a_parents == ()
-        assert a_rule(()) == 1
+        assert a_rule.table[()] == 1
 
     def test_empty_intervention_is_identity(self, confounded_fragment):
         assert mutilate(confounded_fragment, {}) == confounded_fragment
@@ -118,6 +119,51 @@ class TestMutilate:
     def test_rejects_out_of_range_value(self, confounded_fragment):
         with pytest.raises(UsageError):
             mutilate(confounded_fragment, {"A": 7})
+
+
+@st.composite
+def small_queries(draw):
+    """A random small SCM with a query on it: 1-3 exogenous variables whose
+    priors may hold zeros, endogenous variables with deterministic or
+    stochastic (desugared) rules over up to two earlier variables, a target,
+    and evidence and an intervention on other variables."""
+    weight = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 3.0])
+
+    def rows(n_rows, width):
+        vals = np.array(draw(st.lists(
+            st.lists(weight, min_size=width, max_size=width).filter(any),
+            min_size=n_rows, max_size=n_rows)))
+        return vals / vals.sum(axis=1, keepdims=True)
+
+    known, exogenous, endogenous = [], [], []
+    for i in range(draw(st.integers(1, 3))):
+        var = VariableId(f"E{i}", draw(st.integers(1, 3)))
+        exogenous.append((var, CategoricalTable((), rows(1, var.arity))))
+        known.append(var)
+    for i in range(draw(st.integers(1, 3))):
+        var = VariableId(f"V{i}", draw(st.integers(1, 3)))
+        parents = draw(st.lists(st.sampled_from(known), max_size=2, unique=True))
+        arities = tuple(p.arity for p in parents)
+        n_rows = math.prod(arities)
+        if draw(st.booleans()):
+            rule = CategoricalTable(arities, rows(n_rows, var.arity))
+        else:
+            rule = DeterministicRule(np.array(draw(st.lists(
+                st.integers(0, var.arity - 1), min_size=n_rows, max_size=n_rows
+            ))).reshape(arities))
+        endogenous.append((var, [p.name for p in parents], rule))
+        known.append(var)
+    spec = ScmSpec(exogenous, endogenous)
+    target = draw(st.sampled_from(known))
+    evidence, intervention = {}, {}
+    for var in known:
+        roles = ["free", "evidence"] + ["intervention"] * var.name.startswith("V")
+        role = "free" if var == target else draw(st.sampled_from(roles))
+        if role == "evidence":
+            evidence[var.name] = draw(st.integers(0, var.arity - 1))
+        elif role == "intervention":
+            intervention[var.name] = draw(st.integers(0, var.arity - 1))
+    return spec, target.name, evidence, intervention
 
 
 class TestExactQuery:
@@ -145,6 +191,18 @@ class TestExactQuery:
         with pytest.raises(ZeroProbabilityEvidenceError):
             exact_query(spec, "U", evidence={"V": 1})
 
+    @given(small_queries())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_world_by_world_loop(self, case):
+        spec, target, evidence, intervention = case
+        acc = exact_query_loop(spec, target, evidence, intervention)
+        if acc.sum() <= 0.0:
+            with pytest.raises(ZeroProbabilityEvidenceError):
+                exact_query(spec, target, evidence, intervention)
+            return
+        dist = exact_query(spec, target, evidence, intervention)
+        assert np.array_equal(dist.probs, acc / float(acc.sum()))
+
     def test_enumeration_limit(self, confounded_fragment):
         with pytest.raises(CapacityError):
             exact_query(confounded_fragment, "DS", enumeration_limit=2)
@@ -161,6 +219,16 @@ class TestExactQuery:
 
 
 class TestImportanceQuery:
+    def test_target_fixed_by_intervention(self, rng):
+        # every parent of V is intervened on, so each particle holds one constant
+        spec = ScmSpec(
+            exogenous=[(VariableId("U", 2), CategoricalTable((), [0.5, 0.5]))],
+            endogenous=[(VariableId("A", 2), ("U",), DeterministicRule([0, 1])),
+                        (VariableId("V", 2), ("A",), DeterministicRule([1, 0]))],
+        )
+        dist = importance_query(spec, "V", intervention={"A": 1}, n_particles=10, rng=rng)
+        assert np.array_equal(dist.probs, [1.0, 0.0])
+
     def test_interventional_convergence_at_5000_particles(self, confounded_fragment):
         exact = exact_query(confounded_fragment, "DS", intervention={"A": 1})
         tvs = []

@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--dataset-n", dest="dataset_n", type=int)
         p.add_argument("--smoothing", type=float)
-        p.set_defaults(command_parser=p)  # config values are checked against its flags
 
     learn = sub.add_parser("learn", help="fit tables from privileged records")
     add_common(learn)
@@ -88,6 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sim)
     sim.add_argument("--replay", help="existing trace file to verify against")
 
+    # config values are held to the flag of that name in any command, so a
+    # config shared between commands is checked whole
+    flags = {flag.dest: flag for p in sub.choices.values() for flag in p._actions}
+    parser.set_defaults(config_flags=flags)
     return parser
 
 
@@ -115,14 +118,13 @@ def _merge_options(args: argparse.Namespace) -> dict:
                 raise UsageError(f"{args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
-        flags = {flag.dest: flag for flag in args.command_parser._actions}
         for key, value in loaded.items():
             key = key.replace("-", "_")
             if key == "lambda":
                 key = "lambda_"
             if key not in options:
                 raise UsageError(f"unknown config key {key!r}")
-            options[key] = _config_value(key, value, flags.get(key))
+            options[key] = _config_value(key, value, args.config_flags.get(key))
     for key in options:
         value = getattr(args, key, None)
         if value is not None:

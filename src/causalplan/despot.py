@@ -112,11 +112,14 @@ class DespotNode:
 
 
 class ActionEdge:
-    __slots__ = ("avg_reward", "children")
+    """One action's outcome at a node; ``q_lower``/``q_upper`` are its Q
+    bounds as of the node's last :meth:`DespotTree._backup`."""
 
-    def __init__(self, avg_reward: float, children: list[tuple[int, DespotNode]]):
+    __slots__ = ("avg_reward", "children", "q_lower", "q_upper")
+
+    def __init__(self, avg_reward: float):
         self.avg_reward = avg_reward
-        self.children = children  # (observation, node), canonical observation order
+        self.children: list[tuple[int, DespotNode]] = []  # ascending observation
 
 
 def initial_upper_bound(
@@ -192,6 +195,11 @@ class DespotTree:
     def __init__(self, model: UcPomdpModel, config: PlannerConfig, belief: Belief):
         if len(belief.probs) != model.n_states:
             raise UsageError("belief length does not match the model")
+        if config.gamma != model.discount:
+            raise UsageError(
+                f"planner gamma {config.gamma} differs from the model's "
+                f"discount {model.discount}"
+            )
         self.model = model
         self.config = config
         starts, self.streams = sample_scenarios(
@@ -210,50 +218,54 @@ class DespotTree:
 
     # -- trial machinery --------------------------------------------------------
 
-    def _q_upper(self, edge: ActionEdge, node: DespotNode) -> float:
-        total = 0.0
-        for _, child in edge.children:
-            total += len(child.scenario_ids) * child.upper
-        return edge.avg_reward + self.config.gamma * total / len(node.scenario_ids)
-
-    def _q_lower(self, edge: ActionEdge, node: DespotNode) -> float:
-        total = 0.0
-        for _, child in edge.children:
-            total += len(child.scenario_ids) * child.lower
-        return edge.avg_reward + self.config.gamma * total / len(node.scenario_ids)
-
-    def _weu(self, child: DespotNode, root_gap: float) -> float:
-        target = self.config.xi * self.config.gamma ** (-child.depth) * root_gap
-        return child.weight * (child.upper - child.lower - target)
-
     def _expand(self, node: DespotNode):
+        """Step every action from every scenario in one kernel call, then
+        group the results by (action, observation) with one stable sort, so
+        that each child holds a contiguous slice in scenario order."""
         model, config = self.model, self.config
-        d = node.depth
-        ids = node.scenario_ids
-        phi1 = self.streams[ids, d, 0]
-        phi2 = self.streams[ids, d, 1]
-        values = self.default_values[d + 1]
-        edges = []
-        for a in range(model.n_actions):
-            s2, z, r = model.batch_step(node.states, a, phi1, phi2, config.mode)
-            cont = values[ids, s2]
-            children = []
-            for obs in np.unique(z):
-                sel = z == obs
-                child = DespotNode(d + 1, ids[sel], s2[sel], config.scenarios)
-                child.default_value = float(cont[sel].mean()) - config.regularization
-                child.lower = child.default_value
-                child.upper = initial_upper_bound(child, model, config)
-                children.append((int(obs), child))
-            edges.append(ActionEdge(float(r.mean()), children))
+        d, m, n_a = node.depth, len(node.scenario_ids), model.n_actions
+        ids = np.concatenate((node.scenario_ids,) * n_a)
+        phi = self.streams[ids, d]
+        actions = np.arange(n_a).repeat(m)
+        s2, z, r = model.batch_step(np.concatenate((node.states,) * n_a), actions,
+                                    phi[:, 0], phi[:, 1], config.mode)
+        key = actions * model.n_observations + z
+        order = np.argsort(key, kind="stable")
+        key, s2, ids = key.take(order), s2.take(order), ids.take(order)
+        # np.add.reduce(seg) / len(seg) is what np.mean computes: the same
+        # pairwise sum over the same contiguous values
+        cont = self.default_values[d + 1][ids, s2]
+        hint = model.upper_hint.take(s2)
+        edges = [ActionEdge(float(np.add.reduce(row) / m))
+                 for row in r.reshape(n_a, m)]
+        starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
+        for lo, hi, k in zip(starts, starts[1:] + [len(key)], key[starts].tolist()):
+            a, obs = divmod(k, model.n_observations)
+            child = DespotNode(d + 1, ids[lo:hi], s2[lo:hi], config.scenarios)
+            child.default_value = (
+                float(np.add.reduce(cont[lo:hi]) / (hi - lo)) - config.regularization
+            )
+            child.lower = child.default_value
+            if d + 1 < config.depth:  # as initial_upper_bound: zero at the horizon
+                child.upper = float(np.add.reduce(hint[lo:hi]) / (hi - lo))
+            edges[a].children.append((obs, child))
         node.children = edges
         self.n_expansions += 1
 
     def _backup(self, node: DespotNode):
+        """Store each edge's Q bounds and take the best of them; the descent
+        and :meth:`best_action` read the stored values, which stay exact, as
+        only the nodes on a trial's path change and each is backed up before
+        its parent."""
+        gamma, n = self.config.gamma, len(node.scenario_ids)
         best_low = best_up = -np.inf
         for edge in node.children:
-            ql = self._q_lower(edge, node)
-            qu = self._q_upper(edge, node)
+            low = up = 0.0
+            for _, child in edge.children:
+                low += len(child.scenario_ids) * child.lower
+                up += len(child.scenario_ids) * child.upper
+            edge.q_lower = ql = edge.avg_reward + gamma * low / n
+            edge.q_upper = qu = edge.avg_reward + gamma * up / n
             if ql > best_low:
                 best_low = ql
             if qu > best_up:
@@ -269,12 +281,13 @@ class DespotTree:
         while node.children is not None and node.depth < self.config.depth:
             best_edge, best_q = None, -np.inf
             for edge in node.children:
-                q = self._q_upper(edge, node)
-                if q > best_q:
-                    best_edge, best_q = edge, q
+                if edge.q_upper > best_q:
+                    best_edge, best_q = edge, edge.q_upper
+            # each child's weighted excess uncertainty; all sit at depth + 1
+            target = self.config.xi * self.config.gamma ** (-(node.depth + 1)) * root_gap
             best_child, best_weu = None, -np.inf
             for _, child in best_edge.children:
-                weu = self._weu(child, root_gap)
+                weu = child.weight * (child.upper - child.lower - target)
                 if weu > best_weu:
                     best_child, best_weu = child, weu
             if best_weu <= 0:
@@ -301,7 +314,7 @@ class DespotTree:
             return self.default_action
         best_a, best_q = None, -np.inf
         for a, edge in enumerate(root.children):
-            q = self._q_lower(edge, root) - self.config.regularization
+            q = edge.q_lower - self.config.regularization
             if q > best_q:
                 best_a, best_q = a, q
         if root.default_value > best_q:

@@ -24,6 +24,7 @@ from .scm import (
     ScmSpec,
     SpecificationError,
     VariableId,
+    _inverse_cdf,
     cdf_index,
     exact_query,
 )
@@ -365,19 +366,28 @@ class UcPomdpModel:
 
     # -- batched simulation -----------------------------------------------------
 
-    def batch_step(self, states, action: int, phi1, phi2, mode: TransitionMode):
-        """Vectorized :func:`deterministic_step` for one shared action."""
-        s2, r = self.batch_policy_step(states, action, phi1, mode)
+    def batch_step(self, states, actions, phi1, phi2, mode: TransitionMode):
+        """Vectorized :func:`deterministic_step` for one shared action or a
+        per-element action vector."""
+        s2, r = self.batch_policy_step(states, actions, phi1, mode)
         z = _invert_cdf(self._obs_keys, s2, phi2, self.n_observations)
         return s2, z, r
 
     def batch_policy_step(self, states, actions, phi1, mode: TransitionMode):
         """Vectorized transition half of :func:`deterministic_step` with a
         per-element action vector: successor states and rewards."""
-        n = self.n_states
+        n, m = self.n_states, _MODE_INDEX[mode]
         pairs = np.asarray(actions) * n + states
-        s2 = _invert_cdf(self._trans_keys[_MODE_INDEX[mode]], pairs, phi1, n)
+        if len(pairs) > _COLUMN_COUNT_ABOVE:
+            s2 = _inverse_cdf(self._trans_cdf[m].reshape(-1, n), pairs, phi1)
+        else:
+            s2 = _invert_cdf(self._trans_keys[m], pairs, phi1, n)
         return s2, self._reward_table.reshape(-1).take(pairs * n + s2)
+
+
+# Batch size above which batch_policy_step inverts the transition CDF by
+# column count instead of complex-key lookup; measured in _invert_cdf.
+_COLUMN_COUNT_ABOVE = 1500
 
 
 def _cdf_keys(cdf: np.ndarray) -> np.ndarray:
@@ -400,11 +410,16 @@ def _invert_cdf(keys: np.ndarray, rows, u, width: int) -> np.ndarray:
     """How many entries of CDF row ``rows[i]`` are ``<= u[i]``, clamped to
     the last category: the category :func:`deterministic_step` draws.
 
-    The planner's successor rows are 14 wide on the shipped map and most of
-    its batches hold a few hundred draws; there one lookup in the complex
-    keys measured 5x faster than ``learning._inverse_cdf``'s column-by-column
-    count (16 against 83 us for 300 draws), which wins only from about 1500
-    draws up."""
+    The lookup's cost grows with the batch and with how many rows it spreads
+    over; :func:`~causalplan.scm._inverse_cdf`'s column count grows mostly
+    with the batch.  On the shipped map's 14-wide transition rows (2 cores,
+    numpy 2.4, fresh draws per call) they meet near 1500 draws for a batch
+    over 4 states (43 against 48 us).  At 2000 draws the count costs 0.6x the
+    lookup over 12 states and 1.4x it over one; on the 6000-draw
+    default-value table fills it costs 111 against 122 us.  So
+    :meth:`UcPomdpModel.batch_policy_step` uses the count above
+    ``_COLUMN_COUNT_ABOVE`` draws (table fills and root expansions) and this
+    lookup below it (deeper nodes)."""
     query = np.empty(len(u), dtype=complex)
     query.real, query.imag = rows, u
     return keys.searchsorted(query, side="right") - rows * width

@@ -237,6 +237,12 @@ class TestConfigHandling:
         for name in ("params.txt", "learn_report.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_shared_config_holds_another_commands_flag(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"write_dataset": True, "replay": None}))
+        assert run(["eval", "--config", str(cfg_path), "--episodes", "1",
+                    "--out", str(tmp_path), *FAST]) == 0
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))
@@ -281,6 +287,8 @@ class TestUsageErrors:
         ("eval", {"gamma": True}, "gamma=True"),
         ("eval", {"mode": "bogus"}, "mode='bogus'"),
         ("learn", {"write-dataset": 1}, "write_dataset=1"),
+        ("eval", {"write_dataset": 1}, "write_dataset=1"),
+        ("eval", {"replay": 5}, "replay=5"),
     ])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, command, config, fragment):
         cfg_path = tmp_path / "config.json"

@@ -36,6 +36,11 @@ class TestPlannerConfig:
         with pytest.raises(UsageError):
             PlannerConfig(budget_ms=-5.0)
 
+    def test_gamma_must_equal_model_discount(self, truth):
+        assert truth.discount == 0.95
+        with pytest.raises(UsageError, match="discount"):
+            DespotTree(truth, PlannerConfig(gamma=0.9), truth.initial_belief)
+
 
 class TestSampleScenarios:
     def test_point_mass_belief(self, truth):
@@ -216,7 +221,7 @@ class TestRunTrial:
                 if not tree.run_trial():
                     break
             edge = tree.root.children[UP]
-            values[mode] = tree._q_lower(edge, tree.root)
+            values[mode] = edge.q_lower
         assert values[INT] > values[OBS]
         assert values[INT] - values[OBS] > 30  # 0.73 vs 0.21 success mass
 

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from causalplan import cli
-from causalplan.despot import DespotTree, PlannerConfig, run_episode, sample_scenarios
+from causalplan.despot import (
+    DespotTree,
+    PlannerConfig,
+    initial_upper_bound,
+    run_episode,
+    sample_scenarios,
+)
 from causalplan.learning import (
     assemble_model,
     eval_kl_full_transition,
@@ -214,6 +220,45 @@ class TestPlannerInvariants:
                 merged = set().union(*child_ids)
                 assert merged == parent_ids
                 assert sum(len(c) for c in child_ids) == len(parent_ids)
+
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    @pytest.mark.parametrize("which", ["truth", "two_state"])
+    def test_expansions_and_stored_edge_bounds_match_loop_recomputation(
+        self, truth, which, mode
+    ):
+        # the per-action, per-observation expansion and the Q sums recomputed
+        # one child at a time, compared with exact ==
+        model = truth if which == "truth" else two_state_model()
+        tree, _, _ = self._searched_tree(model, model.initial_belief, mode, 300, 3)
+        config, table = tree.config, tree.default_values
+        expanded = 0
+        for node in tree.nodes():
+            if node.children is None:
+                continue
+            expanded += 1
+            ids, n = node.scenario_ids, len(node.scenario_ids)
+            phi = tree.streams[ids, node.depth]
+            assert len(node.children) == model.n_actions
+            for a, edge in enumerate(node.children):
+                s2, z, r = model.batch_step(node.states, a, phi[:, 0], phi[:, 1], mode)
+                assert edge.avg_reward == float(np.mean(r))
+                assert [obs for obs, _ in edge.children] == np.unique(z).tolist()
+                low = up = 0.0
+                for obs, child in edge.children:
+                    assert np.array_equal(child.scenario_ids, ids[z == obs])
+                    assert np.array_equal(child.states, s2[z == obs])
+                    d = child.depth
+                    assert child.default_value == float(
+                        np.mean(table[d][child.scenario_ids, child.states])
+                    ) - config.regularization
+                    if child.children is None:
+                        assert child.upper == initial_upper_bound(child, model, config)
+                        assert child.lower == child.default_value
+                    low += len(child.scenario_ids) * child.lower
+                    up += len(child.scenario_ids) * child.upper
+                assert edge.q_lower == edge.avg_reward + config.gamma * low / n
+                assert edge.q_upper == edge.avg_reward + config.gamma * up / n
+        assert expanded >= 20
 
     def test_modes_coincide_without_confounding(self):
         grid = gridworld.parse_map("G...\n.M..\n.#.#\nS..#\n")

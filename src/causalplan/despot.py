@@ -126,9 +126,15 @@ def initial_upper_bound(
     node: DespotNode, model: UcPomdpModel, config: PlannerConfig
 ) -> float:
     """Scenario-average admissible per-state bound; zero at the horizon."""
-    if config.depth - node.depth <= 0:
+    return _mean_upper(model.upper_hint.take(node.states), node.depth, config)
+
+
+def _mean_upper(hints: np.ndarray, depth: int, config: PlannerConfig) -> float:
+    """Mean of a node's per-scenario upper hints, ``np.add.reduce(hints) /
+    len(hints)`` as ``np.mean`` computes it; zero at the horizon."""
+    if depth >= config.depth:
         return 0.0
-    return float(model.upper_hint[node.states].mean())
+    return float(np.add.reduce(hints) / len(hints))
 
 
 class DefaultValueTable:
@@ -246,8 +252,7 @@ class DespotTree:
                 float(np.add.reduce(cont[lo:hi]) / (hi - lo)) - config.regularization
             )
             child.lower = child.default_value
-            if d + 1 < config.depth:  # as initial_upper_bound: zero at the horizon
-                child.upper = float(np.add.reduce(hint[lo:hi]) / (hi - lo))
+            child.upper = _mean_upper(hint[lo:hi], d + 1, config)
             edges[a].children.append((obs, child))
         node.children = edges
         self.n_expansions += 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TransitionMode, UcPomdpModel
-from .scm import CategoricalTable, UsageError, _inverse_cdf, kl_divergence
+from .scm import CategoricalTable, UsageError, kl_divergence
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,17 @@ class LearnedParams:
     p_uc: CategoricalTable
     p_0: CategoricalTable
     meta: FitMeta
+
+
+def _inverse_cdf(cdf: np.ndarray, rows, draws: np.ndarray) -> np.ndarray:
+    """Category of ``draws[i]`` under CDF row ``cdf[rows[i]]`` (``rows`` may
+    be a scalar), as :func:`~causalplan.scm.cdf_index` counts it.  Rows end
+    at 1.0, so counting the first ``width - 1`` columns gives the clamped
+    count, one column at a time and without an (n, width) gather."""
+    out = np.zeros(len(draws), dtype=np.int64)
+    for j in range(cdf.shape[1] - 1):
+        out += np.take(cdf[:, j], rows) <= draws
+    return out
 
 
 def generate_dataset(model: UcPomdpModel, n: int, seed: int) -> Dataset:

@@ -24,7 +24,6 @@ from .scm import (
     ScmSpec,
     SpecificationError,
     VariableId,
-    _inverse_cdf,
     cdf_index,
     exact_query,
 )
@@ -376,18 +375,10 @@ class UcPomdpModel:
     def batch_policy_step(self, states, actions, phi1, mode: TransitionMode):
         """Vectorized transition half of :func:`deterministic_step` with a
         per-element action vector: successor states and rewards."""
-        n, m = self.n_states, _MODE_INDEX[mode]
+        n = self.n_states
         pairs = np.asarray(actions) * n + states
-        if len(pairs) > _COLUMN_COUNT_ABOVE:
-            s2 = _inverse_cdf(self._trans_cdf[m].reshape(-1, n), pairs, phi1)
-        else:
-            s2 = _invert_cdf(self._trans_keys[m], pairs, phi1, n)
+        s2 = _invert_cdf(self._trans_keys[_MODE_INDEX[mode]], pairs, phi1, n)
         return s2, self._reward_table.reshape(-1).take(pairs * n + s2)
-
-
-# Batch size above which batch_policy_step inverts the transition CDF by
-# column count instead of complex-key lookup; measured in _invert_cdf.
-_COLUMN_COUNT_ABOVE = 1500
 
 
 def _cdf_keys(cdf: np.ndarray) -> np.ndarray:
@@ -410,16 +401,10 @@ def _invert_cdf(keys: np.ndarray, rows, u, width: int) -> np.ndarray:
     """How many entries of CDF row ``rows[i]`` are ``<= u[i]``, clamped to
     the last category: the category :func:`deterministic_step` draws.
 
-    The lookup's cost grows with the batch and with how many rows it spreads
-    over; :func:`~causalplan.scm._inverse_cdf`'s column count grows mostly
-    with the batch.  On the shipped map's 14-wide transition rows (2 cores,
-    numpy 2.4, fresh draws per call) they meet near 1500 draws for a batch
-    over 4 states (43 against 48 us).  At 2000 draws the count costs 0.6x the
-    lookup over 12 states and 1.4x it over one; on the 6000-draw
-    default-value table fills it costs 111 against 122 us.  So
-    :meth:`UcPomdpModel.batch_policy_step` uses the count above
-    ``_COLUMN_COUNT_ABOVE`` draws (table fills and root expansions) and this
-    lookup below it (deeper nodes)."""
+    One sorted lookup serves every planner batch, from a few draws at a deep
+    node to the default-value table fills; ``learning._inverse_cdf`` counts
+    column by column instead, for the learning path's 800k-draw batches over
+    4-wide rows."""
     query = np.empty(len(u), dtype=complex)
     query.real, query.imag = rows, u
     return keys.searchsorted(query, side="right") - rows * width

@@ -163,17 +163,6 @@ def cdf_index(cdf: np.ndarray, u):
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
-def _inverse_cdf(cdf: np.ndarray, rows, draws: np.ndarray) -> np.ndarray:
-    """Category of ``draws[i]`` under CDF row ``cdf[rows[i]]`` (``rows`` may
-    be a scalar), as :func:`cdf_index` counts it.  Rows end at 1.0, so
-    counting the first ``width - 1`` columns gives the clamped count, one
-    column at a time and without an (n, width) gather."""
-    out = np.zeros(len(draws), dtype=np.int64)
-    for j in range(cdf.shape[1] - 1):
-        out += np.take(cdf[:, j], rows) <= draws
-    return out
-
-
 class DeterministicRule:
     """Assignment function mapping a full parent assignment to one category.
 

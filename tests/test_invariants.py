@@ -12,7 +12,6 @@ from causalplan import cli
 from causalplan.despot import (
     DespotTree,
     PlannerConfig,
-    initial_upper_bound,
     run_episode,
     sample_scenarios,
 )
@@ -252,7 +251,10 @@ class TestPlannerInvariants:
                         np.mean(table[d][child.scenario_ids, child.states])
                     ) - config.regularization
                     if child.children is None:
-                        assert child.upper == initial_upper_bound(child, model, config)
+                        assert child.upper == (
+                            float(np.mean(model.upper_hint[child.states]))
+                            if d < config.depth else 0.0
+                        )
                         assert child.lower == child.default_value
                     low += len(child.scenario_ids) * child.lower
                     up += len(child.scenario_ids) * child.upper

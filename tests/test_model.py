@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causalplan.learning import _inverse_cdf
 from causalplan.model import (
     Belief,
     InconsistentObservationError,
     TransitionMode,
-    _COLUMN_COUNT_ABOVE,
     _cdf_keys,
     _invert_cdf,
     belief_update,
     deterministic_step,
 )
-from causalplan.scm import _inverse_cdf, cdf_index, importance_query
+from causalplan.scm import cdf_index, importance_query
 
 from helpers import sample_reactive_action
 
@@ -220,23 +220,17 @@ class TestDeterministicStep:
 
     @pytest.mark.parametrize("mode", [INT, OBS])
     def test_batch_matches_scalar_at_cdf_ties(self, truth, mode):
-        # draws equal to a CDF entry, where the side of the comparison matters,
-        # in one batch on each side of the inverters' crossover
+        # draws equal to a CDF entry, where the side of the comparison matters
         ties = np.unique(np.concatenate([truth._trans_cdf.ravel(),
                                          truth._obs_cdf.ravel()]))
         ties = ties[ties < 1.0]
-        copies = _COLUMN_COUNT_ABOVE // len(ties) + 1
-        assert len(ties) <= _COLUMN_COUNT_ABOVE < copies * len(ties)
         for s in range(truth.n_states - 2):
             for a in range(truth.n_actions):
-                expect = [deterministic_step(truth, s, a, (phi, phi), mode)
-                          for phi in ties]
-                for reps in (1, copies):
-                    phis = np.tile(ties, reps)
-                    n = len(phis)
-                    s2, z, r = truth.batch_step(np.full(n, s), a, phis, phis, mode)
-                    for i in range(n):
-                        assert (int(s2[i]), int(z[i]), float(r[i])) == expect[i % len(ties)]
+                n = len(ties)
+                s2, z, r = truth.batch_step(np.full(n, s), a, ties, ties, mode)
+                for i, phi in enumerate(ties):
+                    expect = deterministic_step(truth, s, a, (phi, phi), mode)
+                    assert (int(s2[i]), int(z[i]), float(r[i])) == expect
 
 
 def _fold_loop(model, s, rel):

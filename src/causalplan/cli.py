@@ -111,11 +111,10 @@ def _config_value(key: str, value, flag: argparse.Action | None):
 def _merge_options(args: argparse.Namespace) -> dict:
     options = dict(DEFAULTS)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"{args.config}: {exc}") from None
+        try:
+            loaded = json.loads(_read_text(args.config))
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
         for key, value in loaded.items():
@@ -134,9 +133,17 @@ def _merge_options(args: argparse.Namespace) -> dict:
     return options
 
 
+def _read_text(path) -> str:
+    """An input file's text; a file that is not UTF-8 is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_map(options) -> gridworld.GridMap:
     if options["map"]:
-        return gridworld.parse_map(Path(options["map"]).read_text())
+        return gridworld.parse_map(_read_text(options["map"]))
     return gridworld.default_map()
 
 
@@ -147,7 +154,6 @@ def _planner_config(options) -> despot.PlannerConfig:
     return despot.PlannerConfig(
         scenarios=options["scenarios"],
         depth=options["depth"],
-        gamma=options["gamma"],
         xi=options["xi"],
         regularization=options["lambda_"],
         budget_trials=budget_trials,
@@ -318,7 +324,7 @@ def cmd_simulate(options) -> int:
     sys.stdout.write(body)
 
     if options["replay"]:
-        stored = Path(options["replay"]).read_text()
+        stored = _read_text(options["replay"])
         if stored != body:
             sys.stderr.write("error[replay]: trace does not match the stored file\n")
             return 1

@@ -40,7 +40,6 @@ class PlannerConfig:
 
     scenarios: int = 500
     depth: int = 15
-    gamma: float = 0.95
     xi: float = 0.95
     regularization: float = 0.01
     budget_trials: int | None = 10_000
@@ -53,15 +52,13 @@ class PlannerConfig:
             raise UsageError("scenario count must be >= 1")
         if self.depth < 1:
             raise UsageError("depth must be >= 1")
-        if not 0 < self.gamma < 1:
-            raise UsageError("gamma must lie in (0, 1)")
         if not 0 < self.xi < 1:
             raise UsageError("xi must lie in (0, 1)")
-        if self.regularization < 0:
+        if not self.regularization >= 0:
             raise UsageError("regularization must be >= 0")
         if self.budget_trials is not None and self.budget_trials < 0:
             raise UsageError("budget_trials must be >= 0")
-        if self.budget_ms is not None and self.budget_ms < 0:
+        if self.budget_ms is not None and not self.budget_ms >= 0:
             raise UsageError("budget_ms must be >= 0")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
@@ -189,7 +186,7 @@ class DefaultValueTable:
             s = at % (n - 2)
             s2 = self._successor(t).take(at)
             row[cells] += discount * self._rewards.take(s * n + s2)
-            discount *= self.config.gamma
+            discount *= self.model.discount
             running = np.flatnonzero(s2 < n - 2)
             cells, at = cells.take(running), (at - s + s2).take(running)
         return row.reshape(k, n)
@@ -201,11 +198,6 @@ class DespotTree:
     def __init__(self, model: UcPomdpModel, config: PlannerConfig, belief: Belief):
         if len(belief.probs) != model.n_states:
             raise UsageError("belief length does not match the model")
-        if config.gamma != model.discount:
-            raise UsageError(
-                f"planner gamma {config.gamma} differs from the model's "
-                f"discount {model.discount}"
-            )
         self.model = model
         self.config = config
         starts, self.streams = sample_scenarios(
@@ -262,15 +254,15 @@ class DespotTree:
         and :meth:`best_action` read the stored values, which stay exact, as
         only the nodes on a trial's path change and each is backed up before
         its parent."""
-        gamma, n = self.config.gamma, len(node.scenario_ids)
+        discount, n = self.model.discount, len(node.scenario_ids)
         best_low = best_up = -np.inf
         for edge in node.children:
             low = up = 0.0
             for _, child in edge.children:
                 low += len(child.scenario_ids) * child.lower
                 up += len(child.scenario_ids) * child.upper
-            edge.q_lower = ql = edge.avg_reward + gamma * low / n
-            edge.q_upper = qu = edge.avg_reward + gamma * up / n
+            edge.q_lower = ql = edge.avg_reward + discount * low / n
+            edge.q_upper = qu = edge.avg_reward + discount * up / n
             if ql > best_low:
                 best_low = ql
             if qu > best_up:
@@ -289,7 +281,7 @@ class DespotTree:
                 if edge.q_upper > best_q:
                     best_edge, best_q = edge, edge.q_upper
             # each child's weighted excess uncertainty; all sit at depth + 1
-            target = self.config.xi * self.config.gamma ** (-(node.depth + 1)) * root_gap
+            target = self.config.xi * self.model.discount ** (-(node.depth + 1)) * root_gap
             best_child, best_weu = None, -np.inf
             for _, child in best_edge.children:
                 weu = child.weight * (child.upper - child.lower - target)
@@ -433,7 +425,7 @@ def run_episode(
             model_exec, state, action, (exec_rng.random(), exec_rng.random()),
             TransitionMode.INTERVENTIONAL,
         )
-        total += config.gamma ** t * r
+        total += model_plan.discount ** t * r
         trace.steps.append(
             EpisodeStep(belief.top_state, action, lower, upper, s_next, z, r)
         )

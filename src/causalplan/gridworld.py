@@ -215,16 +215,9 @@ def build_model(grid: GridMap, discount: float = 0.95) -> UcPomdpModel:
     n = len(cells)
     goal_idx, collided_idx = n, n + 1
 
-    successor = np.empty((n, len(DS_LABELS)), dtype=np.int64)
-    for i, cell in enumerate(cells):
-        for d, ds in enumerate(DS_LABELS):
-            moved = apply_move(grid, cell, ds)
-            if moved == GOAL:
-                successor[i, d] = goal_idx
-            elif moved == COLLIDED:
-                successor[i, d] = collided_idx
-            else:
-                successor[i, d] = cell_index[moved]
+    state_index = {**cell_index, GOAL: goal_idx, COLLIDED: collided_idx}
+    successor = [[state_index[apply_move(grid, c, ds)] for ds in DS_LABELS]
+                 for c in cells]
 
     p_uc_rows = [
         relative_transition(a, u, True).probs
@@ -237,13 +230,9 @@ def build_model(grid: GridMap, discount: float = 0.95) -> UcPomdpModel:
     obs = np.zeros((n, n + 1))
     obs[np.arange(n), np.arange(n)] = 1.0
 
-    def reward_fn(s, a, s_next):
-        r = BASE_REWARD
-        if s_next == goal_idx:
-            r += GOAL_BONUS
-        elif s_next == collided_idx:
-            r += COLLISION_PENALTY
-        return r
+    rewards = np.full((len(ACTIONS), n, n + 2), BASE_REWARD)
+    rewards[:, :, goal_idx] += GOAL_BONUS
+    rewards[:, :, collided_idx] += COLLISION_PENALTY
 
     return UcPomdpModel(
         state_labels=cells,
@@ -257,7 +246,7 @@ def build_model(grid: GridMap, discount: float = 0.95) -> UcPomdpModel:
         p_0=CategoricalTable((len(ACTIONS),), p_0_rows),
         successor_table=successor,
         observation_table=CategoricalTable((n,), obs),
-        reward_fn=reward_fn,
+        rewards=rewards,
         discount=discount,
         initial_belief=np.eye(n)[cell_index[grid.start]],
         rollout_policy=[_greedy_action(grid, c) for c in cells],

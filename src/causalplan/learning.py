@@ -84,6 +84,8 @@ def generate_dataset(model: UcPomdpModel, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise UsageError("n must be >= 1")
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 10)))
     n_ordinary = model.n_states - 2
     n_a = model.n_actions
@@ -129,7 +131,7 @@ def fit(dataset: Dataset, smoothing: float = 1.0) -> LearnedParams:
     """
     if len(dataset) < 1:
         raise UsageError("dataset is empty")
-    if smoothing <= 0:
+    if not smoothing > 0:
         raise UsageError("smoothing must be positive")
     m = dataset.meta
     n_u, n_a, n_ds = m.n_u, m.n_a, m.n_ds

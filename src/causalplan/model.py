@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,9 +57,9 @@ class Belief:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1:
             raise SpecificationError("belief must be a vector")
-        if np.any(p < 0):
+        if not np.all(p >= 0):
             raise SpecificationError("belief entries must be non-negative")
-        if abs(float(p.sum()) - 1.0) > ROW_SUM_TOLERANCE:
+        if not abs(float(p.sum()) - 1.0) <= ROW_SUM_TOLERANCE:
             raise SpecificationError(f"belief sums to {p.sum()!r}, not 1")
         p = p.copy()
         p.setflags(write=False)
@@ -90,7 +90,10 @@ class UcPomdpModel:
     (ordinary state, relative outcome) to a successor state index and may
     target the terminals.  ``observation_table`` has one row per ordinary
     state over the full observation support (the terminal observation is the
-    last column); terminal states emit it with probability 1.
+    last column); terminal states emit it with probability 1.  ``rewards``
+    is an (action, ordinary state, successor state) array; terminal states
+    earn 0.  ``initial_belief``, ``rollout_policy`` and ``upper_hint`` have
+    one entry per ordinary state; the terminals' entries are 0.
     """
 
     def __init__(
@@ -107,7 +110,7 @@ class UcPomdpModel:
         p_0: CategoricalTable,
         successor_table,
         observation_table: CategoricalTable,
-        reward_fn: Callable[[int, int, int], float],
+        rewards,
         discount: float,
         initial_belief,
         rollout_policy,
@@ -136,7 +139,6 @@ class UcPomdpModel:
         self.confounded_states = frozenset(int(s) for s in confounded_states)
         self.p_uc = p_uc
         self.p_0 = p_0
-        self.reward_fn = reward_fn
 
         self._validate_tables()
 
@@ -149,13 +151,9 @@ class UcPomdpModel:
             )
         if succ.size and (succ.min() < 0 or succ.max() >= self.n_states):
             raise SpecificationError("successor table targets unknown states")
-        full_succ = np.vstack(
-            [succ,
-             np.full((1, self.n_ds), self.goal_state, dtype=np.int64),
-             np.full((1, self.n_ds), self.collided_state, dtype=np.int64)]
-        )
-        full_succ.setflags(write=False)
-        self.successor_table = full_succ
+        terminals = [[self.goal_state] * self.n_ds, [self.collided_state] * self.n_ds]
+        self.successor_table = np.vstack([succ, terminals])
+        self.successor_table.setflags(write=False)
 
         if observation_table.parent_arities != (n_ordinary,):
             raise SpecificationError(
@@ -171,15 +169,20 @@ class UcPomdpModel:
         self._obs_cdf /= self._obs_cdf[:, -1:]
         self._obs_keys = _cdf_keys(self._obs_cdf)
 
-        self.initial_belief = self._pad_belief(initial_belief)
-        self.rollout_policy = self._pad_int_vector(rollout_policy, "rollout policy")
-        if self.rollout_policy.max() >= self.n_actions:
+        self.initial_belief = Belief(self._pad(initial_belief, float, "initial belief"))
+        self.rollout_policy = self._pad(rollout_policy, np.int64, "rollout policy")
+        if self.rollout_policy.min() < 0 or self.rollout_policy.max() >= self.n_actions:
             raise SpecificationError("rollout policy references unknown actions")
-        hint = self._pad_float_vector(upper_hint, "upper hint")
-        hint[self.goal_state] = 0.0
-        hint[self.collided_state] = 0.0
-        hint.setflags(write=False)
-        self.upper_hint = hint
+        self.upper_hint = self._pad(upper_hint, float, "upper hint")
+
+        # C-contiguous, as batch_policy_step reads it through reshape(-1)
+        rew = np.zeros((self.n_actions, self.n_states, self.n_states))
+        if np.shape(rewards) != rew[:, :-2].shape:
+            raise SpecificationError(f"reward array shape {np.shape(rewards)}, "
+                                     f"expected {rew[:, :-2].shape}")
+        rew[:, :-2] = rewards
+        rew.setflags(write=False)
+        self._reward_table = rew
 
         self._build_specs()
         self._build_caches()
@@ -204,34 +207,15 @@ class UcPomdpModel:
         if bad:
             raise SpecificationError(f"confounded region lists non-states: {bad}")
 
-    def _pad_belief(self, belief) -> Belief:
-        if isinstance(belief, Belief):
-            p = np.asarray(belief.probs, dtype=float)
-        else:
-            p = np.asarray(belief, dtype=float)
-        if len(p) == self.n_states - 2:
-            p = np.concatenate([p, [0.0, 0.0]])
-        if len(p) != self.n_states:
-            raise SpecificationError("initial belief has the wrong length")
-        return Belief(p)
-
-    def _pad_int_vector(self, vec, what) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.int64)
-        if len(v) == self.n_states - 2:
-            v = np.concatenate([v, [0, 0]])
-        if len(v) != self.n_states:
-            raise SpecificationError(f"{what} has the wrong length")
-        v = v.copy()
+    def _pad(self, vec, dtype, what) -> np.ndarray:
+        """A read-only copy of ``vec``, given over the ordinary states, with
+        zeros appended for the two terminals."""
+        v = np.asarray(vec, dtype=dtype)
+        if v.shape != (self.n_states - 2,):
+            raise SpecificationError(f"{what} needs one entry per ordinary state")
+        v = np.concatenate([v, np.zeros(2, dtype=dtype)])
         v.setflags(write=False)
         return v
-
-    def _pad_float_vector(self, vec, what) -> np.ndarray:
-        v = np.asarray(vec, dtype=float)
-        if len(v) == self.n_states - 2:
-            v = np.concatenate([v, [0.0, 0.0]])
-        if len(v) != self.n_states:
-            raise SpecificationError(f"{what} has the wrong length")
-        return v.copy()
 
     def _build_specs(self):
         u_var = VariableId("U", self.n_confounder)
@@ -283,14 +267,6 @@ class UcPomdpModel:
         cdf /= cdf[..., -1:]
         self._trans_cdf = cdf
         self._trans_keys = _cdf_keys(cdf.reshape(2, n_a * n, n))
-
-        rew = np.zeros((n_a, n, n))
-        for a in range(n_a):
-            for s in range(n - 2):
-                for s2 in range(n):
-                    rew[a, s, s2] = self.reward_fn(s, a, s2)
-        rew.setflags(write=False)
-        self._reward_table = rew
 
     # -- public accessors ------------------------------------------------------
 
@@ -352,14 +328,12 @@ class UcPomdpModel:
             p_uc=p_uc,
             p_0=p_0,
             successor_table=self.successor_table[:-2],
-            observation_table=CategoricalTable(
-                (self.n_states - 2,), self._obs[:-2]
-            ),
-            reward_fn=self.reward_fn,
+            observation_table=CategoricalTable((self.n_states - 2,), self._obs[:-2]),
+            rewards=self._reward_table[:, :-2],
             discount=self.discount,
-            initial_belief=self.initial_belief,
-            rollout_policy=self.rollout_policy,
-            upper_hint=self.upper_hint,
+            initial_belief=self.initial_belief.probs[:-2],
+            rollout_policy=self.rollout_policy[:-2],
+            upper_hint=self.upper_hint[:-2],
             name=name or f"{self.name}+tables",
         )
 

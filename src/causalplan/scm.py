@@ -87,10 +87,11 @@ class CategoricalTable:
             )
         if vals.shape[1] < 1:
             raise SpecificationError("table must have at least one category")
-        if np.any(vals < 0):
+        # each check is written so that a NaN entry fails it
+        if not np.all(vals >= 0):
             raise SpecificationError("table entries must be non-negative")
         row_sums = vals.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE):
+        if not np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOLERANCE):
             worst = int(np.argmax(np.abs(row_sums - 1.0)))
             raise SpecificationError(
                 f"table row {worst} sums to {row_sums[worst]!r}, not 1"
@@ -203,9 +204,9 @@ class Dist:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or len(p) != len(self.support):
             raise SpecificationError("probs must be one entry per support point")
-        if np.any(p < 0):
+        if not np.all(p >= 0):
             raise SpecificationError("probabilities must be non-negative")
-        if abs(float(p.sum()) - 1.0) > ROW_SUM_TOLERANCE:
+        if not abs(float(p.sum()) - 1.0) <= ROW_SUM_TOLERANCE:
             raise SpecificationError(f"distribution sums to {p.sum()!r}, not 1")
         p = p.copy()
         p.setflags(write=False)

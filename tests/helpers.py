@@ -59,18 +59,13 @@ def hand_confounded_tables() -> tuple[dict, dict]:
     return interventional, observational
 
 
-def two_state_model() -> UcPomdpModel:
-    """2 ordinary states, 2 actions, 2 reachable noisy observations, no
-    reachable terminals; used for exhaustive planner checks."""
-    succ = np.array([[0, 1], [1, 0]])
+def two_state_inputs() -> dict:
+    """Constructor arguments of :func:`two_state_model`."""
     rows = [[0.7, 0.3], [0.2, 0.8]]
     obs = np.array([[0.8, 0.2, 0.0], [0.25, 0.75, 0.0]])
-    rewards = {(0, 0): -0.3, (0, 1): 1.0, (1, 0): 0.4, (1, 1): -0.1}
-
-    def reward_fn(s, a, s_next):
-        return rewards[(a, s_next)] if s_next < 2 else 0.0
-
-    return UcPomdpModel(
+    # (action, state, successor): the reward depends on action and successor
+    rewards = np.array([[[-0.3, 1.0, 0.0, 0.0]] * 2, [[0.4, -0.1, 0.0, 0.0]] * 2])
+    return dict(
         state_labels=("left", "right"),
         actions=("hold", "flip"),
         ds_labels=("stay", "swap"),
@@ -80,15 +75,21 @@ def two_state_model() -> UcPomdpModel:
         confounded_states=[],
         p_uc=CategoricalTable((2, 1), rows),
         p_0=CategoricalTable((2,), rows),
-        successor_table=succ,
+        successor_table=np.array([[0, 1], [1, 0]]),
         observation_table=CategoricalTable((2,), obs),
-        reward_fn=reward_fn,
+        rewards=rewards,
         discount=0.95,
         initial_belief=[0.5, 0.5],
         rollout_policy=[0, 0],
         upper_hint=[20.0, 20.0],
         name="two-state-chain",
     )
+
+
+def two_state_model() -> UcPomdpModel:
+    """2 ordinary states, 2 actions, 2 reachable noisy observations, no
+    reachable terminals; used for exhaustive planner checks."""
+    return UcPomdpModel(**two_state_inputs())
 
 
 def free_roam_model() -> UcPomdpModel:
@@ -108,7 +109,7 @@ def free_roam_model() -> UcPomdpModel:
         p_0=CategoricalTable((2,), rows),
         successor_table=succ,
         observation_table=CategoricalTable((2,), obs),
-        reward_fn=lambda s, a, s_next: -1.0,
+        rewards=np.full((2, 2, 4), -1.0),
         discount=0.95,
         initial_belief=[1.0, 0.0],
         rollout_policy=[0, 0],

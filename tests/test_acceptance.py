@@ -119,7 +119,7 @@ def test_criterion_3_learning_fidelity(truth):
 
 def _episode_batch(plan, execu, mode, n_episodes, trials):
     config = PlannerConfig(
-        scenarios=500, depth=15, gamma=0.95, xi=0.95, regularization=0.01,
+        scenarios=500, depth=15, xi=0.95, regularization=0.01,
         budget_trials=trials, mode=mode, seed=0,
     )
     rewards = np.empty(n_episodes)
@@ -163,7 +163,7 @@ def test_criterion_5_small_instance_optimality():
     start = time.perf_counter()
     model = two_state_model()
     config = PlannerConfig(
-        scenarios=24, depth=3, gamma=0.95, xi=0.999999,
+        scenarios=24, depth=3, xi=0.999999,
         regularization=0.0, budget_trials=100_000, seed=5,
     )
     belief = Belief(np.array([0.5, 0.5, 0.0, 0.0]))

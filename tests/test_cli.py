@@ -1,9 +1,14 @@
 """CLI tests exercise the commands through ``main`` with temp output dirs."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalplan import cli, despot
 
@@ -262,7 +267,9 @@ class TestConfigHandling:
 
 
 class TestUsageErrors:
-    """Bad input exits 2 with an ``error[usage]`` line, not a traceback."""
+    """Bad input exits 2 with an ``error[usage]`` line, not a traceback; a
+    parameter file whose table is not a distribution exits 1 with
+    ``error[model]``."""
 
     def expect_usage_error(self, capsys, args, *fragments):
         assert run(args) == 2
@@ -303,6 +310,28 @@ class TestUsageErrors:
         self.expect_usage_error(
             capsys, ["eval", "--config", str(cfg_path), "--out", str(tmp_path)], str(cfg_path))
 
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--map"), ("eval", "--config"), ("simulate", "--replay"),
+    ])
+    def test_input_file_not_utf8(self, tmp_path, capsys, command, flag):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00G")
+        self.expect_usage_error(capsys, [
+            command, flag, str(bad), "--episodes", "1", "--steps", "1",
+            "--out", str(tmp_path), *FAST,
+        ], str(bad))
+
+    @pytest.mark.parametrize("args, fragment", [
+        (["learn", "--seed", "-1"], "seed"),
+        (["learn", "--smoothing", "nan", "--dataset-n", "10"], "smoothing"),
+        (["eval", "--lambda", "nan"], "regularization"),
+        (["eval", "--budget-ms", "nan"], "budget_ms"),
+    ])
+    def test_number_out_of_range(self, tmp_path, capsys, args, fragment):
+        self.expect_usage_error(capsys, [*args, "--out", str(tmp_path)], fragment)
+        assert not (tmp_path / "params.txt").exists()
+        assert not (tmp_path / "summary.txt").exists()
+
     @pytest.mark.parametrize("command", ["eval", "learn"])
     @pytest.mark.parametrize("gamma", ["1.5", "0"])
     def test_gamma_outside_unit_interval(self, tmp_path, capsys, command, gamma):
@@ -337,3 +366,41 @@ class TestUsageErrors:
         path, args = self._params(tmp_path, small_params, lambda lines: lines + [
             "[p_uc a=0 u=3]", "0.25 0.25 0.25 0.25"])
         self.expect_usage_error(capsys, args, str(path), "[p_uc a=0 u=3]")
+
+    @pytest.mark.parametrize("row", ["nan 0.5 0.25 0.25", "0.5 0.5 0.25 0.25"])
+    @pytest.mark.parametrize("command", [
+        ["tables"], ["simulate", "--plan-model", "learned", "--steps", "1", *FAST],
+    ])
+    def test_params_row_not_a_distribution(self, tmp_path, capsys, small_params,
+                                           command, row):
+        def replace_row(lines):
+            at = lines.index("[p_0 a=0]") + 2  # header, count comment, values
+            return lines[:at] + [row] + lines[at + 1:]
+        path, _ = self._params(tmp_path, small_params, replace_row)
+        assert run([*command, "--params", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error[model]:")
+
+
+MAP_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.text(alphabet="GSCM#. \t\r\n", max_size=40).map(str.encode),
+    # rectangular grids, mostly free cells, which reach the model builder
+    st.integers(1, 5).flatmap(lambda width: st.lists(
+        st.lists(st.sampled_from("....#CMSG"), min_size=width, max_size=width),
+        min_size=1, max_size=5,
+    )).map(lambda rows: "\n".join(map("".join, rows)).encode()),
+)
+
+
+@given(MAP_BYTES)
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_fuzzed_map_exits_0_or_usage_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.map"
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["tables", "--map", str(path), "--out", tmp])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error[usage]:")

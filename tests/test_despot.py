@@ -28,18 +28,11 @@ class TestPlannerConfig:
         with pytest.raises(UsageError):
             PlannerConfig(scenarios=0)
         with pytest.raises(UsageError):
-            PlannerConfig(gamma=1.0)
-        with pytest.raises(UsageError):
             PlannerConfig(xi=0.0)
         with pytest.raises(UsageError):
             PlannerConfig(regularization=-0.1)
         with pytest.raises(UsageError):
             PlannerConfig(budget_ms=-5.0)
-
-    def test_gamma_must_equal_model_discount(self, truth):
-        assert truth.discount == 0.95
-        with pytest.raises(UsageError, match="discount"):
-            DespotTree(truth, PlannerConfig(gamma=0.9), truth.initial_belief)
 
 
 class TestSampleScenarios:
@@ -138,7 +131,7 @@ def scalar_rollout(model, config, state, stream, depth):
         state, _, r = deterministic_step(model, state, action, tuple(stream[t]),
                                          config.mode)
         value += discount * r
-        discount *= config.gamma
+        discount *= model.discount
     return value
 
 
@@ -190,7 +183,7 @@ class TestRunTrial:
     def test_one_step_problem_converges_to_exact_optimum(self):
         model = two_state_model()
         config = PlannerConfig(
-            scenarios=30, depth=1, gamma=0.95, xi=0.999999,
+            scenarios=30, depth=1, xi=0.999999,
             regularization=0.0, budget_trials=1000, seed=12,
         )
         belief = Belief(np.array([0.5, 0.5, 0.0, 0.0]))

@@ -258,8 +258,8 @@ class TestPlannerInvariants:
                         assert child.lower == child.default_value
                     low += len(child.scenario_ids) * child.lower
                     up += len(child.scenario_ids) * child.upper
-                assert edge.q_lower == edge.avg_reward + config.gamma * low / n
-                assert edge.q_upper == edge.avg_reward + config.gamma * up / n
+                assert edge.q_lower == edge.avg_reward + model.discount * low / n
+                assert edge.q_upper == edge.avg_reward + model.discount * up / n
         assert expanded >= 20
 
     def test_modes_coincide_without_confounding(self):
@@ -284,7 +284,7 @@ class TestPlannerInvariants:
     def test_small_instance_matches_policy_tree_enumeration(self):
         model = two_state_model()
         config = PlannerConfig(
-            scenarios=24, depth=3, gamma=0.95, xi=0.999999,
+            scenarios=24, depth=3, xi=0.999999,
             regularization=0.0, budget_trials=100_000, seed=5,
         )
         belief = Belief(np.array([0.5, 0.5, 0.0, 0.0]))

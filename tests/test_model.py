@@ -9,18 +9,67 @@ from causalplan.model import (
     Belief,
     InconsistentObservationError,
     TransitionMode,
+    UcPomdpModel,
     _cdf_keys,
     _invert_cdf,
     belief_update,
     deterministic_step,
 )
-from causalplan.scm import cdf_index, importance_query
+from causalplan.scm import (
+    CategoricalTable,
+    Dist,
+    SpecificationError,
+    cdf_index,
+    importance_query,
+)
 
-from helpers import sample_reactive_action
+from helpers import sample_reactive_action, two_state_inputs, two_state_model
 
 INT = TransitionMode.INTERVENTIONAL
 OBS = TransitionMode.OBSERVATIONAL
 RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("discount", 1.0, "discount"),
+        ("initial_belief", [0.5, 0.5, 0.0, 0.0], "initial belief"),
+        ("initial_belief", [1.0], "initial belief"),
+        ("rollout_policy", [0, 0, 0, 0], "rollout policy needs"),
+        ("rollout_policy", [0], "rollout policy needs"),
+        ("rollout_policy", [0, 2], "unknown actions"),
+        ("rollout_policy", [0, -1], "unknown actions"),
+        ("upper_hint", [20.0, 20.0, 0.0, 0.0], "upper hint"),
+        ("upper_hint", [20.0], "upper hint"),
+        ("rewards", np.zeros((2, 2, 2)), "reward array shape"),
+        ("successor_table", [[0, 4], [1, 0]], "unknown states"),
+        ("observation_table", CategoricalTable((3,), np.tile([0.5, 0.5, 0.0], (3, 1))),
+         "one row per ordinary state"),
+        ("p_uc", CategoricalTable((2,), [[0.7, 0.3], [0.2, 0.8]]), "p_uc"),
+    ])
+    def test_rejects_one_broken_input(self, key, value, fragment):
+        inputs = two_state_inputs()
+        UcPomdpModel(**inputs)  # the unbroken inputs build
+        with pytest.raises(SpecificationError, match=fragment):
+            UcPomdpModel(**{**inputs, key: value})
+
+    @pytest.mark.parametrize("which", ["truth", "two_state"])
+    def test_with_own_tables_rebuilds_the_same_arrays(self, truth, which):
+        model = truth if which == "truth" else two_state_model()
+        copy = model.with_tables(model.confounder_prior, model.p_uc, model.p_0)
+        for name in ("_reward_table", "rollout_policy", "upper_hint"):
+            assert np.array_equal(getattr(copy, name), getattr(model, name))
+        assert np.array_equal(copy.initial_belief.probs, model.initial_belief.probs)
+        assert copy._reward_table.flags.c_contiguous
+
+    @pytest.mark.parametrize("build", [
+        lambda p: CategoricalTable((), p),
+        lambda p: Dist(("a", "b", "c"), p),
+        Belief,
+    ])
+    def test_nan_entry_is_rejected(self, build):
+        with pytest.raises(SpecificationError):
+            build(np.array([np.nan, 0.5, 0.5]))
 
 
 class TestTransitionDist:

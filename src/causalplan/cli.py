@@ -105,7 +105,10 @@ def _config_value(key: str, value, flag: argparse.Action | None):
         raise UsageError(f"config value {key}={value!r} is not of type {kind.__name__}")
     if flag.choices and value not in flag.choices:
         raise UsageError(f"config value {key}={value!r} is not one of {flag.choices}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise UsageError(f"config value {key}={value!r} is out of range") from None
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
@@ -113,7 +116,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         try:
             loaded = json.loads(_read_text(args.config))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
             raise UsageError(f"{args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
@@ -134,11 +137,25 @@ def _merge_options(args: argparse.Namespace) -> dict:
 
 
 def _read_text(path) -> str:
-    """An input file's text; a file that is not UTF-8 is a usage error."""
+    """An input file's text; a file that is not UTF-8, or a path holding a
+    NUL character, is a usage error."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except ValueError as exc:
+        raise UsageError(f"{path!r}: {exc}") from None
+
+
+def _out_dir(options) -> Path:
+    """The output directory, created if missing; a path holding a NUL
+    character is a usage error."""
+    out = Path(options["out"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:
+        raise UsageError(f"--out {options['out']!r}: {exc}") from None
+    return out
 
 
 def _load_map(options) -> gridworld.GridMap:
@@ -190,8 +207,7 @@ def _fmt(x: float) -> str:
 def cmd_learn(options) -> int:
     grid = _load_map(options)
     truth = gridworld.build_model(grid, options["gamma"])
-    out = Path(options["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(options)
 
     dataset = learning.generate_dataset(truth, options["dataset_n"], options["seed"])
     if options["write_dataset"]:
@@ -230,8 +246,7 @@ def cmd_tables(options) -> int:
         sources.append(("learned", learning.assemble_model(truth, params)))
     elif options["plan_model"] == "learned":
         raise UsageError("tables for the learned model require --params")
-    out = Path(options["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(options)
     lines = ["source,mode,action," + ",".join(truth.ds_labels)]
     for source, model in sources:
         for mode in (TransitionMode.INTERVENTIONAL, TransitionMode.OBSERVATIONAL):
@@ -254,8 +269,7 @@ def cmd_eval(options) -> int:
     truth = gridworld.build_model(grid, options["gamma"])
     plan = _plan_model(options, truth)
     config = _planner_config(options)
-    out = Path(options["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(options)
 
     rows = ["episode,seed,reward,outcome,steps,actions"]
     rewards = []
@@ -314,8 +328,7 @@ def cmd_simulate(options) -> int:
     truth = gridworld.build_model(grid, options["gamma"])
     plan = _plan_model(options, truth)
     config = _planner_config(options)
-    out = Path(options["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(options)
 
     trace = despot.run_episode(plan, truth, config, options["steps"], options["seed"])
     lines = _trace_lines(plan, trace)

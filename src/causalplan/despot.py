@@ -73,19 +73,15 @@ def sample_scenarios(
     ``(count, depth, 2)``.
 
     Start states are i.i.d. from the belief, drawn by one generator seeded
-    with ``(seed, 0)``; scenario ``i``'s stream comes from its own generator
-    seeded with ``(seed, 1, i)``.
+    with ``(seed, 0)``; every stream comes from one generator seeded with
+    ``(seed, 1)``, filled in ``(scenario, depth, pair)`` order.
     """
     if count < 1:
         raise UsageError("scenario count must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     starts = belief.sample(rng, count)
-    streams = np.empty((count, depth, 2))
-    for i in range(count):
-        np.random.default_rng(np.random.SeedSequence((seed, 1, i))).random(
-            out=streams[i]
-        )
-    return starts, streams
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    return starts, rng.random((count, depth, 2))
 
 
 class DespotNode:
@@ -119,77 +115,44 @@ class ActionEdge:
         self.children: list[tuple[int, DespotNode]] = []  # ascending observation
 
 
-def initial_upper_bound(
-    node: DespotNode, model: UcPomdpModel, config: PlannerConfig
-) -> float:
-    """Scenario-average admissible per-state bound; zero at the horizon."""
-    return _mean_upper(model.upper_hint.take(node.states), node.depth, config)
+class ScenarioBounds:
+    """Per-scenario bounds of one search: ``lower[d][k, s]`` is the
+    discounted return of the default policy from state ``s`` at depth ``d``
+    to the horizon along scenario ``k``'s stream, and ``upper[d][k, s]`` the
+    best return any action sequence earns there, the scenario's clairvoyant
+    optimum (Ye et al., 2017).  Both are zero at the terminals and at the
+    horizon.
 
-
-def _mean_upper(hints: np.ndarray, depth: int, config: PlannerConfig) -> float:
-    """Mean of a node's per-scenario upper hints, ``np.add.reduce(hints) /
-    len(hints)`` as ``np.mean`` computes it; zero at the horizon."""
-    if depth >= config.depth:
-        return 0.0
-    return float(np.add.reduce(hints) / len(hints))
-
-
-class DefaultValueTable:
-    """Discounted default-policy returns of one search: ``table[d][k, s]``
-    is the return from state ``s`` at depth ``d`` to the horizon along
-    scenario ``k``'s stream (zero at terminals and at the horizon).
-
-    Rows are filled on first use, as a search reads only the depths it
-    expands to; each depth's successors take one batched policy step over
-    every (scenario, ordinary state) pair.  Rollouts add their rewards
-    forward like a scalar :func:`~causalplan.model.deterministic_step`
-    rollout and stop once absorbed, so each entry equals it bit for bit.
+    Both tables are filled from the horizon back, one batched policy step
+    per depth over every (action, scenario, ordinary state) triple:
+    ``lower[d] = r_pi + gamma * lower[d + 1][k, s2_pi]`` and
+    ``upper[d] = max_a (r_a + gamma * upper[d + 1][k, s2_a])``, the same
+    arithmetic as a scalar :func:`~causalplan.model.deterministic_step`
+    recursion, so every entry equals it bit for bit.
     """
 
     def __init__(self, model: UcPomdpModel, config: PlannerConfig,
                  streams: np.ndarray):
-        self.model, self.config, self.streams = model, config, streams
-        n = model.n_states
-        # the default action's reward, at s * n + s2
-        self._rewards = model._reward_table[model.rollout_policy, np.arange(n)].ravel()
-        self._successors: list[np.ndarray | None] = [None] * config.depth
-        self._rows: list[np.ndarray | None] = [None] * (config.depth + 1)
-
-    def __getitem__(self, depth: int) -> np.ndarray:
-        if self._rows[depth] is None:
-            self._rows[depth] = self._fill(depth)
-        return self._rows[depth]
-
-    def _successor(self, depth: int) -> np.ndarray:
-        """Successor of each pair ``k * (S - 2) + s`` at ``depth``, stored in
-        the narrowest integer type that holds a state."""
-        if self._successors[depth] is None:
-            n = self.model.n_states
-            states = np.tile(np.arange(n - 2), len(self.streams))
-            s2, _ = self.model.batch_policy_step(
-                states, self.model.rollout_policy[states],
-                np.repeat(self.streams[:, depth, 0], n - 2), self.config.mode,
-            )
-            self._successors[depth] = s2.astype(np.min_scalar_type(n - 1))
-        return self._successors[depth]
-
-    def _fill(self, depth: int) -> np.ndarray:
-        k, n = len(self.streams), self.model.n_states
-        row = np.zeros(k * n)
-        # running rollouts: their cell in the row and their current pair
-        cells = np.flatnonzero(np.arange(k * n) % n < n - 2)
-        at = np.arange(len(cells))
-        discount = 1.0
-        for t in range(depth, self.config.depth):
-            if not len(at):
-                break
-            s = at % (n - 2)
-            s2 = self._successor(t).take(at)
-            row[cells] += discount * self._rewards.take(s * n + s2)
-            discount *= self.model.discount
-            running = np.flatnonzero(s2 < n - 2)
-            cells, at = cells.take(running), (at - s + s2).take(running)
-        return row.reshape(k, n)
+        k, n, n_a = len(streams), model.n_states, model.n_actions
+        m = n - 2
+        self.lower = np.zeros((config.depth + 1, k, n))
+        self.upper = np.zeros((config.depth + 1, k, n))
+        # triple a * k * m + j * m + s; next-row cell j * n + s2
+        actions = np.arange(n_a).repeat(k * m)
+        states = np.tile(np.arange(m), n_a * k)
+        cells = np.tile(np.arange(k).repeat(m) * n, n_a)
+        policy = (model.rollout_policy[:m] * (k * m)
+                  + np.arange(k * m).reshape(k, m)).ravel()
+        for d in range(config.depth - 1, -1, -1):
+            phi = np.tile(streams[:, d, 0].repeat(m), n_a)
+            s2, r = model.batch_policy_step(states, actions, phi, config.mode)
+            at = cells + s2
+            q = r + model.discount * self.upper[d + 1].reshape(-1).take(at)
+            self.upper[d, :, :m] = np.maximum.reduce(q.reshape(n_a, k, m), axis=0)
+            self.lower[d, :, :m] = (
+                r.take(policy) + model.discount
+                * self.lower[d + 1].reshape(-1).take(at.take(policy))
+            ).reshape(k, m)
 
 
 class DespotTree:
@@ -203,16 +166,19 @@ class DespotTree:
         starts, self.streams = sample_scenarios(
             belief, config.scenarios, config.seed, config.depth
         )
-        self.default_values = DefaultValueTable(model, config, self.streams)
+        self.scenario_bounds = ScenarioBounds(model, config, self.streams)
         self.n_expansions = 0
         self.n_trials = 0
-        self.root = DespotNode(0, np.arange(config.scenarios), starts,
-                               config.scenarios)
+        k = config.scenarios
+        self.root = root = DespotNode(0, np.arange(k), starts, k)
         # the default policy's action at the root's most common state
         counts = np.bincount(starts, minlength=model.n_states)
         self.default_action = int(model.rollout_policy[int(np.argmax(counts))])
-        self.root.upper = initial_upper_bound(self.root, model, config)
-        self.root.lower = self.root.default_value
+        low = self.scenario_bounds.lower[0][root.scenario_ids, starts]
+        up = self.scenario_bounds.upper[0][root.scenario_ids, starts]
+        root.default_value = float(np.add.reduce(low) / k) - config.regularization
+        root.lower = root.default_value
+        root.upper = float(np.add.reduce(up) / k)
 
     # -- trial machinery --------------------------------------------------------
 
@@ -232,8 +198,8 @@ class DespotTree:
         key, s2, ids = key.take(order), s2.take(order), ids.take(order)
         # np.add.reduce(seg) / len(seg) is what np.mean computes: the same
         # pairwise sum over the same contiguous values
-        cont = self.default_values[d + 1][ids, s2]
-        hint = model.upper_hint.take(s2)
+        low = self.scenario_bounds.lower[d + 1][ids, s2]
+        up = self.scenario_bounds.upper[d + 1][ids, s2]
         edges = [ActionEdge(float(np.add.reduce(row) / m))
                  for row in r.reshape(n_a, m)]
         starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
@@ -241,10 +207,10 @@ class DespotTree:
             a, obs = divmod(k, model.n_observations)
             child = DespotNode(d + 1, ids[lo:hi], s2[lo:hi], config.scenarios)
             child.default_value = (
-                float(np.add.reduce(cont[lo:hi]) / (hi - lo)) - config.regularization
+                float(np.add.reduce(low[lo:hi]) / (hi - lo)) - config.regularization
             )
             child.lower = child.default_value
-            child.upper = _mean_upper(hint[lo:hi], d + 1, config)
+            child.upper = float(np.add.reduce(up[lo:hi]) / (hi - lo))
             edges[a].children.append((obs, child))
         node.children = edges
         self.n_expansions += 1

@@ -180,14 +180,6 @@ def manhattan(a, b) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def _best_case_return(distance: int, gamma: float) -> float:
-    """Value of reaching the goal along a shortest path with no mishaps."""
-    d = max(distance, 1)
-    return -sum(gamma ** t for t in range(d - 1)) + gamma ** (d - 1) * (
-        BASE_REWARD + GOAL_BONUS
-    )
-
-
 def _greedy_action(grid: GridMap, cell) -> int:
     """Default rollout policy: step toward the goal by Manhattan distance,
     never into a wall, ties broken in canonical action order."""
@@ -250,6 +242,5 @@ def build_model(grid: GridMap, discount: float = 0.95) -> UcPomdpModel:
         discount=discount,
         initial_belief=np.eye(n)[cell_index[grid.start]],
         rollout_policy=[_greedy_action(grid, c) for c in cells],
-        upper_hint=[_best_case_return(manhattan(c, grid.goal), discount) for c in cells],
         name=f"gridworld-{grid.width}x{grid.height}",
     )

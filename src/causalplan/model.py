@@ -92,8 +92,8 @@ class UcPomdpModel:
     state over the full observation support (the terminal observation is the
     last column); terminal states emit it with probability 1.  ``rewards``
     is an (action, ordinary state, successor state) array; terminal states
-    earn 0.  ``initial_belief``, ``rollout_policy`` and ``upper_hint`` have
-    one entry per ordinary state; the terminals' entries are 0.
+    earn 0.  ``initial_belief`` and ``rollout_policy`` have one entry per
+    ordinary state; the terminals' entries are 0.
     """
 
     def __init__(
@@ -114,7 +114,6 @@ class UcPomdpModel:
         discount: float,
         initial_belief,
         rollout_policy,
-        upper_hint,
         name: str = "ucpomdp",
     ):
         self.name = name
@@ -173,7 +172,6 @@ class UcPomdpModel:
         self.rollout_policy = self._pad(rollout_policy, np.int64, "rollout policy")
         if self.rollout_policy.min() < 0 or self.rollout_policy.max() >= self.n_actions:
             raise SpecificationError("rollout policy references unknown actions")
-        self.upper_hint = self._pad(upper_hint, float, "upper hint")
 
         # C-contiguous, as batch_policy_step reads it through reshape(-1)
         rew = np.zeros((self.n_actions, self.n_states, self.n_states))
@@ -333,7 +331,6 @@ class UcPomdpModel:
             discount=self.discount,
             initial_belief=self.initial_belief.probs[:-2],
             rollout_policy=self.rollout_policy[:-2],
-            upper_hint=self.upper_hint[:-2],
             name=name or f"{self.name}+tables",
         )
 
@@ -376,7 +373,7 @@ def _invert_cdf(keys: np.ndarray, rows, u, width: int) -> np.ndarray:
     the last category: the category :func:`deterministic_step` draws.
 
     One sorted lookup serves every planner batch, from a few draws at a deep
-    node to the default-value table fills; ``learning._inverse_cdf`` counts
+    node to the scenario-bound table fills; ``learning._inverse_cdf`` counts
     column by column instead, for the learning path's 800k-draw batches over
     4-wide rows."""
     query = np.empty(len(u), dtype=complex)

@@ -81,7 +81,6 @@ def two_state_inputs() -> dict:
         discount=0.95,
         initial_belief=[0.5, 0.5],
         rollout_policy=[0, 0],
-        upper_hint=[20.0, 20.0],
         name="two-state-chain",
     )
 
@@ -113,9 +112,26 @@ def free_roam_model() -> UcPomdpModel:
         discount=0.95,
         initial_belief=[1.0, 0.0],
         rollout_policy=[0, 0],
-        upper_hint=[0.0, 0.0],
         name="free-roam",
     )
+
+
+def scalar_bounds(model, stream, horizon, mode) -> tuple[np.ndarray, np.ndarray]:
+    """One scenario's ``(lower, upper)`` rows of shape ``(horizon + 1, S)``
+    by backward recursion over :func:`deterministic_step`: the default
+    policy's return and the best return of any action sequence."""
+    lower = np.zeros((horizon + 1, model.n_states))
+    upper = np.zeros((horizon + 1, model.n_states))
+    for d in range(horizon - 1, -1, -1):
+        for s in range(model.n_states - 2):
+            q = []
+            for a in range(model.n_actions):
+                s2, _, r = deterministic_step(model, s, a, tuple(stream[d]), mode)
+                q.append(r + model.discount * upper[d + 1, s2])
+                if a == model.rollout_policy[s]:
+                    lower[d, s] = r + model.discount * lower[d + 1, s2]
+            upper[d, s] = max(q)
+    return lower, upper
 
 
 def enumerate_policy_trees(n_actions: int, observations: tuple, depth: int):
@@ -166,6 +182,29 @@ def brute_force_optimum(model, starts, streams, depth, gamma, mode,
                 model, tree, int(state), stream, 0, gamma, mode
             )
         best = max(best, total / len(starts))
+    return float(best)
+
+
+def determinized_optimum(model, states, streams, depth, horizon, mode) -> float:
+    """:func:`brute_force_optimum` by recursion: the best scenario-average
+    return from ``depth`` to ``horizon`` of the scenarios at ``states`` with
+    ``streams``.  Each observation's subtree is chosen on its own, so the
+    best policy tree takes the best action and then the best subtree of every
+    observation child; the cost grows with the tree's nodes, not its count
+    of policy trees."""
+    if depth >= horizon:
+        return 0.0
+    best = -np.inf
+    for a in range(model.n_actions):
+        steps = [deterministic_step(model, int(s), a, tuple(stream[depth]), mode)
+                 for s, stream in zip(states, streams)]
+        total = sum(r for _, _, r in steps)
+        for z in sorted({z for _, z, _ in steps}):
+            at = [i for i, step in enumerate(steps) if step[1] == z]
+            total += model.discount * len(at) * determinized_optimum(
+                model, [steps[i][0] for i in at], [streams[i] for i in at],
+                depth + 1, horizon, mode)
+        best = max(best, total / len(states))
     return float(best)
 
 

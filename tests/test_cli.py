@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from causalplan import cli, despot
 
@@ -310,6 +310,29 @@ class TestUsageErrors:
         self.expect_usage_error(
             capsys, ["eval", "--config", str(cfg_path), "--out", str(tmp_path)], str(cfg_path))
 
+    def test_config_nested_too_deeply(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+        self.expect_usage_error(
+            capsys, ["eval", "--config", str(cfg_path), "--out", str(tmp_path)],
+            str(cfg_path), "recursion")
+
+    def test_config_number_too_large(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"gamma": 1' + "0" * 400 + "}")
+        self.expect_usage_error(
+            capsys, ["eval", "--config", str(cfg_path), "--out", str(tmp_path)],
+            "gamma=1000", "out of range")
+
+    @pytest.mark.parametrize("key", ["map", "replay", "out"])
+    def test_path_with_a_nul_character(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"out": str(tmp_path), key: "x\u0000y"}))
+        self.expect_usage_error(capsys, [
+            "simulate", "--config", str(cfg_path), "--steps", "1", *FAST,
+        ], "'x\\x00y'", "null byte")
+        assert not (tmp_path / "trace.csv").exists() or key == "replay"
+
     @pytest.mark.parametrize("command, flag", [
         ("eval", "--map"), ("eval", "--config"), ("simulate", "--replay"),
     ])
@@ -390,6 +413,69 @@ MAP_BYTES = st.one_of(
         min_size=1, max_size=5,
     )).map(lambda rows: "\n".join(map("".join, rows)).encode()),
 )
+
+
+ERROR_TAGS = {1: "error[model]:", 2: "error[usage]:", 3: "error[io]:"}
+
+
+def run_fuzzed(args) -> tuple[int, str]:
+    """Exit code and stderr of one command; the command must not raise."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(args)
+    return code, err.getvalue()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text() | st.text().map(lambda t: t + "\x00"),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+CONFIG_KEYS = st.sampled_from(
+    [*cli.DEFAULTS, "lambda", "dataset-n", "write-dataset", "budget-ms"]) | st.text()
+CONFIG_TEXT = st.one_of(
+    JSON_VALUES.map(json.dumps),
+    st.dictionaries(CONFIG_KEYS, JSON_VALUES, max_size=3).map(json.dumps),
+    st.integers(1, 50_000).map(lambda depth: "[" * depth + "]" * depth),
+    st.text(max_size=20),
+)
+
+
+@given(CONFIG_TEXT)
+@example('{"map": "x\\u0000y"}')
+@example("[" * 5_000 + "]" * 5_000)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_fuzzed_config_exits_through_a_typed_error(text):
+    # a path-valued key may name a file that does not exist: error[io], exit 3
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        code, err = run_fuzzed(["tables", "--config", str(path), "--out", tmp])
+    assert code == 0 or err.startswith(ERROR_TAGS[code])
+
+
+PARAMS_LINES = st.sampled_from([
+    "[p_u]", "[p_uc a=0 u=0]", "[p_uc a=1 u=2]", "[p_0 a=0]", "[p_0 a=3]", "[p_x]",
+    "# n_records=5 smoothing=1.0", "# count=3,1", "# smoothing=x", "0.25 0.25 0.25 0.25",
+    "0.1 0.8 0.1", "1 0 0 0", "nan 1 0 0", "-1 2", "",
+])
+PARAMS_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.lists(PARAMS_LINES | st.text(max_size=8), max_size=12).map("\n".join),
+)
+
+
+@given(PARAMS_TEXT)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_fuzzed_params_exit_through_a_typed_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.txt"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        code, err = run_fuzzed(["tables", "--params", str(path), "--out", tmp])
+    assert code in (0, 1, 2)
+    assert code == 0 or err.startswith(ERROR_TAGS[code])
 
 
 @given(MAP_BYTES)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from causalplan.despot import (
-    DefaultValueTable,
     DespotNode,
     DespotTree,
     PlannerConfig,
-    initial_upper_bound,
+    ScenarioBounds,
     run_episode,
     sample_scenarios,
     search,
@@ -16,7 +15,7 @@ from causalplan.despot import (
 from causalplan.model import Belief, TransitionMode, deterministic_step
 from causalplan.scm import CategoricalTable, UsageError
 
-from helpers import free_roam_model, two_state_model
+from helpers import free_roam_model, scalar_bounds, two_state_model
 
 INT = TransitionMode.INTERVENTIONAL
 OBS = TransitionMode.OBSERVATIONAL
@@ -79,11 +78,14 @@ def make_node(truth, config, state, k=16, phi=0.5, depth=0):
     return node, streams
 
 
-def default_lower_bound(node, model, config, streams):
-    """The node's default-policy bound as the planner forms it: the mean of
-    its scenarios' table entries minus the regularization penalty."""
-    values = DefaultValueTable(model, config, streams)[node.depth]
-    return float(values[node.scenario_ids, node.states].mean()) - config.regularization
+def node_bounds(node, model, config, streams):
+    """The node's default value and upper bound as the planner forms them:
+    the means of its scenarios' table entries, the first minus the
+    regularization penalty."""
+    table = ScenarioBounds(model, config, streams)
+    ids, states, d = node.scenario_ids, node.states, node.depth
+    return (float(table.lower[d][ids, states].mean()) - config.regularization,
+            float(table.upper[d][ids, states].mean()))
 
 
 class TestBounds:
@@ -92,63 +94,54 @@ class TestBounds:
         s = truth.state_index((0, 2))
         # phi = 0.5 lands in the goal bucket of the UP transition CDF
         node, streams = make_node(truth, config, s)
-        value = default_lower_bound(node, truth, config, streams)
+        value, _ = node_bounds(node, truth, config, streams)
         assert value == pytest.approx(99.0 - config.regularization, abs=1e-9)
 
     def test_all_terminal_node(self, truth):
         config = PlannerConfig(scenarios=8, depth=15, regularization=0.01, seed=0)
         node, streams = make_node(truth, config, truth.goal_state, k=8)
-        assert default_lower_bound(node, truth, config, streams) == pytest.approx(
-            -config.regularization
-        )
-        assert initial_upper_bound(node, truth, config) == 0.0
+        lower, upper = node_bounds(node, truth, config, streams)
+        assert lower == pytest.approx(-config.regularization)
+        assert upper == 0.0
 
+    # phi = 0.5 moves every action forward, so the clairvoyant optimum is
+    # the shortest path's return
     def test_upper_bound_distance_one(self, truth):
         config = PlannerConfig(scenarios=8, depth=15, seed=0)
-        node, _ = make_node(truth, config, truth.state_index((0, 2)), k=8)
-        assert initial_upper_bound(node, truth, config) == pytest.approx(99.0)
+        node, streams = make_node(truth, config, truth.state_index((0, 2)), k=8)
+        assert node_bounds(node, truth, config, streams)[1] == pytest.approx(99.0)
 
     def test_upper_bound_distance_three(self, truth):
         config = PlannerConfig(scenarios=8, depth=15, seed=0)
-        node, _ = make_node(truth, config, truth.state_index((0, 0)), k=8)
+        node, streams = make_node(truth, config, truth.state_index((0, 0)), k=8)
         expected = -1.0 - 0.95 + 0.95 ** 2 * 99.0
-        assert initial_upper_bound(node, truth, config) == pytest.approx(
+        assert node_bounds(node, truth, config, streams)[1] == pytest.approx(
             expected, abs=1e-9
         )
 
     def test_upper_bound_zero_at_horizon(self, truth):
         config = PlannerConfig(scenarios=8, depth=4, seed=0)
-        node, _ = make_node(truth, config, truth.state_index((0, 0)), k=8, depth=4)
-        assert initial_upper_bound(node, truth, config) == 0.0
-
-
-def scalar_rollout(model, config, state, stream, depth):
-    """The default policy's discounted return from ``state`` at ``depth``,
-    one :func:`deterministic_step` at a time."""
-    value, discount = 0.0, 1.0
-    for t in range(depth, config.depth):
-        action = int(model.rollout_policy[state])
-        state, _, r = deterministic_step(model, state, action, tuple(stream[t]),
-                                         config.mode)
-        value += discount * r
-        discount *= model.discount
-    return value
+        node, streams = make_node(truth, config, truth.state_index((0, 0)), k=8, depth=4)
+        assert node_bounds(node, truth, config, streams)[1] == 0.0
 
 
 class TestDefaultValueTable:
+    """Both ``ScenarioBounds`` tables: the default-value (lower) table and the
+    clairvoyant (upper) table."""
+
     @pytest.mark.parametrize("mode", [INT, OBS])
     @pytest.mark.parametrize("which", ["truth", "two_state"])
     def test_every_entry_equals_a_scalar_rollout(self, truth, which, mode):
+        # both tables, against the scalar backward recursion
         model = truth if which == "truth" else two_state_model()
         config = PlannerConfig(scenarios=10, depth=15, mode=mode, seed=3)
         _, streams = sample_scenarios(model.initial_belief, 10, seed=3, depth=15)
-        table = DefaultValueTable(model, config, streams)
-        for depth in range(config.depth, -1, -1):  # fill rows out of order
-            row = table[depth]
-            assert row.shape == (10, model.n_states)
-            for k in range(10):
-                for s in range(model.n_states):
-                    assert row[k, s] == scalar_rollout(model, config, s, streams[k], depth)
+        table = ScenarioBounds(model, config, streams)
+        assert table.lower.shape == table.upper.shape == (16, 10, model.n_states)
+        for k in range(10):
+            lower, upper = scalar_bounds(model, streams[k], config.depth, mode)
+            assert np.array_equal(table.lower[:, k], lower)
+            assert np.array_equal(table.upper[:, k], upper)
 
     def test_one_policy_step_per_depth(self, truth, monkeypatch):
         calls = []
@@ -161,11 +154,8 @@ class TestDefaultValueTable:
         monkeypatch.setattr(type(truth), "batch_policy_step", counted)
         config = PlannerConfig(scenarios=20, depth=15, seed=0)
         _, streams = sample_scenarios(truth.initial_belief, 20, seed=0, depth=15)
-        table = DefaultValueTable(truth, config, streams)
-        for depth in range(config.depth + 1):
-            table[depth]
-            table[depth]
-        assert len(calls) <= config.depth
+        ScenarioBounds(truth, config, streams)
+        assert len(calls) == config.depth
 
 
 class TestRunTrial:

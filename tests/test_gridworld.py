@@ -200,10 +200,3 @@ class TestBuildModel:
     def test_state_count_matches_free_cells(self, grid, truth):
         assert truth.n_states == len(grid.free_cells) + 2
         assert truth.n_observations == len(grid.free_cells) + 1
-
-    def test_upper_hint_closed_form(self, truth):
-        gamma = truth.discount
-        start = truth.state_index((0, 0))
-        expected = -1.0 - gamma + gamma ** 2 * 99.0
-        assert truth.upper_hint[start] == pytest.approx(expected, abs=1e-9)
-        assert truth.upper_hint[truth.state_index((0, 2))] == pytest.approx(99.0)

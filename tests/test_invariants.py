@@ -228,38 +228,44 @@ class TestPlannerInvariants:
         # the per-action, per-observation expansion and the Q sums recomputed
         # one child at a time, compared with exact ==
         model = truth if which == "truth" else two_state_model()
-        tree, _, _ = self._searched_tree(model, model.initial_belief, mode, 300, 3)
-        config, table = tree.config, tree.default_values
+        # the start belief, then every point mass, until 20 nodes are expanded
+        beliefs = [model.initial_belief] + [
+            Belief.point_mass(model.n_states, s) for s in range(model.n_states - 2)
+        ]
         expanded = 0
-        for node in tree.nodes():
-            if node.children is None:
-                continue
-            expanded += 1
-            ids, n = node.scenario_ids, len(node.scenario_ids)
-            phi = tree.streams[ids, node.depth]
-            assert len(node.children) == model.n_actions
-            for a, edge in enumerate(node.children):
-                s2, z, r = model.batch_step(node.states, a, phi[:, 0], phi[:, 1], mode)
-                assert edge.avg_reward == float(np.mean(r))
-                assert [obs for obs, _ in edge.children] == np.unique(z).tolist()
-                low = up = 0.0
-                for obs, child in edge.children:
-                    assert np.array_equal(child.scenario_ids, ids[z == obs])
-                    assert np.array_equal(child.states, s2[z == obs])
-                    d = child.depth
-                    assert child.default_value == float(
-                        np.mean(table[d][child.scenario_ids, child.states])
-                    ) - config.regularization
-                    if child.children is None:
-                        assert child.upper == (
-                            float(np.mean(model.upper_hint[child.states]))
-                            if d < config.depth else 0.0
-                        )
-                        assert child.lower == child.default_value
-                    low += len(child.scenario_ids) * child.lower
-                    up += len(child.scenario_ids) * child.upper
-                assert edge.q_lower == edge.avg_reward + model.discount * low / n
-                assert edge.q_upper == edge.avg_reward + model.discount * up / n
+        for belief in beliefs:
+            if expanded >= 20:
+                break
+            tree, _, _ = self._searched_tree(model, belief, mode, 300, 3)
+            config, table = tree.config, tree.scenario_bounds
+            for node in tree.nodes():
+                if node.children is None:
+                    continue
+                expanded += 1
+                ids, n = node.scenario_ids, len(node.scenario_ids)
+                phi = tree.streams[ids, node.depth]
+                assert len(node.children) == model.n_actions
+                for a, edge in enumerate(node.children):
+                    s2, z, r = model.batch_step(node.states, a, phi[:, 0], phi[:, 1],
+                                                mode)
+                    assert edge.avg_reward == float(np.mean(r))
+                    assert [obs for obs, _ in edge.children] == np.unique(z).tolist()
+                    low = up = 0.0
+                    for obs, child in edge.children:
+                        assert np.array_equal(child.scenario_ids, ids[z == obs])
+                        assert np.array_equal(child.states, s2[z == obs])
+                        d = child.depth
+                        cells = (child.scenario_ids, child.states)
+                        assert child.default_value == float(
+                            np.mean(table.lower[d][cells])
+                        ) - config.regularization
+                        if child.children is None:
+                            assert child.upper == float(np.mean(table.upper[d][cells]))
+                            assert child.lower == child.default_value
+                        low += len(child.scenario_ids) * child.lower
+                        up += len(child.scenario_ids) * child.upper
+                    assert edge.q_lower == edge.avg_reward + model.discount * low / n
+                    assert edge.q_upper == edge.avg_reward + model.discount * up / n
         assert expanded >= 20
 
     def test_modes_coincide_without_confounding(self):

@@ -39,8 +39,9 @@ class TestConstruction:
         ("rollout_policy", [0], "rollout policy needs"),
         ("rollout_policy", [0, 2], "unknown actions"),
         ("rollout_policy", [0, -1], "unknown actions"),
-        ("upper_hint", [20.0, 20.0, 0.0, 0.0], "upper hint"),
-        ("upper_hint", [20.0], "upper hint"),
+        ("successor_table", [[0, -1], [1, 0]], "unknown states"),
+        ("observation_table", CategoricalTable((2,), [[0.5, 0.5], [0.5, 0.5]]),
+         "observation table width"),
         ("rewards", np.zeros((2, 2, 2)), "reward array shape"),
         ("successor_table", [[0, 4], [1, 0]], "unknown states"),
         ("observation_table", CategoricalTable((3,), np.tile([0.5, 0.5, 0.0], (3, 1))),
@@ -57,7 +58,7 @@ class TestConstruction:
     def test_with_own_tables_rebuilds_the_same_arrays(self, truth, which):
         model = truth if which == "truth" else two_state_model()
         copy = model.with_tables(model.confounder_prior, model.p_uc, model.p_0)
-        for name in ("_reward_table", "rollout_policy", "upper_hint"):
+        for name in ("_reward_table", "rollout_policy"):
             assert np.array_equal(getattr(copy, name), getattr(model, name))
         assert np.array_equal(copy.initial_belief.probs, model.initial_belief.probs)
         assert copy._reward_table.flags.c_contiguous

@@ -124,32 +124,42 @@ class ScenarioBounds:
     horizon.
 
     Both tables are filled from the horizon back, one batched policy step
-    per depth over every (action, scenario, ordinary state) triple:
-    ``lower[d] = r_pi + gamma * lower[d + 1][k, s2_pi]`` and
+    per depth over every (action, scenario, reachable ordinary state)
+    triple: ``lower[d] = r_pi + gamma * lower[d + 1][k, s2_pi]`` and
     ``upper[d] = max_a (r_a + gamma * upper[d + 1][k, s2_a])``, the same
     arithmetic as a scalar :func:`~causalplan.model.deterministic_step`
-    recursion, so every entry equals it bit for bit.
+    recursion, so every filled entry equals it bit for bit.  A node at depth
+    ``d`` only holds states reachable in ``d`` steps from ``starts`` through
+    the transition support, so only those columns of ``d`` are filled; the
+    others stay zero and are never read.  ``buckets`` holds the scenarios'
+    bucket ids (:meth:`~causalplan.model.UcPomdpModel.bucket_ids`).
     """
 
     def __init__(self, model: UcPomdpModel, config: PlannerConfig,
-                 streams: np.ndarray):
-        k, n, n_a = len(streams), model.n_states, model.n_actions
-        m = n - 2
+                 buckets: np.ndarray, starts: np.ndarray):
+        k, n, n_a = len(buckets), model.n_states, model.n_actions
         self.lower = np.zeros((config.depth + 1, k, n))
         self.upper = np.zeros((config.depth + 1, k, n))
-        # triple a * k * m + j * m + s; next-row cell j * n + s2
-        actions = np.arange(n_a).repeat(k * m)
-        states = np.tile(np.arange(m), n_a * k)
-        cells = np.tile(np.arange(k).repeat(m) * n, n_a)
-        policy = (model.rollout_policy[:m] * (k * m)
-                  + np.arange(k * m).reshape(k, m)).ravel()
+        support = (model.transition_matrix(config.mode) > 0).any(axis=0)
+        live = np.zeros(n, dtype=bool)
+        live[starts] = True
+        reach = []
+        for _ in range(config.depth):
+            reach.append(np.flatnonzero(live[:n - 2]))
+            live = support[live].any(axis=0)
         for d in range(config.depth - 1, -1, -1):
-            phi = np.tile(streams[:, d, 0].repeat(m), n_a)
-            s2, r = model.batch_policy_step(states, actions, phi, config.mode)
-            at = cells + s2
+            cols = reach[d]
+            m = len(cols)
+            # triple a * k * m + j * m + i; next-row cell j * n + s2
+            s2, r = model.batch_policy_step(
+                np.tile(cols, n_a * k), np.arange(n_a).repeat(k * m),
+                np.tile(buckets[:, d, 0].repeat(m), n_a), config.mode)
+            at = np.tile(np.arange(k).repeat(m) * n, n_a) + s2
             q = r + model.discount * self.upper[d + 1].reshape(-1).take(at)
-            self.upper[d, :, :m] = np.maximum.reduce(q.reshape(n_a, k, m), axis=0)
-            self.lower[d, :, :m] = (
+            self.upper[d][:, cols] = np.maximum.reduce(q.reshape(n_a, k, m), axis=0)
+            policy = (model.rollout_policy[cols] * (k * m)
+                      + np.arange(k * m).reshape(k, m)).ravel()
+            self.lower[d][:, cols] = (
                 r.take(policy) + model.discount
                 * self.lower[d + 1].reshape(-1).take(at.take(policy))
             ).reshape(k, m)
@@ -166,7 +176,8 @@ class DespotTree:
         starts, self.streams = sample_scenarios(
             belief, config.scenarios, config.seed, config.depth
         )
-        self.scenario_bounds = ScenarioBounds(model, config, self.streams)
+        self.buckets = model.bucket_ids(self.streams, config.mode)
+        self.scenario_bounds = ScenarioBounds(model, config, self.buckets, starts)
         self.n_expansions = 0
         self.n_trials = 0
         k = config.scenarios
@@ -189,10 +200,10 @@ class DespotTree:
         model, config = self.model, self.config
         d, m, n_a = node.depth, len(node.scenario_ids), model.n_actions
         ids = np.concatenate((node.scenario_ids,) * n_a)
-        phi = self.streams[ids, d]
+        b = self.buckets[ids, d]
         actions = np.arange(n_a).repeat(m)
         s2, z, r = model.batch_step(np.concatenate((node.states,) * n_a), actions,
-                                    phi[:, 0], phi[:, 1], config.mode)
+                                    b[:, 0], b[:, 1], config.mode)
         key = actions * model.n_observations + z
         order = np.argsort(key, kind="stable")
         key, s2, ids = key.take(order), s2.take(order), ids.take(order)
@@ -346,10 +357,6 @@ class EpisodeTrace:
     @property
     def n_steps(self) -> int:
         return len(self.steps)
-
-    @property
-    def first_action(self) -> int:
-        return self.steps[0].action
 
 
 def _step_seed(seed: int, step: int) -> int:

@@ -8,6 +8,7 @@ fit.  File formats (dataset CSV, parameter text) are documented in the README.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -244,10 +245,11 @@ def save_params(params: LearnedParams, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _section_names(n_a: int, n_u: int) -> tuple[list[str], list[str]]:
-    """Headers of the ``p_uc`` and ``p_0`` sections, in file order."""
-    return ([f"[p_uc a={a} u={u}]" for a in range(n_a) for u in range(n_u)],
-            [f"[p_0 a={a}]" for a in range(n_a)])
+def _section_names(n_a: int, n_u: int):
+    """Headers of the ``p_uc`` and ``p_0`` sections, in file order, each
+    made when it is asked for."""
+    return ((f"[p_uc a={a} u={u}]" for a in range(n_a) for u in range(n_u)),
+            (f"[p_0 a={a}]" for a in range(n_a)))
 
 
 _SECTION = re.compile(r"\[(p_u|p_uc a=(\d+) u=(\d+)|p_0 a=(\d+))\]")
@@ -294,13 +296,15 @@ def load_params(path) -> LearnedParams:
         if "[p_u]" not in sections:
             raise ValueError("no [p_u] section")
         # [p_u] fixes n_u and the largest action index (at least 0) fixes
-        # n_a; every (a, u) pair and every a needs its own section
+        # n_a; every (a, u) pair and every a needs its own section.  The
+        # first missing name stops the check, so a huge action index costs
+        # no more names than the file has sections.
         p_u = sections["[p_u]"]
         n_u = len(p_u)
-        uc_keys, free_keys = _section_names(n_a, n_u)
-        for key in uc_keys + free_keys:
+        for key in itertools.chain(*_section_names(n_a, n_u)):
             if key not in sections:
                 raise ValueError(f"no {key} section")
+        uc_keys, free_keys = map(list, _section_names(n_a, n_u))
         extra = sorted(sections.keys() - {"[p_u]", *uc_keys, *free_keys})
         if extra:
             raise ValueError(f"{extra[0]} lies outside the {n_u} categories of [p_u]")

@@ -166,14 +166,13 @@ class UcPomdpModel:
         self._obs = obs
         self._obs_cdf = np.cumsum(obs, axis=1)
         self._obs_cdf /= self._obs_cdf[:, -1:]
-        self._obs_keys = _cdf_keys(self._obs_cdf)
+        self._obs_breaks, self._obs_buckets = _bucket_table(obs, self._obs_cdf)
 
         self.initial_belief = Belief(self._pad(initial_belief, float, "initial belief"))
         self.rollout_policy = self._pad(rollout_policy, np.int64, "rollout policy")
         if self.rollout_policy.min() < 0 or self.rollout_policy.max() >= self.n_actions:
             raise SpecificationError("rollout policy references unknown actions")
 
-        # C-contiguous, as batch_policy_step reads it through reshape(-1)
         rew = np.zeros((self.n_actions, self.n_states, self.n_states))
         if np.shape(rewards) != rew[:, :-2].shape:
             raise SpecificationError(f"reward array shape {np.shape(rewards)}, "
@@ -264,7 +263,14 @@ class UcPomdpModel:
         cdf = np.cumsum(trans, axis=3)
         cdf /= cdf[..., -1:]
         self._trans_cdf = cdf
-        self._trans_keys = _cdf_keys(cdf.reshape(2, n_a * n, n))
+        # per mode: breaks, then successor and reward per (bucket, action, state)
+        self._trans_breaks, self._succ, self._rew = [], [], []
+        for m in range(2):
+            breaks, succ = _bucket_table(trans[m], cdf[m])
+            self._trans_breaks.append(breaks)
+            self._succ.append(succ.ravel())
+            self._rew.append(self._reward_table[np.arange(n_a)[:, None],
+                                                np.arange(n), succ].ravel())
 
     # -- public accessors ------------------------------------------------------
 
@@ -336,49 +342,50 @@ class UcPomdpModel:
 
     # -- batched simulation -----------------------------------------------------
 
-    def batch_step(self, states, actions, phi1, phi2, mode: TransitionMode):
+    def bucket_ids(self, draws, mode: TransitionMode) -> np.ndarray:
+        """Bucket ids of unit draws in ``[0, 1)``: ``draws[..., 0]`` among
+        the transition breaks of ``mode``, ``draws[..., 1]`` among the
+        observation breaks; the batched kernels take these ids.
+
+        A mode's breaks are the distinct CDF values below 1 at the nonzero
+        columns of its transition rows, so there are at most ``1 + sum over
+        rows of (nonzeros - 1)`` buckets (likewise for the observation
+        rows).  A draw's bucket is the number of breaks ``<= u``, and the
+        tables hold each row's category at the bucket's lower edge (0.0 for
+        bucket 0).  That is the category :func:`deterministic_step` draws at
+        ``u``: no CDF value lies between the edge and ``u``, so the row
+        counts the same entries ``<= u`` at both."""
+        draws = np.asarray(draws)
+        ids = np.empty(draws.shape, dtype=np.int64)
+        ids[..., 0] = self._trans_breaks[_MODE_INDEX[mode]].searchsorted(
+            draws[..., 0], side="right")
+        ids[..., 1] = self._obs_breaks.searchsorted(draws[..., 1], side="right")
+        return ids
+
+    def batch_step(self, states, actions, b1, b2, mode: TransitionMode):
         """Vectorized :func:`deterministic_step` for one shared action or a
-        per-element action vector."""
-        s2, r = self.batch_policy_step(states, actions, phi1, mode)
-        z = _invert_cdf(self._obs_keys, s2, phi2, self.n_observations)
-        return s2, z, r
+        per-element action vector, at transition bucket ids ``b1`` and
+        observation bucket ids ``b2`` (:meth:`bucket_ids`)."""
+        s2, r = self.batch_policy_step(states, actions, b1, mode)
+        return s2, self._obs_buckets.take(b2 * self.n_states + s2), r
 
-    def batch_policy_step(self, states, actions, phi1, mode: TransitionMode):
+    def batch_policy_step(self, states, actions, b1, mode: TransitionMode):
         """Vectorized transition half of :func:`deterministic_step` with a
-        per-element action vector: successor states and rewards."""
-        n = self.n_states
-        pairs = np.asarray(actions) * n + states
-        s2 = _invert_cdf(self._trans_keys[_MODE_INDEX[mode]], pairs, phi1, n)
-        return s2, self._reward_table.reshape(-1).take(pairs * n + s2)
+        per-element action vector, at transition bucket ids ``b1``
+        (:meth:`bucket_ids`): successor states and rewards."""
+        m = _MODE_INDEX[mode]
+        at = (b1 * self.n_actions + actions) * self.n_states + states
+        return self._succ[m].take(at), self._rew[m].take(at)
 
 
-def _cdf_keys(cdf: np.ndarray) -> np.ndarray:
-    """Keys ``i + cdf[i, j]*1j`` that invert every row of a CDF table in one
-    sorted lookup (:func:`_invert_cdf`): numpy orders complex numbers by real
-    part first, so a query ``i + u*1j`` lands after every key of the rows
-    before ``i`` and after the entries of row ``i`` that are ``<= u``.  Each
-    row's last key is ``i + 2j``, above any unit draw, which clamps the
-    lookup to the last category as :func:`~causalplan.scm.cdf_index` does.
-    Leading axes of ``cdf`` index separate tables."""
-    rows, width = cdf.shape[-2:]
-    keys = np.empty(cdf.shape[:-2] + (rows * width,), dtype=complex)
-    keys.real = np.repeat(np.arange(rows), width)
-    keys.imag = cdf.reshape(keys.shape)
-    keys.imag[..., width - 1::width] = 2.0
-    return keys
-
-
-def _invert_cdf(keys: np.ndarray, rows, u, width: int) -> np.ndarray:
-    """How many entries of CDF row ``rows[i]`` are ``<= u[i]``, clamped to
-    the last category: the category :func:`deterministic_step` draws.
-
-    One sorted lookup serves every planner batch, from a few draws at a deep
-    node to the scenario-bound table fills; ``learning._inverse_cdf`` counts
-    column by column instead, for the learning path's 800k-draw batches over
-    4-wide rows."""
-    query = np.empty(len(u), dtype=complex)
-    query.real, query.imag = rows, u
-    return keys.searchsorted(query, side="right") - rows * width
+def _bucket_table(probs: np.ndarray, cdf: np.ndarray):
+    """The sorted breaks of the CDF rows ``cdf[..., :]`` of ``probs`` and
+    each row's category at every bucket's lower edge, ``(buckets, *rows)``,
+    counted as :func:`~causalplan.scm.cdf_index` counts: see
+    :meth:`UcPomdpModel.bucket_ids`."""
+    breaks = np.unique(cdf[(probs > 0) & (cdf < 1.0)])
+    edges = np.concatenate(([0.0], breaks)).reshape((-1,) + (1,) * cdf.ndim)
+    return breaks, np.minimum((cdf <= edges).sum(axis=-1), cdf.shape[-1] - 1)
 
 
 # -- module-level operations ---------------------------------------------------

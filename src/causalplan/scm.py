@@ -141,15 +141,6 @@ class CategoricalTable:
     def row(self, assignment: Sequence[int] = ()) -> np.ndarray:
         return self.values[self.row_index(assignment)]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CategoricalTable):
-            return NotImplemented
-        return self.parent_arities == other.parent_arities and np.array_equal(
-            self.values, other.values
-        )
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return (
             f"CategoricalTable(parents={self.parent_arities}, "
@@ -178,15 +169,6 @@ class DeterministicRule:
         tbl.setflags(write=False)
         self.table = tbl
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DeterministicRule):
-            return NotImplemented
-        return self.table.shape == other.table.shape and np.array_equal(
-            self.table, other.table
-        )
-
-    __hash__ = None
-
 
 AssignmentRule = Union[DeterministicRule, CategoricalTable]
 Intervention = Mapping[str, int]
@@ -212,9 +194,6 @@ class Dist:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "support", tuple(self.support))
-
-    def prob(self, category) -> float:
-        return float(self.probs[self.support.index(category)])
 
 
 def _desugar(var: VariableId, parents: Sequence[str], table: CategoricalTable,
@@ -360,13 +339,6 @@ class ScmSpec:
 
     def arity(self, name: str) -> int:
         return self._vars[name].arity
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScmSpec):
-            return NotImplemented
-        return self.exogenous == other.exogenous and self.endogenous == other.endogenous
-
-    __hash__ = None
 
 
 def _check_assignment(spec: ScmSpec, assignment: Mapping[str, int], role: str):

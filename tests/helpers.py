@@ -208,6 +208,57 @@ def determinized_optimum(model, states, streams, depth, horizon, mode) -> float:
     return float(best)
 
 
+def reach_mask(model, starts, horizon, mode) -> np.ndarray:
+    """``(horizon + 1, S)`` mask of the states that some path of nonzero
+    transition probability reaches in ``d`` steps from ``starts``, one row
+    at a time: the cells a search can read."""
+    trans = model.transition_matrix(mode)
+    mask = np.zeros((horizon + 1, model.n_states), dtype=bool)
+    mask[0, list(starts)] = True
+    for d in range(horizon):
+        for s in np.flatnonzero(mask[d]):
+            for a in range(model.n_actions):
+                mask[d + 1, trans[a, s] > 0] = True
+    return mask
+
+
+def buckets_of(model, phi1, phi2, mode):
+    """Transition and observation bucket ids of the draws ``phi1``, ``phi2``:
+    the kernel inputs that stand for them."""
+    ids = model.bucket_ids(np.stack([phi1, phi2], axis=-1), mode)
+    return ids[..., 0], ids[..., 1]
+
+
+def dist_prob(dist, category) -> float:
+    """Probability of ``category`` in a :class:`~causalplan.scm.Dist`."""
+    return float(dist.probs[dist.support.index(category)])
+
+
+def first_action(trace) -> int:
+    """The action an episode trace took first."""
+    return trace.steps[0].action
+
+
+def _rules_equal(x, y) -> bool:
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, CategoricalTable):
+        return x.parent_arities == y.parent_arities and np.array_equal(x.values, y.values)
+    return x.table.shape == y.table.shape and np.array_equal(x.table, y.table)
+
+
+def specs_equal(a, b) -> bool:
+    """Whether two causal specs list the same variables with the same
+    parents and the same tables, in the same order."""
+    return (
+        len(a.exogenous) == len(b.exogenous) and len(a.endogenous) == len(b.endogenous)
+        and all(va == vb and _rules_equal(ta, tb)
+                for (va, ta), (vb, tb) in zip(a.exogenous, b.exogenous))
+        and all(va == vb and pa == pb and _rules_equal(ra, rb)
+                for (va, pa, ra), (vb, pb, rb) in zip(a.endogenous, b.endogenous))
+    )
+
+
 def sample_reactive_action(model, s: int, u: int, rng: np.random.Generator) -> int:
     """The agent's reflexive action: Table-driven inside the confounded
     region, uniform elsewhere."""

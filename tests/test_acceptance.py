@@ -20,7 +20,8 @@ from causalplan.model import Belief, TransitionMode
 from causalplan.scm import exact_query, importance_query
 
 from helpers import (
-    brute_force_optimum, hand_confounded_tables, total_variation, two_state_model,
+    brute_force_optimum, dist_prob, first_action, hand_confounded_tables,
+    total_variation, two_state_model,
 )
 
 INT = TransitionMode.INTERVENTIONAL
@@ -55,8 +56,8 @@ def test_criterion_1_inference_oracle_parity(grid):
             float(np.abs(got_obs - obs_tables[action]).max()),
         )
     assert worst <= 1e-12
-    up_do = truth.relative_transition_dist(True, UP, INT).prob("north")
-    up_obs = truth.relative_transition_dist(True, UP, OBS).prob("north")
+    up_do = dist_prob(truth.relative_transition_dist(True, UP, INT), "north")
+    up_obs = dist_prob(truth.relative_transition_dist(True, UP, OBS), "north")
     assert up_do == pytest.approx(0.73, abs=1e-12)
     assert up_obs == pytest.approx(89 / 420, abs=1e-12)
     # our exact dynamics sit within 0.03 of the paper's learned-model readouts
@@ -128,7 +129,7 @@ def _episode_batch(plan, execu, mode, n_episodes, trials):
         seed = int(np.random.SeedSequence((0, 4, i)).generate_state(1)[0])
         trace = run_episode(plan, execu, config, 15, seed)
         rewards[i] = trace.total_discounted_reward
-        first_actions[i] = trace.first_action
+        first_actions[i] = first_action(trace)
     return rewards, first_actions
 
 

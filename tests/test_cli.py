@@ -390,6 +390,14 @@ class TestUsageErrors:
             "[p_uc a=0 u=3]", "0.25 0.25 0.25 0.25"])
         self.expect_usage_error(capsys, args, str(path), "[p_uc a=0 u=3]")
 
+    def test_params_huge_action_index(self, tmp_path, capsys):
+        # naming every section up to a=4000000000 would take hundreds of GB
+        path = tmp_path / "huge.txt"
+        path.write_text("[p_u]\n1.0\n[p_0 a=4000000000]\n1.0\n")
+        self.expect_usage_error(capsys, ["tables", "--params", str(path),
+                                         "--out", str(tmp_path)],
+                                str(path), "[p_uc a=0 u=0]")
+
     @pytest.mark.parametrize("row", ["nan 0.5 0.25 0.25", "0.5 0.5 0.25 0.25"])
     @pytest.mark.parametrize("command", [
         ["tables"], ["simulate", "--plan-model", "learned", "--steps", "1", *FAST],

@@ -15,7 +15,7 @@ from causalplan.despot import (
 from causalplan.model import Belief, TransitionMode, deterministic_step
 from causalplan.scm import CategoricalTable, UsageError
 
-from helpers import free_roam_model, scalar_bounds, two_state_model
+from helpers import free_roam_model, reach_mask, scalar_bounds, two_state_model
 
 INT = TransitionMode.INTERVENTIONAL
 OBS = TransitionMode.OBSERVATIONAL
@@ -82,7 +82,8 @@ def node_bounds(node, model, config, streams):
     """The node's default value and upper bound as the planner forms them:
     the means of its scenarios' table entries, the first minus the
     regularization penalty."""
-    table = ScenarioBounds(model, config, streams)
+    buckets = model.bucket_ids(streams, config.mode)
+    table = ScenarioBounds(model, config, buckets, node.states)
     ids, states, d = node.scenario_ids, node.states, node.depth
     return (float(table.lower[d][ids, states].mean()) - config.regularization,
             float(table.upper[d][ids, states].mean()))
@@ -135,13 +136,15 @@ class TestDefaultValueTable:
         # both tables, against the scalar backward recursion
         model = truth if which == "truth" else two_state_model()
         config = PlannerConfig(scenarios=10, depth=15, mode=mode, seed=3)
-        _, streams = sample_scenarios(model.initial_belief, 10, seed=3, depth=15)
-        table = ScenarioBounds(model, config, streams)
+        starts, streams = sample_scenarios(model.initial_belief, 10, seed=3, depth=15)
+        table = ScenarioBounds(model, config, model.bucket_ids(streams, mode), starts)
         assert table.lower.shape == table.upper.shape == (16, 10, model.n_states)
+        # the filled cells: those reachable from the start states
+        reach = reach_mask(model, starts, config.depth, mode)
         for k in range(10):
             lower, upper = scalar_bounds(model, streams[k], config.depth, mode)
-            assert np.array_equal(table.lower[:, k], lower)
-            assert np.array_equal(table.upper[:, k], upper)
+            assert np.array_equal(table.lower[:, k][reach], lower[reach])
+            assert np.array_equal(table.upper[:, k][reach], upper[reach])
 
     def test_one_policy_step_per_depth(self, truth, monkeypatch):
         calls = []
@@ -153,9 +156,30 @@ class TestDefaultValueTable:
 
         monkeypatch.setattr(type(truth), "batch_policy_step", counted)
         config = PlannerConfig(scenarios=20, depth=15, seed=0)
-        _, streams = sample_scenarios(truth.initial_belief, 20, seed=0, depth=15)
-        ScenarioBounds(truth, config, streams)
+        starts, streams = sample_scenarios(truth.initial_belief, 20, seed=0, depth=15)
+        ScenarioBounds(truth, config, truth.bucket_ids(streams, config.mode), starts)
         assert len(calls) == config.depth
+
+
+class TestSearchCounters:
+    """Expansions and trials of searches from the shipped map's start,
+    pinned: a change that makes the planner search more or less shows here,
+    apart from one that only runs the same search faster."""
+
+    @pytest.mark.parametrize("mode, expansions, action",
+                             [(INT, 122, UP), (OBS, 412, RIGHT)])
+    def test_searches_from_the_start(self, truth, monkeypatch, mode, expansions,
+                                     action):
+        counts = {"_expand": 0, "run_trial": 0}
+        for name in counts:
+            def counted(self, *args, _name=name, _method=getattr(DespotTree, name)):
+                counts[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(DespotTree, name, counted)
+        actions = {search(truth.initial_belief, truth, PlannerConfig(mode=mode, seed=s))[0]
+                   for s in range(20)}
+        assert counts == {"_expand": expansions, "run_trial": expansions}
+        assert actions == {action}
 
 
 class TestRunTrial:

@@ -18,7 +18,7 @@ from causalplan.gridworld import (
 )
 from causalplan.model import TransitionMode
 
-from helpers import hand_confounded_tables, serialize_map
+from helpers import dist_prob, hand_confounded_tables, serialize_map
 
 RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
 
@@ -96,22 +96,22 @@ class TestHeadings:
 class TestRelativeTransition:
     def test_region_up_no_error(self):
         d = relative_transition(UP, 0, True)
-        assert d.prob("north") == 0.9
-        assert d.prob("west") == 0.05
-        assert d.prob("east") == 0.05
+        assert dist_prob(d, "north") == 0.9
+        assert dist_prob(d, "west") == 0.05
+        assert dist_prob(d, "east") == 0.05
 
     def test_region_up_minus_90(self):
         d = relative_transition(UP, -90, True)
-        assert d.prob("east") == 0.9
-        assert d.prob("north") == 0.05
-        assert d.prob("south") == 0.05
+        assert dist_prob(d, "east") == 0.9
+        assert dist_prob(d, "north") == 0.05
+        assert dist_prob(d, "south") == 0.05
 
     def test_outside_region_error_is_inert(self):
         for u in gridworld.ORIENTATION_ERRORS:
             d = relative_transition(RIGHT, u, False)
-            assert d.prob("east") == 0.9
-            assert d.prob("north") == 0.05
-            assert d.prob("south") == 0.05
+            assert dist_prob(d, "east") == 0.9
+            assert dist_prob(d, "north") == 0.05
+            assert dist_prob(d, "south") == 0.05
 
     def test_three_outcomes_summing_to_one(self):
         for a in range(4):

@@ -10,8 +10,7 @@ from causalplan.model import (
     InconsistentObservationError,
     TransitionMode,
     UcPomdpModel,
-    _cdf_keys,
-    _invert_cdf,
+    _bucket_table,
     belief_update,
     deterministic_step,
 )
@@ -23,7 +22,13 @@ from causalplan.scm import (
     importance_query,
 )
 
-from helpers import sample_reactive_action, two_state_inputs, two_state_model
+from helpers import (
+    buckets_of,
+    dist_prob,
+    sample_reactive_action,
+    two_state_inputs,
+    two_state_model,
+)
 
 INT = TransitionMode.INTERVENTIONAL
 OBS = TransitionMode.OBSERVATIONAL
@@ -82,10 +87,10 @@ class TestTransitionDist:
 
     def test_relative_observational_up(self, truth):
         d = truth.relative_transition_dist(True, UP, OBS)
-        assert d.prob("north") == pytest.approx(0.211905, abs=1e-6)
-        assert d.prob("east") == pytest.approx(0.373810, abs=1e-6)
-        assert d.prob("west") == pytest.approx(0.373810, abs=1e-6)
-        assert d.prob("south") == pytest.approx(0.040476, abs=1e-6)
+        assert dist_prob(d, "north") == pytest.approx(0.211905, abs=1e-6)
+        assert dist_prob(d, "east") == pytest.approx(0.373810, abs=1e-6)
+        assert dist_prob(d, "west") == pytest.approx(0.373810, abs=1e-6)
+        assert dist_prob(d, "south") == pytest.approx(0.040476, abs=1e-6)
 
     def test_down_is_mode_independent_in_region(self, truth):
         # reactive probability of DOWN is the same for every confounder value,
@@ -236,11 +241,8 @@ class TestDeterministicStep:
 
     def test_empirical_marginal_matches_transition_dist(self, truth, rng):
         s = truth.state_index((0, 2))
-        phi1 = rng.random(1_000_000)
-        phi2 = rng.random(1_000_000)
-        s2, _, _ = truth.batch_step(
-            np.full(1_000_000, s), UP, phi1, phi2, INT
-        )
+        b1, b2 = buckets_of(truth, rng.random(1_000_000), rng.random(1_000_000), INT)
+        s2, _, _ = truth.batch_step(np.full(1_000_000, s), UP, b1, b2, INT)
         freq = np.bincount(s2, minlength=truth.n_states) / len(s2)
         assert np.abs(freq - truth.transition_matrix(INT)[UP, s]).max() <= 0.005
 
@@ -259,7 +261,8 @@ class TestDeterministicStep:
         for a in range(truth.n_actions):
             phi1 = rng.random(200)
             phi2 = rng.random(200)
-            s2, z, r = truth.batch_step(states, a, phi1, phi2, INT)
+            s2, z, r = truth.batch_step(states, a, *buckets_of(truth, phi1, phi2, INT),
+                                        INT)
             for i in range(200):
                 if truth.is_terminal(int(states[i])):
                     continue  # batch rows use identity transitions at terminals
@@ -277,7 +280,8 @@ class TestDeterministicStep:
         for s in range(truth.n_states - 2):
             for a in range(truth.n_actions):
                 n = len(ties)
-                s2, z, r = truth.batch_step(np.full(n, s), a, ties, ties, mode)
+                s2, z, r = truth.batch_step(np.full(n, s), a,
+                                            *buckets_of(truth, ties, ties, mode), mode)
                 for i, phi in enumerate(ties):
                     expect = deterministic_step(truth, s, a, (phi, phi), mode)
                     assert (int(s2[i]), int(z[i]), float(r[i])) == expect
@@ -316,8 +320,8 @@ class TestFold:
 
 @st.composite
 def cdf_rows_and_draws(draw):
-    """A CDF table with zero-probability entries and repeated values, row
-    indices, and unit draws that include 0.0, 1.0 and exact CDF values
+    """Row weights with zero entries, their CDF table with repeated values,
+    row indices, and unit draws that include 0.0, 1.0 and exact CDF values
     (ties)."""
     width = draw(st.integers(1, 5))
     weight = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 3.0])
@@ -331,20 +335,24 @@ def cdf_rows_and_draws(draw):
                      st.floats(0.0, 1.0, exclude_max=True))
     n = draw(st.integers(1, 30))
     ids = np.array(draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n)))
-    return cdf, ids, np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    return (np.array(rows), cdf, ids,
+            np.array(draw(st.lists(unit, min_size=n, max_size=n))))
 
 
 class TestCdfInverters:
     @given(cdf_rows_and_draws())
     @settings(derandomize=True, max_examples=300, deadline=None)
     def test_shared_helper_and_both_batched_forms_agree(self, case):
-        cdf, ids, u = case
+        weights, cdf, ids, u = case
         scalar = np.array([cdf_index(cdf[i], x) for i, x in zip(ids, u)])
         per_row = np.empty_like(scalar)
         for i in range(len(cdf)):
             per_row[ids == i] = cdf_index(cdf[i], u[ids == i])
-        complex_keys = _invert_cdf(_cdf_keys(cdf), ids, u, cdf.shape[1])
-        column_wise = _inverse_cdf(cdf, ids, u)
         assert np.array_equal(scalar, per_row)
-        assert np.array_equal(scalar, complex_keys)
-        assert np.array_equal(scalar, column_wise)
+        assert np.array_equal(scalar, _inverse_cdf(cdf, ids, u))
+        # the planner's bucket lookup, for the draws in [0, 1) it is given
+        breaks, table = _bucket_table(weights, cdf)
+        assert len(breaks) <= ((weights > 0).sum(axis=1) - 1).sum()
+        unit = u < 1.0
+        bucket = breaks.searchsorted(u[unit], side="right")
+        assert np.array_equal(scalar[unit], table[bucket, ids[unit]])

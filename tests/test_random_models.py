@@ -12,13 +12,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from causalplan.despot import DespotTree, PlannerConfig, ScenarioBounds
-from causalplan.model import TransitionMode, UcPomdpModel, deterministic_step
+from causalplan.model import (
+    Belief,
+    InconsistentObservationError,
+    TransitionMode,
+    UcPomdpModel,
+    belief_update,
+    deterministic_step,
+)
 from causalplan.scm import CategoricalTable
 
 from helpers import (
     brute_force_optimum,
+    buckets_of,
     determinized_optimum,
     free_roam_model,
+    reach_mask,
     scalar_bounds,
 )
 
@@ -80,11 +89,22 @@ def unit_draws(model, rng, shape):
     return u
 
 
+def nan_outside_reach(tree):
+    """Sets every bound-table cell that the root's start states cannot
+    reach to NaN, so a search that reads one gets a NaN bound."""
+    table, config = tree.scenario_bounds, tree.config
+    reach = reach_mask(tree.model, tree.root.states, config.depth, config.mode)
+    for rows in (table.lower, table.upper):
+        rows[np.broadcast_to(~reach[:, None], rows.shape)] = np.nan
+
+
 def searched_tree(model, config, belief):
-    """A tree searched to a stop; asserts after every trial that the root
-    bounds hold the determinized optimum of the root's scenarios and move
-    monotonically."""
+    """A tree searched to a stop, its unreached table cells set to NaN (so
+    a NaN bound fails every comparison); asserts after every trial that the
+    root bounds hold the determinized optimum of the root's scenarios and
+    move monotonically."""
     tree = DespotTree(model, config, belief)
+    nan_outside_reach(tree)
     optimum = determinized_optimum(model, tree.root.states, tree.streams, 0,
                                    config.depth, config.mode)
     history = [tree.bounds()]
@@ -109,9 +129,10 @@ def test_batch_kernels_equal_the_scalar_step(model, seed, mode):
     states = rng.integers(0, model.n_states, 64)
     actions = rng.integers(0, model.n_actions, 64)
     phi1, phi2 = unit_draws(model, rng, 64), unit_draws(model, rng, 64)
-    s2, z, r = model.batch_step(states, actions, phi1, phi2, mode)
-    policy_s2, policy_r = model.batch_policy_step(states, actions, phi1, mode)
-    shared = model.batch_step(states, 1, phi1, phi2, mode)
+    b1, b2 = buckets_of(model, phi1, phi2, mode)
+    s2, z, r = model.batch_step(states, actions, b1, b2, mode)
+    policy_s2, policy_r = model.batch_policy_step(states, actions, b1, mode)
+    shared = model.batch_step(states, 1, b1, b2, mode)
     for i in range(64):
         s, u = int(states[i]), (phi1[i], phi2[i])
         assert (s2[i], z[i], r[i]) == deterministic_step(model, s, int(actions[i]),
@@ -124,13 +145,29 @@ def test_batch_kernels_equal_the_scalar_step(model, seed, mode):
        k=st.integers(1, 4), depth=st.integers(1, 4))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_bound_tables_equal_the_scalar_recursion(model, seed, mode, k, depth):
-    streams = unit_draws(model, np.random.default_rng(seed), (k, depth, 2))
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, model.n_states - 2, k)
+    streams = unit_draws(model, rng, (k, depth, 2))
     config = PlannerConfig(scenarios=k, depth=depth, mode=mode)
-    table = ScenarioBounds(model, config, streams)
+    table = ScenarioBounds(model, config, model.bucket_ids(streams, mode), starts)
+    # only the cells a search can read are filled
+    reach = reach_mask(model, starts, depth, mode)
     for j in range(k):
         lower, upper = scalar_bounds(model, streams[j], depth, mode)
-        assert np.array_equal(table.lower[:, j], lower)
-        assert np.array_equal(table.upper[:, j], upper)
+        assert np.array_equal(table.lower[:, j][reach], lower[reach])
+        assert np.array_equal(table.upper[:, j][reach], upper[reach])
+
+
+@given(model=small_models())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_bucket_count_is_bounded_by_the_nonzeros(model):
+    # at most 1 + the sum over rows of (nonzeros - 1) buckets; every break
+    # lies below 1, so the draw just below 1 falls in the last bucket
+    for mode in TransitionMode:
+        last_trans, last_obs = model.bucket_ids([np.nextafter(1.0, 0.0)] * 2, mode)
+        rows = model.transition_matrix(mode).reshape(-1, model.n_states)
+        assert last_trans <= ((rows > 0).sum(axis=1) - 1).sum()
+        assert last_obs <= ((model._obs > 0).sum(axis=1) - 1).sum()
 
 
 # sampled_from leans to its first entry: deep trees and a small xi, which
@@ -175,3 +212,39 @@ def test_recursive_optimum_equals_policy_tree_enumeration(model, seed, mode, k,
         pytest.approx(brute_force_optimum(
             model, starts, streams, depth, model.discount, mode,
             observations=tuple(range(model.n_observations))), abs=1e-9))
+
+
+@pytest.mark.parametrize("mode", list(TransitionMode))
+def test_searches_on_the_map_never_read_an_unreached_cell(truth, mode):
+    for seed in range(3):
+        config = PlannerConfig(scenarios=50, mode=mode, seed=seed, budget_trials=100)
+        tree = DespotTree(truth, config, truth.initial_belief)
+        nan_outside_reach(tree)
+        for _ in range(config.budget_trials):
+            tree.run_trial()
+        assert tree.n_expansions > 1
+        assert all(np.isfinite([node.lower, node.upper]).all() for node in tree.nodes())
+
+
+@given(model=small_models(), seed=SEEDS, mode=MODES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_belief_update_is_bayes_rule(model, seed, mode):
+    # P(s2 | b, a, z) by hand: the predicted mass of s2 times P(z | s2),
+    # over the total; a zero total is an inconsistent observation
+    rng = np.random.default_rng(seed)
+    n = model.n_states
+    weights = rng.integers(0, 3, n).astype(float)
+    weights[rng.integers(n)] += 1.0
+    belief = Belief(weights / weights.sum())
+    trans = model.transition_matrix(mode)
+    for a in range(model.n_actions):
+        for z in range(model.n_observations):
+            joint = [sum(belief.probs[s] * trans[a, s, s2] for s in range(n))
+                     * model._obs[s2, z] for s2 in range(n)]
+            total = sum(joint)
+            if total == 0.0:
+                with pytest.raises(InconsistentObservationError):
+                    belief_update(model, belief, a, z, mode)
+            else:
+                posterior = belief_update(model, belief, a, z, mode).probs
+                assert posterior == pytest.approx([p / total for p in joint], abs=1e-12)

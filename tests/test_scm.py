@@ -25,7 +25,7 @@ from causalplan.scm import (
     sample_worlds,
 )
 
-from helpers import exact_query_loop, hand_confounded_tables, total_variation
+from helpers import exact_query_loop, hand_confounded_tables, specs_equal, total_variation
 
 
 def single_prior_spec():
@@ -100,17 +100,17 @@ class TestMutilate:
         assert a_rule.table[()] == 1
 
     def test_empty_intervention_is_identity(self, confounded_fragment):
-        assert mutilate(confounded_fragment, {}) == confounded_fragment
+        assert specs_equal(mutilate(confounded_fragment, {}), confounded_fragment)
 
     def test_idempotent(self, confounded_fragment):
         once = mutilate(confounded_fragment, {"A": 2})
         twice = mutilate(once, {"A": 2})
-        assert once == twice
+        assert specs_equal(once, twice)
 
     def test_commutes_over_disjoint_interventions(self, confounded_fragment):
         ab = mutilate(mutilate(confounded_fragment, {"A": 0}), {"DS": 3})
         ba = mutilate(mutilate(confounded_fragment, {"DS": 3}), {"A": 0})
-        assert ab == ba
+        assert specs_equal(ab, ba)
 
     def test_rejects_exogenous_target(self, confounded_fragment):
         with pytest.raises(UsageError):

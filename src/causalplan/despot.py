@@ -85,10 +85,10 @@ def sample_scenarios(
 
 
 class DespotNode:
-    """A belief node holding the scenarios that reached it."""
+    """A belief node holding the ``count`` scenarios that reached it."""
 
     __slots__ = (
-        "depth", "scenario_ids", "states", "weight",
+        "depth", "scenario_ids", "states", "count", "weight",
         "lower", "upper", "default_value", "children",
     )
 
@@ -97,7 +97,8 @@ class DespotNode:
         self.depth = depth
         self.scenario_ids = scenario_ids
         self.states = states
-        self.weight = len(scenario_ids) / total_scenarios
+        self.count = len(scenario_ids)
+        self.weight = self.count / total_scenarios
         self.lower = 0.0
         self.upper = 0.0
         self.default_value = 0.0
@@ -116,30 +117,32 @@ class ActionEdge:
 
 
 class ScenarioBounds:
-    """Per-scenario bounds of one search: ``lower[d][k, s]`` is the
+    """Per-scenario bounds of one search: ``lower[d][s, k]`` is the
     discounted return of the default policy from state ``s`` at depth ``d``
-    to the horizon along scenario ``k``'s stream, and ``upper[d][k, s]`` the
+    to the horizon along scenario ``k``'s stream, and ``upper[d][s, k]`` the
     best return any action sequence earns there, the scenario's clairvoyant
     optimum (Ye et al., 2017).  Both are zero at the terminals and at the
     horizon.
 
     Both tables are filled from the horizon back, one batched policy step
-    per depth over every (action, scenario, reachable ordinary state)
-    triple: ``lower[d] = r_pi + gamma * lower[d + 1][k, s2_pi]`` and
-    ``upper[d] = max_a (r_a + gamma * upper[d + 1][k, s2_a])``, the same
+    per depth over every (action, reachable ordinary state, scenario)
+    triple: ``lower[d] = r_pi + gamma * lower[d + 1][s2_pi, k]`` and
+    ``upper[d] = max_a (r_a + gamma * upper[d + 1][s2_a, k])``, the same
     arithmetic as a scalar :func:`~causalplan.model.deterministic_step`
     recursion, so every filled entry equals it bit for bit.  A node at depth
     ``d`` only holds states reachable in ``d`` steps from ``starts`` through
-    the transition support, so only those columns of ``d`` are filled; the
-    others stay zero and are never read.  ``buckets`` holds the scenarios'
-    bucket ids (:meth:`~causalplan.model.UcPomdpModel.bucket_ids`).
+    the transition support, so only those rows of ``d`` are filled; the
+    others stay zero and are never read.  Scenarios are the innermost axis,
+    so each operation of the fill runs along ``K`` contiguous lanes.
+    ``buckets`` holds the scenarios' bucket ids
+    (:meth:`~causalplan.model.UcPomdpModel.bucket_ids`).
     """
 
     def __init__(self, model: UcPomdpModel, config: PlannerConfig,
                  buckets: np.ndarray, starts: np.ndarray):
-        k, n, n_a = len(buckets), model.n_states, model.n_actions
-        self.lower = np.zeros((config.depth + 1, k, n))
-        self.upper = np.zeros((config.depth + 1, k, n))
+        k, n, gamma = len(buckets), model.n_states, model.discount
+        self.lower = np.zeros((config.depth + 1, n, k))
+        self.upper = np.zeros((config.depth + 1, n, k))
         support = (model.transition_matrix(config.mode) > 0).any(axis=0)
         live = np.zeros(n, dtype=bool)
         live[starts] = True
@@ -147,22 +150,21 @@ class ScenarioBounds:
         for _ in range(config.depth):
             reach.append(np.flatnonzero(live[:n - 2]))
             live = support[live].any(axis=0)
+        depth_buckets = np.ascontiguousarray(buckets[:, :, 0].T)
+        actions, lanes = np.arange(model.n_actions)[:, None, None], np.arange(k)
         for d in range(config.depth - 1, -1, -1):
-            cols = reach[d]
-            m = len(cols)
-            # triple a * k * m + j * m + i; next-row cell j * n + s2
-            s2, r = model.batch_policy_step(
-                np.tile(cols, n_a * k), np.arange(n_a).repeat(k * m),
-                np.tile(buckets[:, d, 0].repeat(m), n_a), config.mode)
-            at = np.tile(np.arange(k).repeat(m) * n, n_a) + s2
-            q = r + model.discount * self.upper[d + 1].reshape(-1).take(at)
-            self.upper[d][:, cols] = np.maximum.reduce(q.reshape(n_a, k, m), axis=0)
-            policy = (model.rollout_policy[cols] * (k * m)
-                      + np.arange(k * m).reshape(k, m)).ravel()
-            self.lower[d][:, cols] = (
-                r.take(policy) + model.discount
-                * self.lower[d + 1].reshape(-1).take(at.take(policy))
-            ).reshape(k, m)
+            states = reach[d]
+            # (action, state, scenario) triples; next-row cell s2 * k + lane
+            s2, r = model.batch_policy_step(states[:, None], actions, depth_buckets[d],
+                                            config.mode)
+            at = s2 * k + lanes
+            q = self.upper[d + 1].reshape(-1).take(at)
+            q *= gamma
+            q += r
+            self.upper[d][states] = np.maximum.reduce(q, axis=0)
+            pi = model.rollout_policy[states], np.arange(len(states))
+            low = self.lower[d + 1].reshape(-1).take(at[pi])
+            self.lower[d][states] = r[pi] + gamma * low
 
 
 class DespotTree:
@@ -185,8 +187,8 @@ class DespotTree:
         # the default policy's action at the root's most common state
         counts = np.bincount(starts, minlength=model.n_states)
         self.default_action = int(model.rollout_policy[int(np.argmax(counts))])
-        low = self.scenario_bounds.lower[0][root.scenario_ids, starts]
-        up = self.scenario_bounds.upper[0][root.scenario_ids, starts]
+        low = self.scenario_bounds.lower[0][starts, root.scenario_ids]
+        up = self.scenario_bounds.upper[0][starts, root.scenario_ids]
         root.default_value = float(np.add.reduce(low) / k) - config.regularization
         root.lower = root.default_value
         root.upper = float(np.add.reduce(up) / k)
@@ -194,25 +196,23 @@ class DespotTree:
     # -- trial machinery --------------------------------------------------------
 
     def _expand(self, node: DespotNode):
-        """Step every action from every scenario in one kernel call, then
-        group the results by (action, observation) with one stable sort, so
-        that each child holds a contiguous slice in scenario order."""
+        """Step every action from every scenario in one broadcast kernel
+        call, then group the (action, scenario) results by (action,
+        observation) with one stable sort, so that each child holds a
+        contiguous slice in scenario order."""
         model, config = self.model, self.config
-        d, m, n_a = node.depth, len(node.scenario_ids), model.n_actions
-        ids = np.concatenate((node.scenario_ids,) * n_a)
-        b = self.buckets[ids, d]
-        actions = np.arange(n_a).repeat(m)
-        s2, z, r = model.batch_step(np.concatenate((node.states,) * n_a), actions,
-                                    b[:, 0], b[:, 1], config.mode)
-        key = actions * model.n_observations + z
+        d, m = node.depth, node.count
+        b = self.buckets[node.scenario_ids, d]
+        actions = np.arange(model.n_actions)[:, None]
+        s2, z, r = model.batch_step(node.states, actions, b[:, 0], b[:, 1], config.mode)
+        key = (actions * model.n_observations + z).ravel()
         order = np.argsort(key, kind="stable")
-        key, s2, ids = key.take(order), s2.take(order), ids.take(order)
+        key, s2, ids = key.take(order), s2.take(order), node.scenario_ids.take(order % m)
         # np.add.reduce(seg) / len(seg) is what np.mean computes: the same
-        # pairwise sum over the same contiguous values
-        low = self.scenario_bounds.lower[d + 1][ids, s2]
-        up = self.scenario_bounds.upper[d + 1][ids, s2]
-        edges = [ActionEdge(float(np.add.reduce(row) / m))
-                 for row in r.reshape(n_a, m)]
+        # pairwise sum over the same contiguous values, also along axis 1
+        low = self.scenario_bounds.lower[d + 1][s2, ids]
+        up = self.scenario_bounds.upper[d + 1][s2, ids]
+        edges = [ActionEdge(total / m) for total in np.add.reduce(r, axis=1).tolist()]
         starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
         for lo, hi, k in zip(starts, starts[1:] + [len(key)], key[starts].tolist()):
             a, obs = divmod(k, model.n_observations)
@@ -231,13 +231,13 @@ class DespotTree:
         and :meth:`best_action` read the stored values, which stay exact, as
         only the nodes on a trial's path change and each is backed up before
         its parent."""
-        discount, n = self.model.discount, len(node.scenario_ids)
+        discount, n = self.model.discount, node.count
         best_low = best_up = -np.inf
         for edge in node.children:
             low = up = 0.0
             for _, child in edge.children:
-                low += len(child.scenario_ids) * child.lower
-                up += len(child.scenario_ids) * child.upper
+                low += child.count * child.lower
+                up += child.count * child.upper
             edge.q_lower = ql = edge.avg_reward + discount * low / n
             edge.q_upper = qu = edge.avg_reward + discount * up / n
             if ql > best_low:

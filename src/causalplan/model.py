@@ -363,16 +363,16 @@ class UcPomdpModel:
         return ids
 
     def batch_step(self, states, actions, b1, b2, mode: TransitionMode):
-        """Vectorized :func:`deterministic_step` for one shared action or a
-        per-element action vector, at transition bucket ids ``b1`` and
-        observation bucket ids ``b2`` (:meth:`bucket_ids`)."""
+        """Vectorized :func:`deterministic_step` at transition bucket ids
+        ``b1`` and observation bucket ids ``b2`` (:meth:`bucket_ids`); the
+        inputs broadcast together, as in :meth:`batch_policy_step`."""
         s2, r = self.batch_policy_step(states, actions, b1, mode)
         return s2, self._obs_buckets.take(b2 * self.n_states + s2), r
 
     def batch_policy_step(self, states, actions, b1, mode: TransitionMode):
-        """Vectorized transition half of :func:`deterministic_step` with a
-        per-element action vector, at transition bucket ids ``b1``
-        (:meth:`bucket_ids`): successor states and rewards."""
+        """Vectorized transition half of :func:`deterministic_step` at
+        transition bucket ids ``b1`` (:meth:`bucket_ids`): successor states
+        and rewards, shaped as ``states``, ``actions`` and ``b1`` broadcast."""
         m = _MODE_INDEX[mode]
         at = (b1 * self.n_actions + actions) * self.n_states + states
         return self._succ[m].take(at), self._rew[m].take(at)

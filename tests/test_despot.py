@@ -1,5 +1,7 @@
 """Planner tests: scenarios, bounds, trials, search, and episodes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -85,8 +87,8 @@ def node_bounds(node, model, config, streams):
     buckets = model.bucket_ids(streams, config.mode)
     table = ScenarioBounds(model, config, buckets, node.states)
     ids, states, d = node.scenario_ids, node.states, node.depth
-    return (float(table.lower[d][ids, states].mean()) - config.regularization,
-            float(table.upper[d][ids, states].mean()))
+    return (float(table.lower[d][states, ids].mean()) - config.regularization,
+            float(table.upper[d][states, ids].mean()))
 
 
 class TestBounds:
@@ -126,6 +128,22 @@ class TestBounds:
         assert node_bounds(node, truth, config, streams)[1] == 0.0
 
 
+def assert_tables_equal_scalar_bounds(model, config, belief):
+    """Builds both ``ScenarioBounds`` tables for ``config`` from ``belief``
+    and checks every filled cell, those reachable from the start states,
+    against the scalar backward recursion; returns the table and the mask."""
+    k, depth, mode = config.scenarios, config.depth, config.mode
+    starts, streams = sample_scenarios(belief, k, config.seed, depth)
+    table = ScenarioBounds(model, config, model.bucket_ids(streams, mode), starts)
+    assert table.lower.shape == table.upper.shape == (depth + 1, model.n_states, k)
+    reach = reach_mask(model, starts, depth, mode)
+    for j in range(k):
+        lower, upper = scalar_bounds(model, streams[j], depth, mode)
+        assert np.array_equal(table.lower[:, :, j][reach], lower[reach])
+        assert np.array_equal(table.upper[:, :, j][reach], upper[reach])
+    return table, reach
+
+
 class TestDefaultValueTable:
     """Both ``ScenarioBounds`` tables: the default-value (lower) table and the
     clairvoyant (upper) table."""
@@ -133,18 +151,24 @@ class TestDefaultValueTable:
     @pytest.mark.parametrize("mode", [INT, OBS])
     @pytest.mark.parametrize("which", ["truth", "two_state"])
     def test_every_entry_equals_a_scalar_rollout(self, truth, which, mode):
-        # both tables, against the scalar backward recursion
         model = truth if which == "truth" else two_state_model()
         config = PlannerConfig(scenarios=10, depth=15, mode=mode, seed=3)
-        starts, streams = sample_scenarios(model.initial_belief, 10, seed=3, depth=15)
-        table = ScenarioBounds(model, config, model.bucket_ids(streams, mode), starts)
-        assert table.lower.shape == table.upper.shape == (16, 10, model.n_states)
-        # the filled cells: those reachable from the start states
-        reach = reach_mask(model, starts, config.depth, mode)
-        for k in range(10):
-            lower, upper = scalar_bounds(model, streams[k], config.depth, mode)
-            assert np.array_equal(table.lower[:, k][reach], lower[reach])
-            assert np.array_equal(table.upper[:, k][reach], upper[reach])
+        assert_tables_equal_scalar_bounds(model, config, model.initial_belief)
+
+    # the broadcast fill at its edge shapes: one lane, one depth, one
+    # reachable state at depth 0, and none (the kernel sees an (A, 0, K) batch)
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    @pytest.mark.parametrize("k, depth, where", [
+        (1, 15, "start"), (10, 1, "start"), (10, 15, "confounded"), (10, 15, "goal"),
+    ])
+    def test_edge_shapes_equal_a_scalar_rollout(self, truth, mode, k, depth, where):
+        state = {"start": truth.initial_belief.top_state, "goal": truth.goal_state,
+                 "confounded": min(truth.confounded_states)}[where]
+        config = PlannerConfig(scenarios=k, depth=depth, mode=mode, seed=5)
+        belief = Belief.point_mass(truth.n_states, state)
+        table, reach = assert_tables_equal_scalar_bounds(truth, config, belief)
+        assert np.flatnonzero(reach[0]).tolist() == [state]
+        assert table.upper[0].any() == (where != "goal")
 
     def test_one_policy_step_per_depth(self, truth, monkeypatch):
         calls = []
@@ -164,7 +188,14 @@ class TestDefaultValueTable:
 class TestSearchCounters:
     """Expansions and trials of searches from the shipped map's start,
     pinned: a change that makes the planner search more or less shows here,
-    apart from one that only runs the same search faster."""
+    apart from one that only runs the same search faster.  The sha256 of the
+    root bounds' ``repr`` pins them bit for bit, so a change that perturbs
+    one float bit (a reordered sum, a new table layout) fails here too."""
+
+    BOUNDS_SHA256 = {
+        INT: "0a47d8cb264affd3949f477562a517e163b3e919c72ec9b67a7baa1f1c6cc89c",
+        OBS: "11d4dab45ae8f5c943c7ad2631ed3c621a13b1eccfccaf43ca3770939d7a614c",
+    }
 
     @pytest.mark.parametrize("mode, expansions, action",
                              [(INT, 122, UP), (OBS, 412, RIGHT)])
@@ -176,10 +207,12 @@ class TestSearchCounters:
                 counts[_name] += 1
                 return _method(self, *args)
             monkeypatch.setattr(DespotTree, name, counted)
-        actions = {search(truth.initial_belief, truth, PlannerConfig(mode=mode, seed=s))[0]
-                   for s in range(20)}
+        results = [search(truth.initial_belief, truth, PlannerConfig(mode=mode, seed=s))
+                   for s in range(20)]
         assert counts == {"_expand": expansions, "run_trial": expansions}
-        assert actions == {action}
+        assert {a for a, _ in results} == {action}
+        bounds = repr([b for _, b in results]).encode()
+        assert hashlib.sha256(bounds).hexdigest() == self.BOUNDS_SHA256[mode]
 
 
 class TestRunTrial:

@@ -261,7 +261,7 @@ class TestPlannerInvariants:
                         assert np.array_equal(child.scenario_ids, ids[z == obs])
                         assert np.array_equal(child.states, s2[z == obs])
                         d = child.depth
-                        cells = (child.scenario_ids, child.states)
+                        cells = (child.states, child.scenario_ids)
                         assert child.default_value == float(
                             np.mean(table.lower[d][cells])
                         ) - config.regularization

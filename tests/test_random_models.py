@@ -20,7 +20,7 @@ from causalplan.model import (
     belief_update,
     deterministic_step,
 )
-from causalplan.scm import CategoricalTable
+from causalplan.scm import CategoricalTable, exact_query
 
 from helpers import (
     brute_force_optimum,
@@ -95,7 +95,7 @@ def nan_outside_reach(tree):
     table, config = tree.scenario_bounds, tree.config
     reach = reach_mask(tree.model, tree.root.states, config.depth, config.mode)
     for rows in (table.lower, table.upper):
-        rows[np.broadcast_to(~reach[:, None], rows.shape)] = np.nan
+        rows[np.broadcast_to(~reach[:, :, None], rows.shape)] = np.nan
 
 
 def searched_tree(model, config, belief):
@@ -154,8 +154,8 @@ def test_bound_tables_equal_the_scalar_recursion(model, seed, mode, k, depth):
     reach = reach_mask(model, starts, depth, mode)
     for j in range(k):
         lower, upper = scalar_bounds(model, streams[j], depth, mode)
-        assert np.array_equal(table.lower[:, j][reach], lower[reach])
-        assert np.array_equal(table.upper[:, j][reach], upper[reach])
+        assert np.array_equal(table.lower[:, :, j][reach], lower[reach])
+        assert np.array_equal(table.upper[:, :, j][reach], upper[reach])
 
 
 @given(model=small_models())
@@ -248,3 +248,29 @@ def test_belief_update_is_bayes_rule(model, seed, mode):
             else:
                 posterior = belief_update(model, belief, a, z, mode).probs
                 assert posterior == pytest.approx([p / total for p in joint], abs=1e-12)
+
+
+@given(model=small_models())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_scm_queries_fold_into_the_transition_matrix(model):
+    # P(DS | do(A=a)) in INT and P(DS | A=a) in OBS of each state's SCM,
+    # added into successor states one relative outcome at a time; outside
+    # the confounded region the action says nothing about U, so conditioning
+    # on it and intervening agree to rounding there and the model uses one query
+    n = model.n_states
+    for mode in TransitionMode:
+        query = "intervention" if mode is TransitionMode.INTERVENTIONAL else "evidence"
+        expected = np.zeros((model.n_actions, n, n))
+        for s in range(n - 2):
+            for a in range(model.n_actions):
+                act = {"A": a}
+                if s in model.confounded_states:
+                    rel = exact_query(model._spec_region, "DS", **{query: act}).probs
+                else:
+                    rel = exact_query(model._spec_free, "DS", intervention=act).probs
+                    assert exact_query(model._spec_free, "DS", evidence=act).probs == (
+                        pytest.approx(rel, abs=1e-12))
+                for ds, s2 in enumerate(model.successor_table[s]):
+                    expected[a, s, s2] += rel[ds]
+        expected[:, n - 2, n - 2] = expected[:, n - 1, n - 1] = 1.0
+        assert np.array_equal(model.transition_matrix(mode), expected)

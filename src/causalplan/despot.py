@@ -14,6 +14,7 @@ causally-informed planner.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,6 +117,12 @@ class ActionEdge:
         self.children: list[tuple[int, DespotNode]] = []  # ascending observation
 
 
+# Per planning model, kept as long as the model lives: the bound tables of
+# finished searches, one spare per shape, and the reach rows of the fills,
+# by (mode, depth, start states).
+_MODEL_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class ScenarioBounds:
     """Per-scenario bounds of one search: ``lower[d][s, k]`` is the
     discounted return of the default policy from state ``s`` at depth ``d``
@@ -131,40 +138,58 @@ class ScenarioBounds:
     arithmetic as a scalar :func:`~causalplan.model.deterministic_step`
     recursion, so every filled entry equals it bit for bit.  A node at depth
     ``d`` only holds states reachable in ``d`` steps from ``starts`` through
-    the transition support, so only those rows of ``d`` are filled; the
-    others stay zero and are never read.  Scenarios are the innermost axis,
-    so each operation of the fill runs along ``K`` contiguous lanes.
-    ``buckets`` holds the scenarios' bucket ids
-    (:meth:`~causalplan.model.UcPomdpModel.bucket_ids`).
+    the transition support, so only those rows of ``d`` are filled and read.
+    Scenarios are the innermost axis, so each operation of the fill runs
+    along ``K`` contiguous lanes.
+
+    ``tables`` holds ``lower`` and ``upper`` as one ``(2, D+1, S, K)``
+    array.  It is the spare of a finished :func:`search` on the same model
+    when there is one: no search writes row ``D`` or a terminal row, so they
+    stay zero, and the other cells it does not fill hold earlier searches'
+    values, which it never reads.  ``buckets`` are the scenarios' bucket ids
+    (:meth:`~causalplan.model.UcPomdpModel.bucket_ids`), ``(K, D, 2)``; they
+    are kept depth-major, ``(D, 2, K)``, as ``self.buckets``.
     """
 
     def __init__(self, model: UcPomdpModel, config: PlannerConfig,
                  buckets: np.ndarray, starts: np.ndarray):
         k, n, gamma = len(buckets), model.n_states, model.discount
-        self.lower = np.zeros((config.depth + 1, n, k))
-        self.upper = np.zeros((config.depth + 1, n, k))
-        support = (model.transition_matrix(config.mode) > 0).any(axis=0)
+        spare, reach = _MODEL_CACHES.setdefault(model, ({}, {}))
+        shape = (2, config.depth + 1, n, k)
+        self.tables = spare.pop(shape, None)
+        if self.tables is None:
+            self.tables = np.zeros(shape)
+        self.lower, self.upper = self.tables
+        self.buckets = np.ascontiguousarray(buckets.transpose(1, 2, 0))
         live = np.zeros(n, dtype=bool)
         live[starts] = True
-        reach = []
-        for _ in range(config.depth):
-            reach.append(np.flatnonzero(live[:n - 2]))
-            live = support[live].any(axis=0)
-        depth_buckets = np.ascontiguousarray(buckets[:, :, 0].T)
+        key = (config.mode, config.depth, live.tobytes())
+        rows = reach.get(key)
+        if rows is None:
+            # per depth: the reachable ordinary states and the rows of the
+            # fill's (A * m, K) step results that the default policy takes;
+            # stored complete, so a concurrent search never sees a part
+            support = (model.transition_matrix(config.mode) > 0).any(axis=0)
+            rows = []
+            for _ in range(config.depth):
+                states = np.flatnonzero(live[:n - 2])
+                m = len(states)
+                rows.append((states, model.rollout_policy[states] * m + np.arange(m)))
+                live = support[live].any(axis=0)
+            reach[key] = rows
         actions, lanes = np.arange(model.n_actions)[:, None, None], np.arange(k)
         for d in range(config.depth - 1, -1, -1):
-            states = reach[d]
+            states, policy = rows[d]
             # (action, state, scenario) triples; next-row cell s2 * k + lane
-            s2, r = model.batch_policy_step(states[:, None], actions, depth_buckets[d],
+            s2, r = model.batch_policy_step(states[:, None], actions, self.buckets[d, 0],
                                             config.mode)
             at = s2 * k + lanes
             q = self.upper[d + 1].reshape(-1).take(at)
             q *= gamma
             q += r
             self.upper[d][states] = np.maximum.reduce(q, axis=0)
-            pi = model.rollout_policy[states], np.arange(len(states))
-            low = self.lower[d + 1].reshape(-1).take(at[pi])
-            self.lower[d][states] = r[pi] + gamma * low
+            low = self.lower[d + 1].reshape(-1).take(at.reshape(-1, k).take(policy, axis=0))
+            self.lower[d][states] = r.reshape(-1, k).take(policy, axis=0) + gamma * low
 
 
 class DespotTree:
@@ -178,8 +203,13 @@ class DespotTree:
         starts, self.streams = sample_scenarios(
             belief, config.scenarios, config.seed, config.depth
         )
-        self.buckets = model.bucket_ids(self.streams, config.mode)
-        self.scenario_bounds = ScenarioBounds(model, config, self.buckets, starts)
+        self.scenario_bounds = ScenarioBounds(
+            model, config, model.bucket_ids(self.streams, config.mode), starts
+        )
+        self.buckets = self.scenario_bounds.buckets   # (D, 2, K)
+        # the smallest integer type of the (action, observation) sort keys,
+        # so the stable argsort of _expand is a radix sort
+        self._key_type = np.min_scalar_type(model.n_actions * model.n_observations - 1)
         self.n_expansions = 0
         self.n_trials = 0
         k = config.scenarios
@@ -201,49 +231,50 @@ class DespotTree:
         observation) with one stable sort, so that each child holds a
         contiguous slice in scenario order."""
         model, config = self.model, self.config
-        d, m = node.depth, node.count
-        b = self.buckets[node.scenario_ids, d]
+        d, m, k = node.depth, node.count, config.scenarios
+        b1, b2 = self.buckets[d].take(node.scenario_ids, axis=1)
         actions = np.arange(model.n_actions)[:, None]
-        s2, z, r = model.batch_step(node.states, actions, b[:, 0], b[:, 1], config.mode)
-        key = (actions * model.n_observations + z).ravel()
+        s2, z, r = model.batch_step(node.states, actions, b1, b2, config.mode)
+        key = (actions * model.n_observations + z).astype(self._key_type).ravel()
         order = np.argsort(key, kind="stable")
         key, s2, ids = key.take(order), s2.take(order), node.scenario_ids.take(order % m)
+        # row 0 the lower, row 1 the upper table at each child's cells
+        lu = self.scenario_bounds.tables[:, d + 1].reshape(2, -1).take(s2 * k + ids, axis=1)
         # np.add.reduce(seg) / len(seg) is what np.mean computes: the same
         # pairwise sum over the same contiguous values, also along axis 1
-        low = self.scenario_bounds.lower[d + 1][s2, ids]
-        up = self.scenario_bounds.upper[d + 1][s2, ids]
         edges = [ActionEdge(total / m) for total in np.add.reduce(r, axis=1).tolist()]
         starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
-        for lo, hi, k in zip(starts, starts[1:] + [len(key)], key[starts].tolist()):
-            a, obs = divmod(k, model.n_observations)
-            child = DespotNode(d + 1, ids[lo:hi], s2[lo:hi], config.scenarios)
-            child.default_value = (
-                float(np.add.reduce(low[lo:hi]) / (hi - lo)) - config.regularization
-            )
+        for lo, hi, ak in zip(starts, starts[1:] + [len(key)], key[starts].tolist()):
+            a, obs = divmod(ak, model.n_observations)
+            child = DespotNode(d + 1, ids[lo:hi], s2[lo:hi], k)
+            low, up = np.add.reduce(lu[:, lo:hi], axis=1).tolist()
+            child.default_value = low / (hi - lo) - config.regularization
             child.lower = child.default_value
-            child.upper = float(np.add.reduce(up[lo:hi]) / (hi - lo))
+            child.upper = up / (hi - lo)
             edges[a].children.append((obs, child))
         node.children = edges
         self.n_expansions += 1
 
-    def _backup(self, node: DespotNode):
-        """Store each edge's Q bounds and take the best of them; the descent
-        and :meth:`best_action` read the stored values, which stay exact, as
-        only the nodes on a trial's path change and each is backed up before
-        its parent."""
+    def _backup(self, node: DespotNode, edge: ActionEdge | None = None):
+        """Store the Q bounds of ``edge``, or of every edge if it is None,
+        and take the best of the stored ones.  The descent and
+        :meth:`best_action` read the stored values, which stay exact: only
+        the nodes on a trial's path change, each is backed up before its
+        parent, and a path node's other edges lead to unchanged children."""
         discount, n = self.model.discount, node.count
-        best_low = best_up = -np.inf
-        for edge in node.children:
+        for e in node.children if edge is None else (edge,):
             low = up = 0.0
-            for _, child in edge.children:
+            for _, child in e.children:
                 low += child.count * child.lower
                 up += child.count * child.upper
-            edge.q_lower = ql = edge.avg_reward + discount * low / n
-            edge.q_upper = qu = edge.avg_reward + discount * up / n
-            if ql > best_low:
-                best_low = ql
-            if qu > best_up:
-                best_up = qu
+            e.q_lower = e.avg_reward + discount * low / n
+            e.q_upper = e.avg_reward + discount * up / n
+        best_low = best_up = -np.inf
+        for e in node.children:
+            if e.q_lower > best_low:
+                best_low = e.q_lower
+            if e.q_upper > best_up:
+                best_up = e.q_upper
         node.lower = max(node.default_value, best_low - self.config.regularization)
         node.upper = best_up
 
@@ -251,7 +282,7 @@ class DespotTree:
         """One descent-expand-backup pass; returns whether a node was expanded."""
         root_gap = self.root.upper - self.root.lower
         node = self.root
-        path = [node]
+        path = []   # (node, the edge the trial took from it)
         while node.children is not None and node.depth < self.config.depth:
             best_edge, best_q = None, -np.inf
             for edge in node.children:
@@ -266,15 +297,16 @@ class DespotTree:
                     best_child, best_weu = child, weu
             if best_weu <= 0:
                 break
+            path.append((node, best_edge))
             node = best_child
-            path.append(node)
         expanded = False
         if node.children is None and node.depth < self.config.depth:
             self._expand(node)
             expanded = True
-        for n in reversed(path):
-            if n.children is not None:
-                self._backup(n)
+        if node.children is not None:
+            self._backup(node)
+        for n, edge in reversed(path):
+            self._backup(n, edge)
         self.n_trials += 1
         return expanded
 
@@ -315,7 +347,9 @@ def search(
 ) -> tuple[int, tuple[float, float]]:
     """Build a tree and run trials until the budget is spent or the root gap
     shrinks to ``(1 - xi)`` of its initial value; returns the chosen action
-    and the final root bounds."""
+    and the final root bounds.  The tree's bound tables then become the
+    spare of the next search on ``model`` (see :class:`ScenarioBounds`), so
+    a search does not allocate and page in fresh ones."""
     tree = DespotTree(model, config, belief)
     gap0 = tree.root.upper - tree.root.lower
     target = (1.0 - config.xi) * gap0
@@ -332,7 +366,10 @@ def search(
         expanded = tree.run_trial()
         if not expanded and (tree.root.lower, tree.root.upper) == before:
             break
-    return tree.best_action(), tree.bounds()
+    result = tree.best_action(), tree.bounds()
+    spare, _ = _MODEL_CACHES[model]
+    spare[tree.scenario_bounds.tables.shape] = tree.scenario_bounds.tables
+    return result
 
 
 @dataclass

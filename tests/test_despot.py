@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from causalplan import gridworld
 from causalplan.despot import (
     DespotNode,
     DespotTree,
@@ -168,7 +169,7 @@ class TestDefaultValueTable:
         belief = Belief.point_mass(truth.n_states, state)
         table, reach = assert_tables_equal_scalar_bounds(truth, config, belief)
         assert np.flatnonzero(reach[0]).tolist() == [state]
-        assert table.upper[0].any() == (where != "goal")
+        assert table.upper[0][state].any() == (where != "goal")
 
     def test_one_policy_step_per_depth(self, truth, monkeypatch):
         calls = []
@@ -296,6 +297,70 @@ class TestSearch:
         config = PlannerConfig(scenarios=50, depth=15, budget_trials=0, seed=0)
         action, _ = search(truth.initial_belief, truth, config)
         assert action == UP  # greedy default from the start cell
+
+
+class TestBoundTableReuse:
+    """A finished search hands its bound tables to the next search on the
+    same model, which reads them with an earlier search's values in the
+    cells it does not fill."""
+
+    @staticmethod
+    def config(mode, seed, depth=10):
+        return PlannerConfig(scenarios=100, depth=depth, budget_trials=200,
+                             mode=mode, seed=seed)
+
+    def test_interleaved_searches_equal_searches_on_a_fresh_model(self, grid):
+        model = gridworld.build_model(grid)
+        # the start, the goal's neighbour, the confounded cell and a corner:
+        # reach sets of different sizes, so each search meets stale rows
+        starts = [model.initial_belief.top_state, model.state_index((0, 2)),
+                  min(model.confounded_states), model.state_index((3, 3))]
+        runs = [(mode, s, seed, 10) for seed in (0, 1) for s in starts
+                for mode in (OBS, INT)]
+        runs.insert(5, (INT, starts[0], 2, 4))   # another table shape between
+        for mode, s, seed, depth in runs:
+            belief = Belief.point_mass(model.n_states, s)
+            config = self.config(mode, seed, depth)
+            fresh = search(belief, gridworld.build_model(grid), config)
+            reused = search(belief, model, config)
+            assert repr(reused) == repr(fresh)
+
+    def test_a_directly_built_tree_keeps_its_tables(self, grid, monkeypatch):
+        model = gridworld.build_model(grid)
+        start, belief = model.initial_belief, Belief.point_mass(
+            model.n_states, model.state_index((0, 2)))
+        search(start, model, self.config(OBS, 0))
+        tree = DespotTree(model, self.config(INT, 3), belief)
+        tables = tree.scenario_bounds.tables
+        kept = tables.copy()
+        # a tree built on the model while a search runs gets other tables
+        pairs = []
+        trial = DespotTree.run_trial
+
+        def build_a_tree(running):
+            if not pairs:
+                other = DespotTree(model, running.config, belief)
+                pairs.append((running.scenario_bounds.tables,
+                              other.scenario_bounds.tables))
+            return trial(running)
+
+        monkeypatch.setattr(DespotTree, "run_trial", build_a_tree)
+        result = search(start, model, self.config(INT, 1))
+        monkeypatch.undo()
+        assert pairs[0][0] is not pairs[0][1]
+        assert result == search(start, gridworld.build_model(grid), self.config(INT, 1))
+        # later searches on the model neither receive nor overwrite them
+        for mode in (OBS, INT):
+            for seed in range(3):
+                search(start, model, self.config(mode, seed))
+                search(belief, model, self.config(mode, seed))
+        assert tree.scenario_bounds.tables is tables
+        assert np.array_equal(tables, kept)
+        fresh = DespotTree(gridworld.build_model(grid), self.config(INT, 3), belief)
+        for t in (tree, fresh):
+            while t.run_trial():
+                pass
+        assert (tree.best_action(), tree.bounds()) == (fresh.best_action(), fresh.bounds())
 
 
 def find_episode(truth, predicate, budget_trials=0, max_seed=200, steps=15):

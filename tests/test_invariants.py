@@ -249,11 +249,10 @@ class TestPlannerInvariants:
                     continue
                 expanded += 1
                 ids, n = node.scenario_ids, len(node.scenario_ids)
-                b = tree.buckets[ids, node.depth]
+                b1, b2 = tree.buckets[node.depth][:, ids]
                 assert len(node.children) == model.n_actions
                 for a, edge in enumerate(node.children):
-                    s2, z, r = model.batch_step(node.states, a, b[:, 0], b[:, 1],
-                                                mode)
+                    s2, z, r = model.batch_step(node.states, a, b1, b2, mode)
                     assert edge.avg_reward == float(np.mean(r))
                     assert [obs for obs, _ in edge.children] == np.unique(z).tolist()
                     low = up = 0.0

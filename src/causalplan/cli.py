@@ -360,8 +360,8 @@ def main(argv=None) -> int:
     except (UsageError, gridworld.MapParseError) as exc:
         sys.stderr.write(f"error[usage]: {exc}\n")
         return 2
-    except CapacityError as exc:
-        sys.stderr.write(f"error[capacity]: {exc}\n")
+    except (CapacityError, MemoryError) as exc:
+        sys.stderr.write(f"error[capacity]: {str(exc) or 'out of memory'}\n")
         return 4
     except OSError as exc:
         sys.stderr.write(f"error[io]: {exc}\n")

@@ -182,17 +182,13 @@ def manhattan(a, b) -> int:
 
 def _greedy_action(grid: GridMap, cell) -> int:
     """Default rollout policy: step toward the goal by Manhattan distance,
-    never into a wall, ties broken in canonical action order."""
+    never into a collision, ties broken in canonical action order."""
     best, best_score = 0, None
     for a, ds in enumerate(("east", "north", "west", "south")):
-        dx, dy = DS_OFFSETS[ds]
-        dest = (cell[0] + dx, cell[1] + dy)
-        if dest == grid.goal:
-            score = -1
-        elif dest in grid.occupied or not grid.in_bounds(dest):
+        dest = apply_move(grid, cell, ds)
+        if dest == COLLIDED:
             continue
-        else:
-            score = manhattan(dest, grid.goal)
+        score = -1 if dest == GOAL else manhattan(dest, grid.goal)
         if best_score is None or score < best_score:
             best, best_score = a, score
     return best

@@ -9,6 +9,7 @@ fit.  File formats (dataset CSV, parameter text) are documented in the README.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -136,6 +137,9 @@ def fit(dataset: Dataset, smoothing: float = 1.0) -> LearnedParams:
         raise UsageError("smoothing must be positive")
     m = dataset.meta
     n_u, n_a, n_ds = m.n_u, m.n_a, m.n_ds
+    # the largest row denominator, records + arity * smoothing
+    if not math.isfinite(len(dataset) + max(n_u, n_ds) * smoothing):
+        raise UsageError(f"smoothing {smoothing!r} overflows a row's total")
 
     u_counts = np.bincount(dataset.u, minlength=n_u).astype(float)
     p_u = (u_counts + smoothing) / (u_counts.sum() + n_u * smoothing)
@@ -186,17 +190,14 @@ def eval_kl_full_transition(learned: UcPomdpModel, truth: UcPomdpModel) -> float
         raise UsageError("models disagree on state or action spaces")
     if learned.n_confounder != truth.n_confounder:
         raise UsageError("models disagree on the confounder")
+    # one KL per (s, a, u) context, added in that order: each context keeps
+    # its own np.sum grouping, so the mean does not move in its last bits
+    n = truth.n_states
+    truth_rows = truth.mechanism_rows.reshape(-1, n)
     total = 0.0
-    count = 0
-    for s in range(truth.n_states - 2):
-        for a in range(truth.n_actions):
-            for u in range(truth.n_confounder):
-                total += kl_divergence(
-                    truth.mechanism_transition_row(s, a, u),
-                    learned.mechanism_transition_row(s, a, u),
-                )
-                count += 1
-    return total / count
+    for t, l in zip(truth_rows, learned.mechanism_rows.reshape(-1, n)):
+        total += kl_divergence(t, l)
+    return total / len(truth_rows)
 
 
 def max_abs_table_error(

@@ -162,11 +162,10 @@ class UcPomdpModel:
             raise SpecificationError("observation table width != |Z|")
         term_row = np.zeros(self.n_observations)
         term_row[self.terminal_observation] = 1.0
-        obs = np.vstack([observation_table.values, term_row, term_row])
-        self._obs = obs
-        self._obs_cdf = np.cumsum(obs, axis=1)
-        self._obs_cdf /= self._obs_cdf[:, -1:]
-        self._obs_breaks, self._obs_buckets = _bucket_table(obs, self._obs_cdf)
+        obs = CategoricalTable((self.n_states,), np.vstack(
+            [observation_table.values, term_row, term_row]))
+        self._obs, self._obs_cdf = obs.values, obs.cdf
+        self._obs_breaks, self._obs_buckets = obs.buckets
 
         self.initial_belief = Belief(self._pad(initial_belief, float, "initial belief"))
         self.rollout_policy = self._pad(rollout_policy, np.int64, "rollout policy")
@@ -249,28 +248,33 @@ class UcPomdpModel:
             self._rel_region[m_obs, a] = exact_query(region, "DS", evidence=act).probs
             self._rel_free[a] = exact_query(free, "DS", intervention=act).probs
 
+        # rel[m, a, s]: the region's row inside it, the free row outside
+        in_region = np.isin(np.arange(n - 2), list(self.confounded_states))[:, None]
         trans = np.zeros((2, n_a, n, n))
-        for s in range(n - 2):
-            region = s in self.confounded_states
-            for a in range(n_a):
-                for m in range(2):
-                    rel = self._rel_region[m, a] if region else self._rel_free[a]
-                    trans[m, a, s] = self._fold(s, rel)
+        trans[:, :, :-2] = self._fold(np.where(
+            in_region, self._rel_region[:, :, None], self._rel_free[:, None]))
         for term in (self.goal_state, self.collided_state):
             trans[:, :, term, term] = 1.0
         trans.setflags(write=False)
         self._transition = trans
-        cdf = np.cumsum(trans, axis=3)
-        cdf /= cdf[..., -1:]
-        self._trans_cdf = cdf
         # per mode: breaks, then successor and reward per (bucket, action, state)
-        self._trans_breaks, self._succ, self._rew = [], [], []
+        self._trans_breaks, self._succ, self._rew, cdf = [], [], [], []
         for m in range(2):
-            breaks, succ = _bucket_table(trans[m], cdf[m])
+            table = CategoricalTable((n_a, n), trans[m].reshape(n_a * n, n))
+            breaks, succ = table.buckets
+            succ = succ.reshape(-1, n_a, n)
+            cdf.append(table.cdf)
             self._trans_breaks.append(breaks)
             self._succ.append(succ.ravel())
             self._rew.append(self._reward_table[np.arange(n_a)[:, None],
                                                 np.arange(n), succ].ravel())
+        self._trans_cdf = np.reshape(cdf, trans.shape)
+
+        # P(S' | s, a, u) under the mechanism tables, (ordinary state, A, U, S')
+        p_uc = self.p_uc.values.reshape(n_a, self.n_confounder, 1, self.n_ds)
+        mech = self._fold(np.where(in_region, p_uc, self.p_0.values[:, None, None]))
+        self.mechanism_rows = mech.transpose(2, 0, 1, 3)
+        self.mechanism_rows.setflags(write=False)
 
     # -- public accessors ------------------------------------------------------
 
@@ -294,24 +298,16 @@ class UcPomdpModel:
             row = self._rel_free[action]
         return Dist(self.ds_labels, row)
 
-    def mechanism_transition_row(self, s: int, a: int, u: int) -> np.ndarray:
-        """P(S' | s, a, u) under the mechanism tables (no mode marginalization)."""
-        if self.is_terminal(s):
-            row = np.zeros(self.n_states)
-            row[s] = 1.0
-            return row
-        if s in self.confounded_states:
-            rel = self.p_uc.row((a, u))
-        else:
-            rel = self.p_0.row((a,))
-        return self._fold(s, rel)
-
-    def _fold(self, s: int, rel: np.ndarray) -> np.ndarray:
-        """Successor-state row of ordinary state ``s`` from its
-        relative-outcome row: entry ``ds`` adds to column
-        ``successor_table[s, ds]``, in ``ds`` order."""
-        return np.bincount(self.successor_table[s], weights=rel,
-                           minlength=self.n_states)
+    def _fold(self, rel: np.ndarray) -> np.ndarray:
+        """Successor-state rows from a stack of relative-outcome rows
+        ``rel[..., s, ds]`` over the ordinary states: entry ``ds`` of row
+        ``s`` adds to column ``successor_table[s, ds]``, in ``ds`` order,
+        through one ``bincount`` over the (row, successor) cells."""
+        n = self.n_states
+        rows = np.arange(rel[..., 0].size).reshape(rel.shape[:-1] + (1,))
+        cells = rows * n + self.successor_table[:-2]
+        return np.bincount(cells.ravel(), weights=rel.ravel(),
+                           minlength=rows.size * n).reshape(rel.shape[:-1] + (n,))
 
     def with_tables(
         self,
@@ -347,14 +343,12 @@ class UcPomdpModel:
         the transition breaks of ``mode``, ``draws[..., 1]`` among the
         observation breaks; the batched kernels take these ids.
 
-        A mode's breaks are the distinct CDF values below 1 at the nonzero
-        columns of its transition rows, so there are at most ``1 + sum over
-        rows of (nonzeros - 1)`` buckets (likewise for the observation
-        rows).  A draw's bucket is the number of breaks ``<= u``, and the
-        tables hold each row's category at the bucket's lower edge (0.0 for
-        bucket 0).  That is the category :func:`deterministic_step` draws at
-        ``u``: no CDF value lies between the edge and ``u``, so the row
-        counts the same entries ``<= u`` at both."""
+        The breaks and per-bucket categories are
+        :attr:`~causalplan.scm.CategoricalTable.buckets` of a mode's
+        transition rows (and of the observation rows), so there are at most
+        ``1 + sum over rows of (nonzeros - 1)`` buckets, and each table
+        entry is the category :func:`deterministic_step` draws at any ``u``
+        in the bucket."""
         draws = np.asarray(draws)
         ids = np.empty(draws.shape, dtype=np.int64)
         ids[..., 0] = self._trans_breaks[_MODE_INDEX[mode]].searchsorted(
@@ -376,16 +370,6 @@ class UcPomdpModel:
         m = _MODE_INDEX[mode]
         at = (b1 * self.n_actions + actions) * self.n_states + states
         return self._succ[m].take(at), self._rew[m].take(at)
-
-
-def _bucket_table(probs: np.ndarray, cdf: np.ndarray):
-    """The sorted breaks of the CDF rows ``cdf[..., :]`` of ``probs`` and
-    each row's category at every bucket's lower edge, ``(buckets, *rows)``,
-    counted as :func:`~causalplan.scm.cdf_index` counts: see
-    :meth:`UcPomdpModel.bucket_ids`."""
-    breaks = np.unique(cdf[(probs > 0) & (cdf < 1.0)])
-    edges = np.concatenate(([0.0], breaks)).reshape((-1,) + (1,) * cdf.ndim)
-    return breaks, np.minimum((cdf <= edges).sum(axis=-1), cdf.shape[-1] - 1)
 
 
 # -- module-level operations ---------------------------------------------------

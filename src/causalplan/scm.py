@@ -66,7 +66,7 @@ class CategoricalTable:
     an unconditional prior.
     """
 
-    __slots__ = ("parent_arities", "values", "_cdf")
+    __slots__ = ("parent_arities", "values", "_cdf", "_buckets")
 
     def __init__(self, parent_arities: Sequence[int], values):
         self.parent_arities = tuple(int(a) for a in parent_arities)
@@ -99,6 +99,7 @@ class CategoricalTable:
         vals.setflags(write=False)
         self.values = vals
         self._cdf = None
+        self._buckets = None
 
     @classmethod
     def uniform(cls, parent_arities: Sequence[int], n_categories: int) -> "CategoricalTable":
@@ -124,6 +125,25 @@ class CategoricalTable:
             c.setflags(write=False)
             self._cdf = c
         return self._cdf
+
+    @property
+    def buckets(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(breaks, table)``: the sorted distinct CDF values below 1 at
+        nonzero entries, which cut [0, 1) into buckets at edges
+        ``[0, *breaks, 1]``, and each row's category per bucket,
+        ``table[bucket, row]``.  A unit draw's bucket is the number of
+        breaks ``<= u``; no CDF value lies between a bucket's lower edge and
+        any draw in it, so every draw there selects the category
+        :func:`cdf_index` returns at that edge, which the table holds."""
+        if self._buckets is None:
+            cdf = self.cdf
+            breaks = np.unique(cdf[(self.values > 0) & (cdf < 1.0)])
+            edges = np.concatenate(([0.0], breaks))[:, None, None]
+            table = np.minimum((cdf <= edges).sum(axis=-1), self.n_categories - 1)
+            breaks.setflags(write=False)
+            table.setflags(write=False)
+            self._buckets = breaks, table
+        return self._buckets
 
     def row_index(self, assignment: Sequence[int]) -> int:
         if len(assignment) != len(self.parent_arities):
@@ -196,28 +216,20 @@ class Dist:
         object.__setattr__(self, "support", tuple(self.support))
 
 
-def _desugar(var: VariableId, parents: Sequence[str], table: CategoricalTable,
+def _desugar(table: CategoricalTable,
              noise_name: str) -> tuple[VariableId, CategoricalTable, DeterministicRule]:
-    """Rewrite a stochastic node as exogenous noise plus an inverse-CDF lookup.
+    """Rewrite a stochastic node as exogenous noise plus a lookup.
 
-    The noise variable's categories are the segments of [0,1) cut at every
-    cumulative breakpoint of every row, so each segment maps to a single
-    category under every parent assignment and the joint is preserved.
+    The noise variable's categories are the table's buckets
+    (:attr:`CategoricalTable.buckets`), weighted by their widths; each
+    bucket selects a single category under every parent assignment, so the
+    joint is preserved.
     """
-    cdf = table.cdf
-    edges = np.unique(np.concatenate([[0.0], cdf.ravel(), [1.0]]))
-    edges = edges[(edges >= 0.0) & (edges <= 1.0)]
-    lengths = np.diff(edges)
-    keep = lengths > 0
-    lengths = lengths[keep]
-    mids = (edges[:-1] + edges[1:])[keep] / 2.0
-    n_seg = len(lengths)
-    noise = VariableId(noise_name, n_seg)
-    prior = CategoricalTable((), lengths / lengths.sum())
-    # category per (row, segment): the CDF bucket the segment midpoint falls in
-    lookup = np.array([cdf_index(row, mids) for row in cdf], dtype=np.int64)
-    shape = tuple(table.parent_arities) + (n_seg,)
-    rule = DeterministicRule(lookup.reshape(shape))
+    breaks, lookup = table.buckets
+    widths = np.diff(np.concatenate(([0.0], breaks, [1.0])))
+    noise = VariableId(noise_name, len(widths))
+    prior = CategoricalTable((), widths / widths.sum())
+    rule = DeterministicRule(lookup.T.reshape(table.parent_arities + (len(widths),)))
     return noise, prior, rule
 
 
@@ -272,7 +284,7 @@ class ScmSpec:
                         f"noise name {noise_name!r} collides with an existing variable"
                     )
                 names.add(noise_name)
-                noise, prior, det = _desugar(var, parents, rule, noise_name)
+                noise, prior, det = _desugar(rule, noise_name)
                 exo.append((noise, prior))
                 endo.append((var, parents + (noise_name,), det))
             elif isinstance(rule, DeterministicRule):

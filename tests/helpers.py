@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from causalplan.learning import Dataset, DatasetMeta
-from causalplan.model import UcPomdpModel, deterministic_step
+from causalplan.model import TransitionMode, UcPomdpModel, deterministic_step
 from causalplan.scm import CategoricalTable, _query_setup, cdf_index
 
 PRIOR = {-90: 0.10, 0: 0.80, 90: 0.10}
@@ -220,6 +220,42 @@ def reach_mask(model, starts, horizon, mode) -> np.ndarray:
             for a in range(model.n_actions):
                 mask[d + 1, trans[a, s] > 0] = True
     return mask
+
+
+def fold_loop(model, s, rel):
+    """Relative outcomes folded into successors one entry at a time."""
+    row = np.zeros(model.n_states)
+    for ds in range(model.n_ds):
+        row[model.successor_table[s, ds]] += rel[ds]
+    return row
+
+
+def assert_transition_rows_fold(model):
+    """Every ordinary row of both modes' transition matrices equals its
+    relative row, the region's or the free one, folded by :func:`fold_loop`."""
+    for m, mode in enumerate((TransitionMode.OBSERVATIONAL, TransitionMode.INTERVENTIONAL)):
+        matrix = model.transition_matrix(mode)
+        for a in range(model.n_actions):
+            for s in range(model.n_states - 2):
+                region = s in model.confounded_states
+                rel = model._rel_region[m, a] if region else model._rel_free[a]
+                assert np.array_equal(matrix[a, s], fold_loop(model, s, rel))
+
+
+def assert_mechanism_rows_fold(model):
+    """``mechanism_rows[s, a, u]`` equals the mechanism table's relative
+    row, ``p_uc`` inside the region and ``p_0`` outside, folded by
+    :func:`fold_loop`."""
+    n = model.n_states
+    rows = model.mechanism_rows
+    assert rows.shape == (n - 2, model.n_actions, model.n_confounder, n)
+    for s, a, u in itertools.product(range(n - 2), range(model.n_actions),
+                                     range(model.n_confounder)):
+        if s in model.confounded_states:
+            rel = model.p_uc.row((a, u))
+        else:
+            rel = model.p_0.row((a,))
+        assert np.array_equal(rows[s, a, u], fold_loop(model, s, rel))
 
 
 def buckets_of(model, phi1, phi2, mode):

@@ -347,6 +347,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("args, fragment", [
         (["learn", "--seed", "-1"], "seed"),
         (["learn", "--smoothing", "nan", "--dataset-n", "10"], "smoothing"),
+        (["learn", "--smoothing", "inf", "--dataset-n", "10"], "smoothing"),
+        (["learn", "--smoothing", "1e308", "--dataset-n", "10"], "smoothing"),
         (["eval", "--lambda", "nan"], "regularization"),
         (["eval", "--budget-ms", "nan"], "budget_ms"),
     ])
@@ -410,6 +412,14 @@ class TestUsageErrors:
         path, _ = self._params(tmp_path, small_params, replace_row)
         assert run([*command, "--params", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error[model]:")
+
+    def test_out_of_memory_is_a_capacity_error(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.9 GiB")
+        monkeypatch.setattr(despot, "sample_scenarios", no_memory)
+        assert run(["eval", "--episodes", "1", "--steps", "1",
+                    "--out", str(tmp_path), *FAST]) == 4
+        assert capsys.readouterr().err == "error[capacity]: Unable to allocate 14.9 GiB\n"
 
 
 MAP_BYTES = st.one_of(

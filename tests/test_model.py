@@ -10,7 +10,6 @@ from causalplan.model import (
     InconsistentObservationError,
     TransitionMode,
     UcPomdpModel,
-    _bucket_table,
     belief_update,
     deterministic_step,
 )
@@ -23,8 +22,11 @@ from causalplan.scm import (
 )
 
 from helpers import (
+    assert_mechanism_rows_fold,
+    assert_transition_rows_fold,
     buckets_of,
     dist_prob,
+    fold_loop,
     sample_reactive_action,
     two_state_inputs,
     two_state_model,
@@ -115,7 +117,7 @@ class TestTransitionDist:
         exact = truth.transition_matrix(INT)[UP, s]
         rel = importance_query(truth._spec_region, "DS", intervention={"A": UP},
                                n_particles=20000, rng=rng).probs
-        assert np.abs(exact - truth._fold(s, rel)).max() <= 0.02
+        assert np.abs(exact - fold_loop(truth, s, rel)).max() <= 0.02
 
 
 class TestObservationDist:
@@ -287,72 +289,50 @@ class TestDeterministicStep:
                     assert (int(s2[i]), int(z[i]), float(r[i])) == expect
 
 
-def _fold_loop(model, s, rel):
-    """Relative outcomes folded into successors one entry at a time."""
-    row = np.zeros(model.n_states)
-    for ds in range(model.n_ds):
-        row[model.successor_table[s, ds]] += rel[ds]
-    return row
-
-
 class TestFold:
     def test_transition_matrix_matches_loop(self, truth):
-        for mode in (INT, OBS):
-            m = 0 if mode is OBS else 1
-            matrix = truth.transition_matrix(mode)
-            for a in range(truth.n_actions):
-                for s in range(truth.n_states - 2):
-                    region = s in truth.confounded_states
-                    rel = truth._rel_region[m, a] if region else truth._rel_free[a]
-                    assert np.array_equal(matrix[a, s], _fold_loop(truth, s, rel))
+        assert_transition_rows_fold(truth)
 
     def test_mechanism_rows_match_loop(self, truth):
-        for s in range(truth.n_states - 2):
-            for a in range(truth.n_actions):
-                for u in range(truth.n_confounder):
-                    if s in truth.confounded_states:
-                        rel = truth.p_uc.row((a, u))
-                    else:
-                        rel = truth.p_0.row((a,))
-                    assert np.array_equal(truth.mechanism_transition_row(s, a, u),
-                                          _fold_loop(truth, s, rel))
+        assert_mechanism_rows_fold(truth)
 
 
 @st.composite
 def cdf_rows_and_draws(draw):
-    """Row weights with zero entries, their CDF table with repeated values,
-    row indices, and unit draws that include 0.0, 1.0 and exact CDF values
-    (ties)."""
+    """A table of normalized rows with zero entries, so its CDF repeats
+    values, plus row indices and unit draws that include 0.0, 1.0 and exact
+    CDF values (ties)."""
     width = draw(st.integers(1, 5))
     weight = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 3.0])
-    rows = draw(st.lists(st.lists(weight, min_size=width, max_size=width).filter(any),
-                         min_size=1, max_size=4))
-    cdf = np.cumsum(rows, axis=1)
-    cdf /= cdf[:, -1:]
+    rows = np.array(draw(st.lists(
+        st.lists(weight, min_size=width, max_size=width).filter(any),
+        min_size=1, max_size=4)))
+    table = CategoricalTable((len(rows),), rows / rows.sum(axis=1, keepdims=True))
     # 1.0 is a tie with every row's last entry: each inverter must clamp it
-    ties = sorted(set(cdf.ravel().tolist()))
+    ties = sorted(set(table.cdf.ravel().tolist()))
     unit = st.one_of(st.just(0.0), st.just(1.0), st.sampled_from(ties),
                      st.floats(0.0, 1.0, exclude_max=True))
     n = draw(st.integers(1, 30))
     ids = np.array(draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n)))
-    return (np.array(rows), cdf, ids,
-            np.array(draw(st.lists(unit, min_size=n, max_size=n))))
+    return table, ids, np.array(draw(st.lists(unit, min_size=n, max_size=n)))
 
 
 class TestCdfInverters:
     @given(cdf_rows_and_draws())
     @settings(derandomize=True, max_examples=300, deadline=None)
     def test_shared_helper_and_both_batched_forms_agree(self, case):
-        weights, cdf, ids, u = case
+        table, ids, u = case
+        cdf = table.cdf
         scalar = np.array([cdf_index(cdf[i], x) for i, x in zip(ids, u)])
         per_row = np.empty_like(scalar)
         for i in range(len(cdf)):
             per_row[ids == i] = cdf_index(cdf[i], u[ids == i])
         assert np.array_equal(scalar, per_row)
         assert np.array_equal(scalar, _inverse_cdf(cdf, ids, u))
-        # the planner's bucket lookup, for the draws in [0, 1) it is given
-        breaks, table = _bucket_table(weights, cdf)
-        assert len(breaks) <= ((weights > 0).sum(axis=1) - 1).sum()
+        # the bucket lookup that desugaring and the planner use, for the
+        # draws in [0, 1) it is given
+        breaks, buckets = table.buckets
+        assert len(breaks) <= ((table.values > 0).sum(axis=1) - 1).sum()
         unit = u < 1.0
         bucket = breaks.searchsorted(u[unit], side="right")
-        assert np.array_equal(scalar[unit], table[bucket, ids[unit]])
+        assert np.array_equal(scalar[unit], buckets[bucket, ids[unit]])

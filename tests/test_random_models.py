@@ -23,6 +23,8 @@ from causalplan.model import (
 from causalplan.scm import CategoricalTable, exact_query
 
 from helpers import (
+    assert_mechanism_rows_fold,
+    assert_transition_rows_fold,
     brute_force_optimum,
     buckets_of,
     determinized_optimum,
@@ -168,6 +170,14 @@ def test_bucket_count_is_bounded_by_the_nonzeros(model):
         rows = model.transition_matrix(mode).reshape(-1, model.n_states)
         assert last_trans <= ((rows > 0).sum(axis=1) - 1).sum()
         assert last_obs <= ((model._obs > 0).sum(axis=1) - 1).sum()
+
+
+@given(model=small_models())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_folds_equal_the_entrywise_loop(model):
+    # arbitrary successor tables: several outcomes often share a successor
+    assert_transition_rows_fold(model)
+    assert_mechanism_rows_fold(model)
 
 
 # sampled_from leans to its first entry: deep trees and a small xi, which

@@ -337,3 +337,17 @@ class TestSpecValidation:
         assert marginal.probs == pytest.approx(expected, abs=1e-12)
         given_u = exact_query(spec, "V", evidence={"U": 1})
         assert given_u.probs == pytest.approx([0.6, 0.1, 0.3], abs=1e-12)
+
+    def test_desugaring_keeps_a_sub_ulp_segment(self):
+        # the rows' first CDF values are one ulp apart, so the noise segment
+        # between them is too narrow for a midpoint lookup: it selects 0
+        # under P=1 and 1 under P=0
+        spec = ScmSpec(
+            exogenous=[(VariableId("P", 2), CategoricalTable((), [0.5, 0.5]))],
+            endogenous=[
+                (VariableId("X", 2), ("P",),
+                 CategoricalTable((2,), [[0.3, 0.7], [0.30000000000000004, 0.7]]))
+            ],
+        )
+        assert exact_query(spec, "X", evidence={"P": 0}).probs[0] == 0.3
+        assert exact_query(spec, "X", evidence={"P": 1}).probs[0] == 0.30000000000000004

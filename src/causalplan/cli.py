@@ -21,116 +21,102 @@ from .scm import CapacityError, ScmError, UsageError
 
 HIST_EDGES = np.arange(-60, 105, 5)
 
-DEFAULTS = {
-    "map": None,
-    "mode": "interventional",
-    "plan_model": "truth",
-    "params": None,
-    "episodes": 50,
-    "steps": 15,
-    "scenarios": 500,
-    "depth": 15,
-    "gamma": 0.95,
-    "xi": 0.95,
-    "lambda_": 0.01,
-    "budget_ms": None,
-    "budget_trials": 10000,
-    "seed": 0,
-    "out": "out",
-    "dataset_n": 100000,
-    "smoothing": 1.0,
-    "write_dataset": False,
-    "replay": None,
+_PLANNER = despot.PlannerConfig
+
+# Every command-line flag, once: dest -> (option string, default, argparse
+# keywords).  A config file may set any of them but ``config``.
+FLAGS = {
+    "config": ("--config", None, {"help": "JSON file of flag values; flags override"}),
+    "map": ("--map", None, {"help": "path to an ASCII map (default: shipped map)"}),
+    "gamma": ("--gamma", 0.95, {"type": float}),
+    "out": ("--out", "out", {"help": "output directory"}),
+    "mode": ("--mode", _PLANNER.mode.value,
+             {"choices": [mode.value for mode in TransitionMode]}),
+    "plan_model": ("--plan-model", "truth", {"choices": ["learned", "truth"]}),
+    "params": ("--params", None, {"help": "learned-parameter file"}),
+    "episodes": ("--episodes", 50, {"type": int}),
+    "steps": ("--steps", 15, {"type": int}),
+    "scenarios": ("--scenarios", _PLANNER.scenarios, {"type": int}),
+    "depth": ("--depth", _PLANNER.depth, {"type": int}),
+    "xi": ("--xi", _PLANNER.xi, {"type": float}),
+    "lambda_": ("--lambda", _PLANNER.regularization, {"type": float}),
+    "budget_ms": ("--budget-ms", _PLANNER.budget_ms, {"type": float}),
+    "budget_trials": ("--budget-trials", _PLANNER.budget_trials, {"type": int}),
+    "seed": ("--seed", 0, {"type": int}),
+    "dataset_n": ("--dataset-n", 100000, {"type": int}),
+    "smoothing": ("--smoothing", 1.0, {"type": float}),
+    "write_dataset": ("--write-dataset", False, {"action": "store_true"}),
+    "replay": ("--replay", None, {"help": "existing trace file to verify against"}),
 }
+DEFAULTS = {dest: default for dest, (_, default, _) in FLAGS.items() if dest != "config"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises each parse error as a ``UsageError``, which ``main`` reports
+    as ``error[usage]``; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="causalplan",
         description="Confounding-aware online POMDP planning experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON file of flag values; flags override")
-        p.add_argument("--map", help="path to an ASCII map (default: shipped map)")
-        p.add_argument("--mode", choices=["interventional", "observational"])
-        p.add_argument("--plan-model", dest="plan_model",
-                       choices=["learned", "truth"])
-        p.add_argument("--params", help="learned-parameter file")
-        p.add_argument("--episodes", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--scenarios", type=int)
-        p.add_argument("--depth", type=int)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--xi", type=float)
-        p.add_argument("--lambda", dest="lambda_", type=float)
-        p.add_argument("--budget-ms", dest="budget_ms", type=float)
-        p.add_argument("--budget-trials", dest="budget_trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--dataset-n", dest="dataset_n", type=int)
-        p.add_argument("--smoothing", type=float)
-
-    learn = sub.add_parser("learn", help="fit tables from privileged records")
-    add_common(learn)
-    learn.add_argument("--write-dataset", dest="write_dataset",
-                       action="store_true", default=None)
-
-    tables = sub.add_parser("tables", help="dump confounded-region tables")
-    add_common(tables)
-
-    ev = sub.add_parser("eval", help="batch episode evaluation")
-    add_common(ev)
-
-    sim = sub.add_parser("simulate", help="trace one episode")
-    add_common(sim)
-    sim.add_argument("--replay", help="existing trace file to verify against")
-
-    # config values are held to the flag of that name in any command, so a
-    # config shared between commands is checked whole
-    flags = {flag.dest: flag for p in sub.choices.values() for flag in p._actions}
-    parser.set_defaults(config_flags=flags)
+    for name, (help_text, _, dests) in COMMANDS.items():
+        # a flag not given sets no attribute, so the config file can fill it
+        command = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for dest in dests:
+            option, _, keywords = FLAGS[dest]
+            command.add_argument(option, dest=dest, **keywords)
     return parser
 
 
-def _config_value(key: str, value, flag: argparse.Action | None):
+def _config_value(key: str, value):
     """A config file's ``value`` for ``key``, held to the type and choices
-    its command-line ``flag`` declares; a bare switch takes a boolean."""
-    if flag is None or (value is None and DEFAULTS[key] is None):
+    of its flag in ``FLAGS``; a switch takes a boolean."""
+    _, default, keywords = FLAGS[key]
+    if value is None and default is None:
         return value
-    kind = bool if flag.nargs == 0 else flag.type or str
+    kind = bool if keywords.get("action") == "store_true" else keywords.get("type", str)
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
         raise UsageError(f"config value {key}={value!r} is not of type {kind.__name__}")
-    if flag.choices and value not in flag.choices:
-        raise UsageError(f"config value {key}={value!r} is not one of {flag.choices}")
+    choices = keywords.get("choices")
+    if choices and value not in choices:
+        raise UsageError(f"config value {key}={value!r} is not one of {choices}")
     try:
         return kind(value)
     except OverflowError:
         raise UsageError(f"config value {key}={value!r} is out of range") from None
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    options = dict(DEFAULTS)
-    if getattr(args, "config", None):
+def _merge_options(flags: dict) -> dict:
+    """Every option of a command: the flags given on its command line over
+    the values of its ``--config`` file over ``DEFAULTS``.  The file may
+    hold any command's keys, so one file can serve several commands."""
+    options = {}
+    path = flags.pop("config", None)
+    if path:
         try:
-            loaded = json.loads(_read_text(args.config))
+            loaded = json.loads(_read_text(path))
         except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
-            raise UsageError(f"{args.config}: {exc}") from None
+            raise UsageError(f"{path}: {exc}") from None
         if not isinstance(loaded, dict):
-            raise UsageError(f"{args.config}: config must be a JSON object")
+            raise UsageError(f"{path}: config must be a JSON object")
         for key, value in loaded.items():
             key = key.replace("-", "_")
             if key == "lambda":
                 key = "lambda_"
-            if key not in options:
+            if key not in DEFAULTS:
                 raise UsageError(f"unknown config key {key!r}")
-            options[key] = _config_value(key, value, args.config_flags.get(key))
-    for key in options:
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
+            options[key] = _config_value(key, value)
+    options.update(flags)
+    if options.get("budget_ms") is not None:
+        options.setdefault("budget_trials", None)  # an ms budget replaces the default trial cap
+    options = {**DEFAULTS, **options}
     if not 0 < options["gamma"] < 1:
         raise UsageError("gamma must lie in (0, 1)")
     return options
@@ -165,15 +151,12 @@ def _load_map(options) -> gridworld.GridMap:
 
 
 def _planner_config(options) -> despot.PlannerConfig:
-    budget_trials = options["budget_trials"]
-    if options["budget_ms"] is not None and options["budget_trials"] == DEFAULTS["budget_trials"]:
-        budget_trials = None  # an explicit ms budget replaces the default trial cap
     return despot.PlannerConfig(
         scenarios=options["scenarios"],
         depth=options["depth"],
         xi=options["xi"],
         regularization=options["lambda_"],
-        budget_trials=budget_trials,
+        budget_trials=options["budget_trials"],
         budget_ms=options["budget_ms"],
         mode=TransitionMode(options["mode"]),
         seed=options["seed"],
@@ -345,18 +328,25 @@ def cmd_simulate(options) -> int:
     return 0
 
 
+_SHARED = ("config", "map", "gamma", "out")
+_PLANNING = ("mode", "plan_model", "params", "steps", "scenarios", "depth", "xi",
+             "lambda_", "budget_ms", "budget_trials", "seed")
+# command -> (help text, handler, the dests of the flags it reads)
+COMMANDS = {
+    "learn": ("fit tables from privileged records", cmd_learn,
+              (*_SHARED, "dataset_n", "smoothing", "seed", "write_dataset")),
+    "tables": ("dump confounded-region tables", cmd_tables,
+               (*_SHARED, "plan_model", "params")),
+    "eval": ("batch episode evaluation", cmd_eval, (*_SHARED, *_PLANNING, "episodes")),
+    "simulate": ("trace one episode", cmd_simulate, (*_SHARED, *_PLANNING, "replay")),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        options = _merge_options(args)
-        handler = {
-            "learn": cmd_learn,
-            "tables": cmd_tables,
-            "eval": cmd_eval,
-            "simulate": cmd_simulate,
-        }[args.command]
-        return handler(options)
+        flags = vars(build_parser().parse_args(argv))
+        _, handler, _ = COMMANDS[flags.pop("command")]
+        return handler(_merge_options(flags))
     except (UsageError, gridworld.MapParseError) as exc:
         sys.stderr.write(f"error[usage]: {exc}\n")
         return 2

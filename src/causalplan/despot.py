@@ -13,6 +13,7 @@ causally-informed planner.
 
 from __future__ import annotations
 
+import sys
 import time
 import weakref
 from dataclasses import dataclass, field, replace
@@ -27,7 +28,7 @@ from .model import (
     belief_update,
     deterministic_step,
 )
-from .scm import UsageError
+from .scm import CapacityError, UsageError
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,8 @@ def sample_scenarios(
     """
     if count < 1:
         raise UsageError("scenario count must be >= 1")
+    if count * depth * 16 > sys.maxsize:  # the streams' bytes; numpy's array limit
+        raise CapacityError(f"{count} scenarios of depth {depth} exceed the largest array")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     starts = belief.sample(rng, count)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
@@ -213,15 +216,27 @@ class DespotTree:
         self.n_expansions = 0
         self.n_trials = 0
         k = config.scenarios
-        self.root = root = DespotNode(0, np.arange(k), starts, k)
+        ids = np.arange(k)
+        self.root = self._node(0, ids, starts,
+                               self.scenario_bounds.tables[:, 0].reshape(2, -1)
+                               .take(starts * k + ids, axis=1))
         # the default policy's action at the root's most common state
         counts = np.bincount(starts, minlength=model.n_states)
         self.default_action = int(model.rollout_policy[int(np.argmax(counts))])
-        low = self.scenario_bounds.lower[0][starts, root.scenario_ids]
-        up = self.scenario_bounds.upper[0][starts, root.scenario_ids]
-        root.default_value = float(np.add.reduce(low) / k) - config.regularization
-        root.lower = root.default_value
-        root.upper = float(np.add.reduce(up) / k)
+
+    def _node(self, depth: int, scenario_ids: np.ndarray, states: np.ndarray,
+              cells: np.ndarray) -> DespotNode:
+        """A new node with its first bounds, from ``cells``, its scenarios'
+        ``(2, count)`` lower and upper table entries: the mean default-policy
+        return less the regularization is its default value and lower
+        bound, the mean clairvoyant return its upper bound."""
+        node = DespotNode(depth, scenario_ids, states, self.config.scenarios)
+        # np.add.reduce(row) / len(row) is what np.mean computes: the same
+        # pairwise sum over the same contiguous values, also along axis 1
+        low, up = np.add.reduce(cells, axis=1).tolist()
+        node.default_value = node.lower = low / node.count - self.config.regularization
+        node.upper = up / node.count
+        return node
 
     # -- trial machinery --------------------------------------------------------
 
@@ -240,18 +255,12 @@ class DespotTree:
         key, s2, ids = key.take(order), s2.take(order), node.scenario_ids.take(order % m)
         # row 0 the lower, row 1 the upper table at each child's cells
         lu = self.scenario_bounds.tables[:, d + 1].reshape(2, -1).take(s2 * k + ids, axis=1)
-        # np.add.reduce(seg) / len(seg) is what np.mean computes: the same
-        # pairwise sum over the same contiguous values, also along axis 1
         edges = [ActionEdge(total / m) for total in np.add.reduce(r, axis=1).tolist()]
         starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
         for lo, hi, ak in zip(starts, starts[1:] + [len(key)], key[starts].tolist()):
             a, obs = divmod(ak, model.n_observations)
-            child = DespotNode(d + 1, ids[lo:hi], s2[lo:hi], k)
-            low, up = np.add.reduce(lu[:, lo:hi], axis=1).tolist()
-            child.default_value = low / (hi - lo) - config.regularization
-            child.lower = child.default_value
-            child.upper = up / (hi - lo)
-            edges[a].children.append((obs, child))
+            edges[a].children.append(
+                (obs, self._node(d + 1, ids[lo:hi], s2[lo:hi], lu[:, lo:hi])))
         node.children = edges
         self.n_expansions += 1
 

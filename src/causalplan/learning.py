@@ -11,12 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import TransitionMode, UcPomdpModel
-from .scm import CategoricalTable, UsageError, kl_divergence
+from .scm import CapacityError, CategoricalTable, UsageError, kl_divergence
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,8 @@ def generate_dataset(model: UcPomdpModel, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise UsageError("n must be >= 1")
+    if n * 8 > sys.maxsize:  # the bytes of an (n,) float64 draw; numpy's array limit
+        raise CapacityError(f"{n} records exceed the largest array")
     if seed < 0:
         raise UsageError("seed must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 10)))

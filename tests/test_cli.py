@@ -340,8 +340,7 @@ class TestUsageErrors:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\xff\xfe\x00G")
         self.expect_usage_error(capsys, [
-            command, flag, str(bad), "--episodes", "1", "--steps", "1",
-            "--out", str(tmp_path), *FAST,
+            command, flag, str(bad), "--steps", "1", "--out", str(tmp_path), *FAST,
         ], str(bad))
 
     @pytest.mark.parametrize("args, fragment", [
@@ -413,6 +412,15 @@ class TestUsageErrors:
         assert run([*command, "--params", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error[model]:")
 
+    @pytest.mark.parametrize("args", [
+        ["eval", "--scenarios", "1" + "0" * 30, "--episodes", "1", "--steps", "1"],
+        ["eval", "--depth", str(2 ** 62), "--episodes", "1", "--steps", "1"],
+        ["learn", "--dataset-n", "1" + "0" * 23],
+    ])
+    def test_size_beyond_any_array_is_a_capacity_error(self, tmp_path, capsys, args):
+        assert run([*args, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith("error[capacity]:")
+
     def test_out_of_memory_is_a_capacity_error(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 14.9 GiB")
@@ -420,6 +428,95 @@ class TestUsageErrors:
         assert run(["eval", "--episodes", "1", "--steps", "1",
                     "--out", str(tmp_path), *FAST]) == 4
         assert capsys.readouterr().err == "error[capacity]: Unable to allocate 14.9 GiB\n"
+
+
+# each command's flags, spelled out here so that a change to cli.COMMANDS shows
+SHARED_FLAGS = {"--config", "--map", "--gamma", "--out"}
+PLANNING_FLAGS = {
+    "--mode", "--plan-model", "--params", "--steps", "--scenarios", "--depth", "--xi",
+    "--lambda", "--budget-ms", "--budget-trials", "--seed",
+}
+COMMAND_FLAGS = {
+    "learn": SHARED_FLAGS | {"--dataset-n", "--smoothing", "--seed", "--write-dataset"},
+    "tables": SHARED_FLAGS | {"--plan-model", "--params"},
+    "eval": SHARED_FLAGS | PLANNING_FLAGS | {"--episodes"},
+    "simulate": SHARED_FLAGS | PLANNING_FLAGS | {"--replay"},
+}
+# a value each flag parses, as (argv words, parsed value)
+FLAG_VALUES = {
+    "--config": (["c.json"], "c.json"), "--map": (["m.map"], "m.map"),
+    "--gamma": (["0.9"], 0.9), "--out": (["o"], "o"),
+    "--dataset-n": (["10"], 10), "--smoothing": (["2"], 2.0), "--seed": (["3"], 3),
+    "--write-dataset": ([], True), "--plan-model": (["learned"], "learned"),
+    "--params": (["p.txt"], "p.txt"), "--mode": (["observational"], "observational"),
+    "--steps": (["4"], 4), "--scenarios": (["5"], 5), "--depth": (["6"], 6),
+    "--xi": (["0.5"], 0.5), "--lambda": (["0.1"], 0.1), "--budget-ms": (["7"], 7.0),
+    "--budget-trials": (["8"], 8), "--episodes": (["9"], 9), "--replay": (["t.csv"], "t.csv"),
+}
+ALL_FLAGS = sorted(FLAG_VALUES)
+
+
+class TestFlags:
+    def test_commands_take_46_flags_of_20(self):
+        assert sum(map(len, COMMAND_FLAGS.values())) == 46
+        assert set().union(*COMMAND_FLAGS.values()) == set(ALL_FLAGS)
+        assert set(cli.COMMANDS) == set(COMMAND_FLAGS)
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in COMMAND_FLAGS.items() for flag in sorted(flags)
+    ])
+    def test_each_flag_of_a_command_parses(self, command, flag):
+        words, value = FLAG_VALUES[flag]
+        parsed = vars(cli.build_parser().parse_args([command, flag, *words]))
+        dest = next(dest for dest, (option, _, _) in cli.FLAGS.items() if option == flag)
+        assert parsed == {"command": command, dest: value}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in COMMAND_FLAGS.items()
+        for flag in ALL_FLAGS if flag not in flags
+    ])
+    def test_another_commands_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        words, _ = FLAG_VALUES[flag]
+        assert run([command, flag, *words, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error[usage]: unrecognized arguments: {' '.join([flag, *words])}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args, fragment", [
+        (["eval", "--bogus"], "unrecognized arguments: --bogus"),
+        (["eval", "--episodes", "x"], "argument --episodes: invalid int value: 'x'"),
+        ([], "required: command"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ])
+    def test_parse_error_is_a_usage_error(self, capsys, args, fragment):
+        assert run(args) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error[usage]:") and fragment in err
+        assert "usage:" not in out + err.removeprefix("error[usage]:")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(["eval", "-h"])
+        assert exit_.value.code == 0
+        assert "--episodes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, config, budget_trials", [
+        (["--budget-ms", "5"], {}, None),
+        (["--budget-ms", "5", "--budget-trials", "10000"], {}, 10000),
+        (["--budget-ms", "5", "--budget-trials", "9999"], {}, 9999),
+        (["--budget-ms", "5"], {"budget_trials": 10000}, 10000),
+        ([], {"budget_ms": 5}, None),
+        ([], {"budget_ms": 5, "budget_trials": 10000}, 10000),
+        ([], {}, despot.PlannerConfig.budget_trials),
+    ])
+    def test_only_an_unset_trial_budget_gives_way_to_an_ms_budget(
+            self, tmp_path, argv, config, budget_trials):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        flags = vars(cli.build_parser().parse_args(
+            ["eval", "--config", str(cfg_path), *argv]))
+        del flags["command"]
+        assert cli._planner_config(cli._merge_options(flags)).budget_trials == budget_trials
 
 
 MAP_BYTES = st.one_of(

@@ -60,14 +60,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: README's spellings are the only ones accepted
     parser = _Parser(
         prog="causalplan",
+        allow_abbrev=False,
         description="Confounding-aware online POMDP planning experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, dests) in COMMANDS.items():
         # a flag not given sets no attribute, so the config file can fill it
-        command = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        command = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS,
+                                 allow_abbrev=False)
         for dest in dests:
             option, _, keywords = FLAGS[dest]
             command.add_argument(option, dest=dest, **keywords)
@@ -99,7 +102,7 @@ def _merge_options(flags: dict) -> dict:
     hold any command's keys, so one file can serve several commands."""
     options = {}
     path = flags.pop("config", None)
-    if path:
+    if path is not None:
         try:
             loaded = json.loads(_read_text(path))
         except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
@@ -145,7 +148,7 @@ def _out_dir(options) -> Path:
 
 
 def _load_map(options) -> gridworld.GridMap:
-    if options["map"]:
+    if options["map"] is not None:
         return gridworld.parse_map(_read_text(options["map"]))
     return gridworld.default_map()
 
@@ -166,7 +169,7 @@ def _planner_config(options) -> despot.PlannerConfig:
 def _plan_model(options, truth: UcPomdpModel) -> UcPomdpModel:
     if options["plan_model"] == "truth":
         return truth
-    if not options["params"]:
+    if options["params"] is None:
         raise UsageError("--plan-model learned requires --params")
     params = learning.load_params(options["params"])
     return learning.assemble_model(truth, params)
@@ -224,7 +227,7 @@ def cmd_tables(options) -> int:
     grid = _load_map(options)
     truth = gridworld.build_model(grid, options["gamma"])
     sources = [("truth", truth)]
-    if options["params"]:
+    if options["params"] is not None:
         params = learning.load_params(options["params"])
         sources.append(("learned", learning.assemble_model(truth, params)))
     elif options["plan_model"] == "learned":
@@ -319,7 +322,7 @@ def cmd_simulate(options) -> int:
     (out / "trace.csv").write_text(body)
     sys.stdout.write(body)
 
-    if options["replay"]:
+    if options["replay"] is not None:
         stored = _read_text(options["replay"])
         if stored != body:
             sys.stderr.write("error[replay]: trace does not match the stored file\n")

@@ -339,17 +339,6 @@ class DespotTree:
     def bounds(self) -> tuple[float, float]:
         return self.root.lower, self.root.upper
 
-    def nodes(self):
-        """All nodes, parents before children."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.children is not None:
-                for edge in node.children:
-                    for _, child in edge.children:
-                        stack.append(child)
-
 
 def search(
     belief: Belief, model: UcPomdpModel, config: PlannerConfig

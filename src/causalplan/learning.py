@@ -30,9 +30,23 @@ class DatasetMeta:
     n_ds: int
 
 
+def _category_column(name: str, values, arity: int) -> np.ndarray:
+    """``values`` in the smallest unsigned type holding ``[0, arity)``; a
+    non-integer column or a value outside that range is a usage error, so
+    the cast never wraps.  A column already of that type is not copied."""
+    column = np.asarray(values)
+    if column.dtype.kind not in "biu":
+        raise UsageError(f"dataset column {name} is not integer")
+    if len(column) and ((column.dtype.kind == "i" and column.min() < 0)
+                        or column.max() >= arity):
+        raise UsageError(f"dataset column {name} has a value outside [0, {arity})")
+    return column.astype(np.min_scalar_type(arity - 1), copy=False)
+
+
 class Dataset:
     """Columnar store of privileged records: region flag, confounder,
-    action and relative outcome, one array each."""
+    action and relative outcome, one array each; the three category
+    columns are held in the smallest unsigned type of their arity."""
 
     def __init__(self, uc: np.ndarray, u: np.ndarray, a: np.ndarray,
                  ds: np.ndarray, meta: DatasetMeta):
@@ -40,9 +54,9 @@ class Dataset:
         if not (len(u) == len(a) == len(ds) == n == meta.n_records):
             raise UsageError("dataset columns disagree on length")
         self.uc = np.asarray(uc, dtype=bool)
-        self.u = np.asarray(u, dtype=np.int64)
-        self.a = np.asarray(a, dtype=np.int64)
-        self.ds = np.asarray(ds, dtype=np.int64)
+        self.u = _category_column("u", u, meta.n_u)
+        self.a = _category_column("a", a, meta.n_a)
+        self.ds = _category_column("ds", ds, meta.n_ds)
         self.meta = meta
 
     def __len__(self) -> int:
@@ -70,9 +84,12 @@ def _inverse_cdf(cdf: np.ndarray, rows, draws: np.ndarray) -> np.ndarray:
     """Category of ``draws[i]`` under CDF row ``cdf[rows[i]]`` (``rows`` may
     be a scalar), as :func:`~causalplan.scm.cdf_index` counts it.  Rows end
     at 1.0, so counting the first ``width - 1`` columns gives the clamped
-    count, one column at a time and without an (n, width) gather."""
-    out = np.zeros(len(draws), dtype=np.int64)
-    for j in range(cdf.shape[1] - 1):
+    count, one column at a time and without an (n, width) gather, in the
+    smallest unsigned type that holds ``width - 1``."""
+    width = cdf.shape[1]
+    rows = np.asarray(rows).astype(np.intp, copy=False)
+    out = np.zeros(len(draws), dtype=np.min_scalar_type(width - 1))
+    for j in range(width - 1):
         out += np.take(cdf[:, j], rows) <= draws
     return out
 
@@ -113,7 +130,9 @@ def generate_dataset(model: UcPomdpModel, n: int, seed: int) -> Dataset:
 
     ds_draws = rng.random(n)
     ds = _inverse_cdf(model.p_0.cdf, a, ds_draws)
-    ds[region] = _inverse_cdf(model.p_uc.cdf, a_region * model.n_confounder + u_region,
+    # widened first: the narrow columns would wrap under either numpy's promotion
+    ds[region] = _inverse_cdf(model.p_uc.cdf,
+                              a_region.astype(np.intp) * model.n_confounder + u_region,
                               ds_draws.take(region))
 
     meta = DatasetMeta(
@@ -144,14 +163,20 @@ def fit(dataset: Dataset, smoothing: float = 1.0) -> LearnedParams:
     if not math.isfinite(len(dataset) + max(n_u, n_ds) * smoothing):
         raise UsageError(f"smoothing {smoothing!r} overflows a row's total")
 
-    u_counts = np.bincount(dataset.u, minlength=n_u).astype(float)
+    # one count over (region flag, action, confounder, outcome), keyed in
+    # the smallest type of its cells; every table below sums it in integers
+    n_cells = 2 * n_a * n_u * n_ds
+    cell = np.min_scalar_type(n_cells - 1).type
+    key = dataset.uc.astype(cell)
+    for column, arity in ((dataset.a, n_a), (dataset.u, n_u), (dataset.ds, n_ds)):
+        key *= cell(arity)
+        key += column
+    joint = np.bincount(key, minlength=n_cells).reshape(2, n_a, n_u, n_ds)
+    u_counts = joint.sum(axis=(0, 1, 3)).astype(float)
     p_u = (u_counts + smoothing) / (u_counts.sum() + n_u * smoothing)
-    # one count over (action, confounder or n_u outside the region, outcome)
-    u_or_free = np.where(dataset.uc, dataset.u, n_u)
-    counts = np.bincount(
-        (dataset.a * (n_u + 1) + u_or_free) * n_ds + dataset.ds,
-        minlength=n_a * (n_u + 1) * n_ds,
-    ).astype(float).reshape(n_a, n_u + 1, n_ds)
+    # (action, confounder or n_u outside the region, outcome)
+    counts = np.concatenate([joint[1], joint[0].sum(axis=1, keepdims=True)],
+                            axis=1).astype(float)
     row_totals = counts.sum(axis=2)
     probs = (counts + smoothing) / (row_totals[..., None] + n_ds * smoothing)
 

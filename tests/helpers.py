@@ -265,6 +265,18 @@ def buckets_of(model, phi1, phi2, mode):
     return ids[..., 0], ids[..., 1]
 
 
+def tree_nodes(tree):
+    """Every node of a ``DespotTree``, parents before children."""
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.children is not None:
+            for edge in node.children:
+                for _, child in edge.children:
+                    stack.append(child)
+
+
 def dist_prob(dist, category) -> float:
     """Probability of ``category`` in a :class:`~causalplan.scm.Dist`."""
     return float(dist.probs[dist.support.index(category)])

@@ -494,6 +494,30 @@ class TestFlags:
         assert err.startswith("error[usage]:") and fragment in err
         assert "usage:" not in out + err.removeprefix("error[usage]:")
 
+    @pytest.mark.parametrize("args", [
+        ["eval", "--scen", "10"],
+        ["eval", "--ep", "2"],
+        ["eval", "--budget-t", "5"],
+        ["learn", "--dataset", "100"],
+        ["simulate", "--rep", "trace.csv"],
+    ])
+    def test_abbreviated_flag_is_a_usage_error(self, tmp_path, capsys, args):
+        assert run([*args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error[usage]: unrecognized arguments: {' '.join(args[1:])}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--replay", "", "--steps", "1", *FAST],
+        ["eval", "--map", ""],
+        ["simulate", "--plan-model", "learned", "--params", ""],
+        ["tables", "--params", ""],
+        ["eval", "--config", ""],
+    ])
+    def test_empty_path_is_not_an_absent_one(self, tmp_path, capsys, args):
+        assert run([*args, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error[io]:")
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             run(["eval", "-h"])

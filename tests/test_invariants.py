@@ -38,6 +38,7 @@ from helpers import (
     permuted,
     specs_equal,
     total_variation,
+    tree_nodes,
     two_state_model,
 )
 
@@ -201,7 +202,7 @@ class TestPlannerInvariants:
         for seed, belief in enumerate(beliefs):
             for mode in (INT, OBS):
                 tree, _, _ = self._searched_tree(truth, belief, mode, 200, seed)
-                nodes.extend(tree.nodes())
+                nodes.extend(tree_nodes(tree))
         assert len(nodes) > 1000
         for node in nodes:
             assert node.lower <= node.upper + 1e-6
@@ -216,7 +217,7 @@ class TestPlannerInvariants:
 
     def test_scenario_subsets_partition_parent(self, truth):
         tree, _, _ = self._searched_tree(truth, truth.initial_belief, OBS, 300, 17)
-        for node in tree.nodes():
+        for node in tree_nodes(tree):
             if node.children is None:
                 continue
             parent_ids = set(node.scenario_ids.tolist())
@@ -244,7 +245,7 @@ class TestPlannerInvariants:
                 break
             tree, _, _ = self._searched_tree(model, belief, mode, 300, 3)
             config, table = tree.config, tree.scenario_bounds
-            for node in tree.nodes():
+            for node in tree_nodes(tree):
                 if node.children is None:
                     continue
                 expanded += 1

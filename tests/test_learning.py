@@ -6,6 +6,7 @@ import pytest
 from causalplan.learning import (
     Dataset,
     DatasetMeta,
+    _inverse_cdf,
     assemble_model,
     eval_kl_full_transition,
     fit,
@@ -16,7 +17,7 @@ from causalplan.learning import (
     save_params,
 )
 from causalplan.model import TransitionMode
-from causalplan.scm import UsageError
+from causalplan.scm import CategoricalTable, UsageError, cdf_index
 
 from helpers import (
     generate_dataset_two_branch,
@@ -59,6 +60,20 @@ class TestGenerateDataset:
             for col in ("uc", "u", "a", "ds"):
                 assert np.array_equal(getattr(got, col), getattr(want, col)), col
 
+    def test_shipped_map_columns_are_uint8(self, dataset_100k):
+        for col in ("u", "a", "ds"):
+            assert getattr(dataset_100k, col).dtype == np.uint8, col
+
+    def test_inverse_cdf_matches_cdf_index_over_300_categories(self):
+        rng = np.random.default_rng(5)
+        table = CategoricalTable((6,), rng.dirichlet(np.full(300, 0.3), size=6))
+        rows = rng.integers(0, 6, size=5_000)
+        draws = rng.random(5_000)
+        got = _inverse_cdf(table.cdf, rows, draws)
+        assert got.dtype == np.uint16
+        want = [cdf_index(table.cdf[r], d) for r, d in zip(rows, draws)]
+        assert np.array_equal(got, want)
+
     def test_deterministic_given_seed(self, truth):
         a = generate_dataset(truth, 5_000, seed=7)
         b = generate_dataset(truth, 5_000, seed=7)
@@ -79,6 +94,29 @@ class TestFit:
         )
         params = fit(ds, smoothing=1.0)
         assert params.p_u.values[0] == pytest.approx([1 / 11, 9 / 11, 1 / 11])
+
+    def test_joint_count_with_a_16_bit_key_matches_add_at(self):
+        n_u, n_a, n_ds, n = 5, 9, 4, 20_000  # 360 cells
+        rng = np.random.default_rng(3)
+        uc = rng.random(n) < 0.4
+        u, a, ds = (rng.integers(0, k, size=n) for k in (n_u, n_a, n_ds))
+        meta = DatasetMeta(seed=0, model_name="wide", n_records=n,
+                           n_u=n_u, n_a=n_a, n_ds=n_ds)
+        params = fit(Dataset(uc, u, a, ds, meta), smoothing=0.5)
+        region = np.zeros((n_a, n_u, n_ds), dtype=np.int64)
+        free = np.zeros((n_a, n_ds), dtype=np.int64)
+        np.add.at(region, (a[uc], u[uc], ds[uc]), 1)
+        np.add.at(free, (a[~uc], ds[~uc]), 1)
+        u_count = np.zeros(n_u, dtype=np.int64)
+        np.add.at(u_count, u, 1)
+        assert np.array_equal(params.meta.u_count, u_count)
+        assert np.array_equal(params.meta.uc_row_counts, region.sum(axis=2).ravel())
+        assert np.array_equal(params.meta.free_row_counts, free.sum(axis=1))
+        region_rows = region.reshape(n_a * n_u, n_ds)
+        assert np.array_equal(params.p_uc.values, (region_rows + 0.5)
+                              / (region_rows.sum(axis=1, keepdims=True) + n_ds * 0.5))
+        assert np.array_equal(params.p_0.values, (free + 0.5)
+                              / (free.sum(axis=1, keepdims=True) + n_ds * 0.5))
 
     def test_smoothing_lower_bounds_every_entry(self, dataset_100k):
         params = fit(dataset_100k, smoothing=1.0)
@@ -115,6 +153,32 @@ class TestFit:
     def test_rejects_empty_or_bad_smoothing(self, dataset_100k):
         with pytest.raises(UsageError):
             fit(dataset_100k, smoothing=0.0)
+
+
+class TestDatasetColumns:
+    @pytest.mark.parametrize("col, value", [("u", 3), ("a", 4), ("ds", 7), ("u", -1),
+                                            ("a", -200)])
+    def test_value_outside_arity_is_a_usage_error(self, col, value):
+        meta = DatasetMeta(seed=0, model_name="hand", n_records=4,
+                           n_u=3, n_a=4, n_ds=4)
+        columns = {"u": np.zeros(4, dtype=np.int64), "a": np.zeros(4, dtype=np.int64),
+                   "ds": np.zeros(4, dtype=np.int64)}
+        columns[col][2] = value
+        with pytest.raises(UsageError, match=f"column {col}"):
+            Dataset(np.zeros(4, dtype=bool), meta=meta, **columns)
+
+    def test_column_of_floats_is_a_usage_error(self):
+        meta = DatasetMeta(seed=0, model_name="hand", n_records=2,
+                           n_u=3, n_a=4, n_ds=4)
+        with pytest.raises(UsageError, match="not integer"):
+            Dataset(np.zeros(2, dtype=bool), np.zeros(2), np.zeros(2, dtype=np.int64),
+                    np.zeros(2, dtype=np.int64), meta)
+
+    def test_narrow_column_is_not_copied(self, dataset_100k):
+        rebuilt = Dataset(dataset_100k.uc, dataset_100k.u, dataset_100k.a,
+                          dataset_100k.ds, dataset_100k.meta)
+        for col in ("uc", "u", "a", "ds"):
+            assert getattr(rebuilt, col) is getattr(dataset_100k, col), col
 
 
 class TestAssembleModel:

@@ -31,6 +31,7 @@ from helpers import (
     free_roam_model,
     reach_mask,
     scalar_bounds,
+    tree_nodes,
 )
 
 MODES = st.sampled_from(list(TransitionMode))
@@ -192,7 +193,7 @@ def test_every_node_holds_its_scenarios_optimum(model, seed, mode, k, depth, xi,
     config = PlannerConfig(scenarios=k, depth=depth, mode=mode, seed=seed, xi=xi,
                            regularization=regularization, budget_trials=200)
     tree = searched_tree(model, config, model.initial_belief)
-    for node in tree.nodes():
+    for node in tree_nodes(tree):
         optimum = determinized_optimum(model, node.states,
                                        tree.streams[node.scenario_ids],
                                        node.depth, depth, mode)
@@ -233,7 +234,7 @@ def test_searches_on_the_map_never_read_an_unreached_cell(truth, mode):
         for _ in range(config.budget_trials):
             tree.run_trial()
         assert tree.n_expansions > 1
-        assert all(np.isfinite([node.lower, node.upper]).all() for node in tree.nodes())
+        assert all(np.isfinite([node.lower, node.upper]).all() for node in tree_nodes(tree))
 
 
 @given(model=small_models(), seed=SEEDS, mode=MODES)

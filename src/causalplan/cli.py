@@ -190,7 +190,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def cmd_learn(options) -> int:
+def _cmd_learn(options) -> int:
     grid = _load_map(options)
     truth = gridworld.build_model(grid, options["gamma"])
     out = _out_dir(options)
@@ -223,7 +223,7 @@ def cmd_learn(options) -> int:
     return 0
 
 
-def cmd_tables(options) -> int:
+def _cmd_tables(options) -> int:
     grid = _load_map(options)
     truth = gridworld.build_model(grid, options["gamma"])
     sources = [("truth", truth)]
@@ -236,19 +236,15 @@ def cmd_tables(options) -> int:
     lines = ["source,mode,action," + ",".join(truth.ds_labels)]
     for source, model in sources:
         for mode in (TransitionMode.INTERVENTIONAL, TransitionMode.OBSERVATIONAL):
-            for a, action in enumerate(model.actions):
-                probs = model.relative_transition_dist(True, a, mode).probs
-                lines.append(
-                    f"{source},{mode.value},{action},"
-                    + ",".join(_fmt(v) for v in probs)
-                )
+            for action, probs in zip(model.actions, model.region_rows(mode)):
+                lines.append(f"{source},{mode.value},{action}," + ",".join(map(_fmt, probs)))
     body = "\n".join(lines) + "\n"
     (out / "tables.csv").write_text(body)
     sys.stdout.write(body)
     return 0
 
 
-def cmd_eval(options) -> int:
+def _cmd_eval(options) -> int:
     if options["episodes"] < 1:
         raise UsageError("--episodes must be >= 1")
     grid = _load_map(options)
@@ -309,7 +305,7 @@ def _trace_lines(model: UcPomdpModel, trace: despot.EpisodeTrace) -> list[str]:
     return lines
 
 
-def cmd_simulate(options) -> int:
+def _cmd_simulate(options) -> int:
     grid = _load_map(options)
     truth = gridworld.build_model(grid, options["gamma"])
     plan = _plan_model(options, truth)
@@ -336,12 +332,12 @@ _PLANNING = ("mode", "plan_model", "params", "steps", "scenarios", "depth", "xi"
              "lambda_", "budget_ms", "budget_trials", "seed")
 # command -> (help text, handler, the dests of the flags it reads)
 COMMANDS = {
-    "learn": ("fit tables from privileged records", cmd_learn,
+    "learn": ("fit tables from privileged records", _cmd_learn,
               (*_SHARED, "dataset_n", "smoothing", "seed", "write_dataset")),
-    "tables": ("dump confounded-region tables", cmd_tables,
+    "tables": ("dump confounded-region tables", _cmd_tables,
                (*_SHARED, "plan_model", "params")),
-    "eval": ("batch episode evaluation", cmd_eval, (*_SHARED, *_PLANNING, "episodes")),
-    "simulate": ("trace one episode", cmd_simulate, (*_SHARED, *_PLANNING, "replay")),
+    "eval": ("batch episode evaluation", _cmd_eval, (*_SHARED, *_PLANNING, "episodes")),
+    "simulate": ("trace one episode", _cmd_simulate, (*_SHARED, *_PLANNING, "replay")),
 }
 
 

@@ -213,6 +213,14 @@ class DespotTree:
         # the smallest integer type of the (action, observation) sort keys,
         # so the stable argsort of _expand is a radix sort
         self._key_type = np.min_scalar_type(model.n_actions * model.n_observations - 1)
+        # per depth d, the share xi * discount ** -(d + 1) of the root gap a child
+        # must exceed to be descended into; inf where the power overflows
+        self._gap_scale = []
+        for d in range(config.depth):
+            try:
+                self._gap_scale.append(config.xi * model.discount ** (-(d + 1)))
+            except OverflowError:
+                self._gap_scale.append(np.inf)
         self.n_expansions = 0
         self.n_trials = 0
         k = config.scenarios
@@ -298,7 +306,7 @@ class DespotTree:
                 if edge.q_upper > best_q:
                     best_edge, best_q = edge, edge.q_upper
             # each child's weighted excess uncertainty; all sit at depth + 1
-            target = self.config.xi * self.model.discount ** (-(node.depth + 1)) * root_gap
+            target = self._gap_scale[node.depth] * root_gap
             best_child, best_weu = None, -np.inf
             for _, child in best_edge.children:
                 weu = child.weight * (child.upper - child.lower - target)

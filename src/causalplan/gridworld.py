@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .model import UcPomdpModel
-from .scm import CategoricalTable, Dist
+from .scm import CategoricalTable
 
 ACTIONS = ("RIGHT", "UP", "LEFT", "DOWN")
 # headings in degrees, grid frame: RIGHT=0 (east), counterclockwise positive
@@ -153,15 +153,16 @@ def effective_heading(action: int, error: int) -> int:
     return (ACTION_HEADINGS[action] + error) % 360
 
 
-def relative_transition(action: int, error: int, in_region: bool) -> Dist:
-    """Relative-move distribution: 90% forward along the effective heading,
-    5% drift to either side.  Outside the region the error is inert."""
+def relative_transition(action: int, error: int, in_region: bool) -> np.ndarray:
+    """Read-only relative-move probabilities over ``DS_LABELS``: 90% forward
+    along the effective heading, 5% drift to either side.  Outside the
+    region the error is inert."""
     heading = effective_heading(action, error) if in_region else ACTION_HEADINGS[action]
     probs = np.zeros(len(DS_LABELS))
-    probs[DS_LABELS.index(HEADING_TO_DS[heading])] = FORWARD_PROB
-    probs[DS_LABELS.index(HEADING_TO_DS[(heading + 90) % 360])] = DRIFT_PROB
-    probs[DS_LABELS.index(HEADING_TO_DS[(heading - 90) % 360])] = DRIFT_PROB
-    return Dist(DS_LABELS, probs)
+    for turn, prob in ((0, FORWARD_PROB), (90, DRIFT_PROB), (-90, DRIFT_PROB)):
+        probs[DS_LABELS.index(HEADING_TO_DS[(heading + turn) % 360])] = prob
+    probs.setflags(write=False)
+    return probs
 
 
 def apply_move(grid: GridMap, cell, ds: str):
@@ -176,7 +177,7 @@ def apply_move(grid: GridMap, cell, ds: str):
     return dest
 
 
-def manhattan(a, b) -> int:
+def _manhattan(a, b) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
@@ -188,7 +189,7 @@ def _greedy_action(grid: GridMap, cell) -> int:
         dest = apply_move(grid, cell, ds)
         if dest == COLLIDED:
             continue
-        score = -1 if dest == GOAL else manhattan(dest, grid.goal)
+        score = -1 if dest == GOAL else _manhattan(dest, grid.goal)
         if best_score is None or score < best_score:
             best, best_score = a, score
     return best
@@ -208,11 +209,11 @@ def build_model(grid: GridMap, discount: float = 0.95) -> UcPomdpModel:
                  for c in cells]
 
     p_uc_rows = [
-        relative_transition(a, u, True).probs
+        relative_transition(a, u, True)
         for a in range(len(ACTIONS))
         for u in ORIENTATION_ERRORS
     ]
-    p_0_rows = [relative_transition(a, 0, False).probs for a in range(len(ACTIONS))]
+    p_0_rows = [relative_transition(a, 0, False) for a in range(len(ACTIONS))]
 
     # noiseless position sensor: one observation per free cell + terminal
     obs = np.zeros((n, n + 1))

@@ -19,7 +19,6 @@ import numpy as np
 
 from .scm import (
     CategoricalTable,
-    Dist,
     ROW_SUM_TOLERANCE,
     ScmSpec,
     SpecificationError,
@@ -244,9 +243,10 @@ class UcPomdpModel:
         self._rel_free = np.empty((n_a, self.n_ds))
         for a in range(n_a):
             act = {"A": a}
-            self._rel_region[m_int, a] = exact_query(region, "DS", intervention=act).probs
-            self._rel_region[m_obs, a] = exact_query(region, "DS", evidence=act).probs
-            self._rel_free[a] = exact_query(free, "DS", intervention=act).probs
+            self._rel_region[m_int, a] = exact_query(region, "DS", intervention=act)
+            self._rel_region[m_obs, a] = exact_query(region, "DS", evidence=act)
+            self._rel_free[a] = exact_query(free, "DS", intervention=act)
+        self._rel_region.setflags(write=False)
 
         # rel[m, a, s]: the region's row inside it, the free row outside
         in_region = np.isin(np.arange(n - 2), list(self.confounded_states))[:, None]
@@ -288,15 +288,10 @@ class UcPomdpModel:
         """(action, state, successor) probabilities; terminal rows are identity."""
         return self._transition[_MODE_INDEX[mode]]
 
-    def relative_transition_dist(
-        self, in_region: bool, action: int, mode: TransitionMode
-    ) -> Dist:
-        """Distribution over relative outcomes, before folding into states."""
-        if in_region:
-            row = self._rel_region[_MODE_INDEX[mode], action]
-        else:
-            row = self._rel_free[action]
-        return Dist(self.ds_labels, row)
+    def region_rows(self, mode: TransitionMode) -> np.ndarray:
+        """Read-only (action, relative outcome) probabilities inside the
+        confounded region, before folding into states."""
+        return self._rel_region[_MODE_INDEX[mode]]
 
     def _fold(self, rel: np.ndarray) -> np.ndarray:
         """Successor-state rows from a stack of relative-outcome rows

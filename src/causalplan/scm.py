@@ -195,27 +195,6 @@ Intervention = Mapping[str, int]
 Evidence = Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class Dist:
-    """A normalized distribution over the ordered categories of one variable."""
-
-    support: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or len(p) != len(self.support):
-            raise SpecificationError("probs must be one entry per support point")
-        if not np.all(p >= 0):
-            raise SpecificationError("probabilities must be non-negative")
-        if not abs(float(p.sum()) - 1.0) <= ROW_SUM_TOLERANCE:
-            raise SpecificationError(f"distribution sums to {p.sum()!r}, not 1")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "support", tuple(self.support))
-
-
 def _desugar(table: CategoricalTable,
              noise_name: str) -> tuple[VariableId, CategoricalTable, DeterministicRule]:
     """Rewrite a stochastic node as exogenous noise plus a lookup.
@@ -425,8 +404,9 @@ def exact_query(
     intervention: Intervention | None = None,
     *,
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> Dist:
-    """Posterior of ``target`` by exhaustive enumeration of exogenous worlds.
+) -> np.ndarray:
+    """Posterior of ``target`` by exhaustive enumeration of exogenous worlds,
+    as a read-only probability array indexed by category.
 
     Mutilates by the intervention, sums prior weight over every exogenous
     assignment consistent with the evidence, and normalizes.  The worlds are
@@ -454,7 +434,9 @@ def exact_query(
         raise ZeroProbabilityEvidenceError(
             f"evidence {evidence} has zero probability under the model"
         )
-    return Dist(tuple(range(len(acc))), acc / total)
+    probs = acc / total
+    probs.setflags(write=False)
+    return probs
 
 
 def importance_query(
@@ -465,8 +447,9 @@ def importance_query(
     *,
     n_particles: int,
     rng: np.random.Generator,
-) -> Dist:
-    """Self-normalized importance estimate of the same posterior.
+) -> np.ndarray:
+    """Self-normalized importance estimate of the same posterior, also a
+    read-only array indexed by category.
 
     The proposal is the mutilated prior (likelihood weighting); with fully
     deterministic assignments the evidence likelihood is a 0/1 indicator, so
@@ -482,7 +465,9 @@ def importance_query(
         raise DegenerateEvidenceError(
             f"all {n_particles} particles have zero weight under evidence {evidence}"
         )
-    return Dist(tuple(range(len(counts))), counts / accepted)
+    probs = counts / accepted
+    probs.setflags(write=False)
+    return probs
 
 
 def _target_mass(spec: ScmSpec, world, target: str, evidence, weights=None) -> np.ndarray:
@@ -495,24 +480,19 @@ def _target_mass(spec: ScmSpec, world, target: str, evidence, weights=None) -> n
                        minlength=spec.arity(target))
 
 
-def _coerce_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(p, Dist) or isinstance(q, Dist):
-        if not (isinstance(p, Dist) and isinstance(q, Dist)):
-            raise UsageError("cannot mix Dist and raw array arguments")
-        if p.support != q.support:
-            raise UsageError("distributions have different supports")
-        return p.probs, q.probs
+def kl_divergence(p, q) -> float:
+    """KL(p || q) in nats over two arrays of one shape, with 0*ln(0/q) = 0;
+    +inf where p > 0 but q = 0.  A term whose ratio p/q overflows or
+    underflows to 0 takes ln p - ln q instead, which is finite unless q = 0."""
     a = np.asarray(p, dtype=float)
     b = np.asarray(q, dtype=float)
     if a.shape != b.shape:
         raise UsageError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a.ravel(), b.ravel()
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) in nats, with 0*ln(0/q) = 0; +inf where p > 0 but q = 0."""
-    a, b = _coerce_pair(p, q)
     mask = a > 0
-    if np.any(b[mask] == 0):
-        return math.inf
-    return float(np.sum(a[mask] * np.log(a[mask] / b[mask])))
+    a, b = a[mask], b[mask]
+    with np.errstate(divide="ignore", over="ignore"):
+        logs = np.log(a / b)
+        bad = np.isinf(logs)
+        if bad.any():
+            logs[bad] = np.log(a[bad]) - np.log(b[bad])
+    return float(np.sum(a * logs))

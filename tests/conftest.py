@@ -20,7 +20,7 @@ def confounded_fragment():
     """The confounded-cell step fragment U -> A -> DS (with U -> DS) as a raw
     causal spec, built from the benchmark tables."""
     p_uc_rows = [
-        gridworld.relative_transition(a, u, True).probs
+        gridworld.relative_transition(a, u, True)
         for a in range(4)
         for u in gridworld.ORIENTATION_ERRORS
     ]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from causalplan import gridworld
 from causalplan.learning import Dataset, DatasetMeta
 from causalplan.model import TransitionMode, UcPomdpModel, deterministic_step
 from causalplan.scm import CategoricalTable, _query_setup, cdf_index
@@ -277,9 +278,10 @@ def tree_nodes(tree):
                     stack.append(child)
 
 
-def dist_prob(dist, category) -> float:
-    """Probability of ``category`` in a :class:`~causalplan.scm.Dist`."""
-    return float(dist.probs[dist.support.index(category)])
+def dist_prob(row, label) -> float:
+    """Probability of the relative outcome ``label`` in a row over
+    ``gridworld.DS_LABELS``."""
+    return float(row[gridworld.DS_LABELS.index(label)])
 
 
 def first_action(trace) -> int:
@@ -318,9 +320,9 @@ def sample_reactive_action(model, s: int, u: int, rng: np.random.Generator) -> i
 
 
 def total_variation(p, q) -> float:
-    """Total-variation distance between two distributions on a shared support."""
-    assert p.support == q.support
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
+    """Total-variation distance between two probability arrays of one shape."""
+    assert p.shape == q.shape
+    return 0.5 * float(np.abs(p - q).sum())
 
 
 def load_dataset_csv(path) -> Dataset:

@@ -48,16 +48,16 @@ def test_criterion_1_inference_oracle_parity(grid):
     do_tables, obs_tables = hand_confounded_tables()
     worst = 0.0
     for a, action in enumerate(truth.actions):
-        got_do = truth.relative_transition_dist(True, a, INT).probs
-        got_obs = truth.relative_transition_dist(True, a, OBS).probs
+        got_do = truth.region_rows(INT)[a]
+        got_obs = truth.region_rows(OBS)[a]
         worst = max(
             worst,
             float(np.abs(got_do - do_tables[action]).max()),
             float(np.abs(got_obs - obs_tables[action]).max()),
         )
     assert worst <= 1e-12
-    up_do = dist_prob(truth.relative_transition_dist(True, UP, INT), "north")
-    up_obs = dist_prob(truth.relative_transition_dist(True, UP, OBS), "north")
+    up_do = dist_prob(truth.region_rows(INT)[UP], "north")
+    up_obs = dist_prob(truth.region_rows(OBS)[UP], "north")
     assert up_do == pytest.approx(0.73, abs=1e-12)
     assert up_obs == pytest.approx(89 / 420, abs=1e-12)
     # our exact dynamics sit within 0.03 of the paper's learned-model readouts

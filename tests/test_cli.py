@@ -200,6 +200,19 @@ class TestSimulateCommand:
                 return
         raise AssertionError("no 3-step goal episode among the probed seeds")
 
+    @pytest.mark.parametrize("gamma", ["1e-320", "5e-324"])
+    def test_subnormal_gamma_plans(self, tmp_path, gamma):
+        # gamma ** -1 overflows, so no child is worth descending into
+        assert run([
+            "simulate", "--gamma", gamma, "--steps", "2", "--scenarios", "20",
+            "--out", str(tmp_path),
+        ]) == 0
+        _, *steps, _ = (tmp_path / "trace.csv").read_text().splitlines()
+        assert steps
+        for row in steps:
+            lower, upper = map(float, row.split(",")[3:5])
+            assert lower <= upper
+
     def test_replay_flag_verifies(self, tmp_path):
         args = [
             "simulate", "--seed", "6", "--steps", "8", *FAST,

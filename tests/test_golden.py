@@ -4,10 +4,12 @@ The ``eval`` digests were recorded before the planner tabulated its
 default-policy rollouts and still hold: the chosen actions and rewards of
 those episodes did not change when the planner began to compute both bounds
 from one per-search table.  The ``simulate`` digests were re-pinned with that
-table, since ``trace.csv`` prints each search's root bounds.  The ``learn`` digests were recorded before
-dataset generation inverted its CDFs column by column and exact queries
-enumerated worlds as arrays, so they hold both to the old loops.  A change
-that alters any of them changes behaviour and must say so.
+table, since ``trace.csv`` prints each search's root bounds.  The ``learn``
+digests were recorded before dataset generation inverted its CDFs column by
+column and exact queries enumerated worlds as arrays, so they hold both to
+the old loops.  The ``tables`` digests were recorded while queries still
+returned a wrapper object around their probability arrays.  A change that
+alters any of them changes behaviour and must say so.
 """
 
 import hashlib
@@ -56,6 +58,12 @@ LEARN = {
 }
 LEARN_FILES = ("params.txt", "learn_report.txt", "dataset.csv")
 
+# tables.csv of the truth alone, and with the learned model of the seed-3 LEARN pin
+TABLES = {
+    "truth": "0b39da1e6301e78c0195c21aa92e3dd9ed3a9a16626da3f3b4b67f3eb6fcd042",
+    "learned": "c17aa23da3a9f83cb50058ce8610e0c6455bce370739608a72acf3baad9e5fbf",
+}
+
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -86,3 +94,14 @@ def test_learn_outputs_are_pinned(tmp_path, seed):
             "--write-dataset", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
     assert tuple(_digest(tmp_path / name) for name in LEARN_FILES) == LEARN[seed]
+
+
+@pytest.mark.parametrize("source", sorted(TABLES))
+def test_tables_output_is_pinned(tmp_path, source):
+    argv = ["tables", "--out", str(tmp_path)]
+    if source == "learned":
+        assert cli.main(["learn", "--seed", "3", "--dataset-n", "2000",
+                         "--out", str(tmp_path)]) == 0
+        argv += ["--params", str(tmp_path / "params.txt")]
+    assert cli.main(argv) == 0
+    assert _digest(tmp_path / "tables.csv") == TABLES[source]

@@ -117,9 +117,14 @@ class TestRelativeTransition:
         for a in range(4):
             for u in gridworld.ORIENTATION_ERRORS:
                 for region in (False, True):
-                    p = relative_transition(a, u, region).probs
+                    p = relative_transition(a, u, region)
                     assert (p > 0).sum() == 3
                     assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_result_is_read_only(self):
+        p = relative_transition(UP, 0, True)
+        with pytest.raises(ValueError):
+            p[0] = 1.0
 
 
 class TestApplyMove:
@@ -183,12 +188,8 @@ class TestBuildModel:
     def test_relative_tables_match_hand_mixture(self, truth):
         do_tables, obs_tables = hand_confounded_tables()
         for a, action in enumerate(truth.actions):
-            got_do = truth.relative_transition_dist(
-                True, a, TransitionMode.INTERVENTIONAL
-            ).probs
-            got_obs = truth.relative_transition_dist(
-                True, a, TransitionMode.OBSERVATIONAL
-            ).probs
+            got_do = truth.region_rows(TransitionMode.INTERVENTIONAL)[a]
+            got_obs = truth.region_rows(TransitionMode.OBSERVATIONAL)[a]
             assert got_do == pytest.approx(do_tables[action], abs=1e-12)
             assert got_obs == pytest.approx(obs_tables[action], abs=1e-12)
 

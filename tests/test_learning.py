@@ -146,7 +146,7 @@ class TestFit:
         params = fit(ds)
         row = params.p_uc.row((UP, 1))  # a=UP, zero orientation error
         mechanism = truth.p_uc.row((UP, 1))
-        mixture = truth.relative_transition_dist(True, UP, OBS).probs
+        mixture = truth.region_rows(OBS)[UP]
         assert np.abs(row - mechanism).max() <= 0.02
         assert np.abs(row - mixture).max() > 0.3
 

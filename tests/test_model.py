@@ -15,7 +15,6 @@ from causalplan.model import (
 )
 from causalplan.scm import (
     CategoricalTable,
-    Dist,
     SpecificationError,
     cdf_index,
     importance_query,
@@ -72,7 +71,6 @@ class TestConstruction:
 
     @pytest.mark.parametrize("build", [
         lambda p: CategoricalTable((), p),
-        lambda p: Dist(("a", "b", "c"), p),
         Belief,
     ])
     def test_nan_entry_is_rejected(self, build):
@@ -82,13 +80,13 @@ class TestConstruction:
 
 class TestTransitionDist:
     def test_relative_interventional_up(self, truth):
-        d = truth.relative_transition_dist(True, UP, INT)
-        assert dict(zip(d.support, d.probs)) == pytest.approx(
+        d = truth.region_rows(INT)[UP]
+        assert dict(zip(truth.ds_labels, d)) == pytest.approx(
             {"north": 0.73, "east": 0.13, "south": 0.01, "west": 0.13}, abs=1e-12
         )
 
     def test_relative_observational_up(self, truth):
-        d = truth.relative_transition_dist(True, UP, OBS)
+        d = truth.region_rows(OBS)[UP]
         assert dist_prob(d, "north") == pytest.approx(0.211905, abs=1e-6)
         assert dist_prob(d, "east") == pytest.approx(0.373810, abs=1e-6)
         assert dist_prob(d, "west") == pytest.approx(0.373810, abs=1e-6)
@@ -97,9 +95,14 @@ class TestTransitionDist:
     def test_down_is_mode_independent_in_region(self, truth):
         # reactive probability of DOWN is the same for every confounder value,
         # so conditioning on it is uninformative
-        d_int = truth.relative_transition_dist(True, DOWN, INT)
-        d_obs = truth.relative_transition_dist(True, DOWN, OBS)
-        assert d_obs.probs == pytest.approx(d_int.probs, abs=1e-12)
+        d_int = truth.region_rows(INT)[DOWN]
+        d_obs = truth.region_rows(OBS)[DOWN]
+        assert d_obs == pytest.approx(d_int, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    def test_region_rows_are_read_only(self, truth, mode):
+        with pytest.raises(ValueError):
+            truth.region_rows(mode)[UP, 0] = 1.0
 
     def test_modes_agree_outside_region(self, truth):
         for s in range(truth.n_states - 2):
@@ -116,7 +119,7 @@ class TestTransitionDist:
         s = truth.state_index((0, 2))
         exact = truth.transition_matrix(INT)[UP, s]
         rel = importance_query(truth._spec_region, "DS", intervention={"A": UP},
-                               n_particles=20000, rng=rng).probs
+                               n_particles=20000, rng=rng)
         assert np.abs(exact - fold_loop(truth, s, rel)).max() <= 0.02
 
 

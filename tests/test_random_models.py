@@ -276,10 +276,10 @@ def test_scm_queries_fold_into_the_transition_matrix(model):
             for a in range(model.n_actions):
                 act = {"A": a}
                 if s in model.confounded_states:
-                    rel = exact_query(model._spec_region, "DS", **{query: act}).probs
+                    rel = exact_query(model._spec_region, "DS", **{query: act})
                 else:
-                    rel = exact_query(model._spec_free, "DS", intervention=act).probs
-                    assert exact_query(model._spec_free, "DS", evidence=act).probs == (
+                    rel = exact_query(model._spec_free, "DS", intervention=act)
+                    assert exact_query(model._spec_free, "DS", evidence=act) == (
                         pytest.approx(rel, abs=1e-12))
                 for ds, s2 in enumerate(model.successor_table[s]):
                     expected[a, s, s2] += rel[ds]

@@ -12,7 +12,6 @@ from causalplan.scm import (
     CategoricalTable,
     DegenerateEvidenceError,
     DeterministicRule,
-    Dist,
     ScmSpec,
     SpecificationError,
     UsageError,
@@ -82,10 +81,10 @@ class TestSampleWorld:
         prior = np.array([0.1, 0.8, 0.1])
         exact = np.zeros((3, 4, 4))
         for u, a, ds in itertools.product(range(3), range(4), range(4)):
-            p_a = exact_query(confounded_fragment, "A", evidence={"U": u}).probs[a]
+            p_a = exact_query(confounded_fragment, "A", evidence={"U": u})[a]
             p_ds = exact_query(
                 confounded_fragment, "DS", evidence={"U": u, "A": a}
-            ).probs[ds] if p_a > 0 else 0.0
+            )[ds] if p_a > 0 else 0.0
             exact[u, a, ds] = prior[u] * p_a * p_ds
         assert np.all(np.abs(empirical - exact) <= 0.01)
 
@@ -170,18 +169,18 @@ class TestExactQuery:
     def test_confounded_cell_do_up(self, confounded_fragment):
         do_tables, _ = hand_confounded_tables()
         dist = exact_query(confounded_fragment, "DS", intervention={"A": 1})
-        assert dist.probs == pytest.approx(do_tables["UP"], abs=1e-12)
-        assert dist.probs[0] == pytest.approx(0.73, abs=1e-12)
+        assert dist == pytest.approx(do_tables["UP"], abs=1e-12)
+        assert dist[0] == pytest.approx(0.73, abs=1e-12)
 
     def test_confounded_cell_observational_up(self, confounded_fragment):
         _, obs_tables = hand_confounded_tables()
         dist = exact_query(confounded_fragment, "DS", evidence={"A": 1})
-        assert dist.probs == pytest.approx(obs_tables["UP"], abs=1e-12)
-        assert dist.probs[0] == pytest.approx(89 / 420, abs=1e-12)
+        assert dist == pytest.approx(obs_tables["UP"], abs=1e-12)
+        assert dist[0] == pytest.approx(89 / 420, abs=1e-12)
 
     def test_root_marginal_is_prior(self, confounded_fragment):
         dist = exact_query(confounded_fragment, "U")
-        assert dist.probs == pytest.approx([0.1, 0.8, 0.1], abs=1e-12)
+        assert dist == pytest.approx([0.1, 0.8, 0.1], abs=1e-12)
 
     def test_zero_probability_evidence(self):
         spec = ScmSpec(
@@ -201,7 +200,12 @@ class TestExactQuery:
                 exact_query(spec, target, evidence, intervention)
             return
         dist = exact_query(spec, target, evidence, intervention)
-        assert np.array_equal(dist.probs, acc / float(acc.sum()))
+        assert np.array_equal(dist, acc / float(acc.sum()))
+
+    def test_result_is_read_only(self, confounded_fragment):
+        dist = exact_query(confounded_fragment, "DS", intervention={"A": 1})
+        with pytest.raises(ValueError):
+            dist[0] = 1.0
 
     def test_enumeration_limit(self, confounded_fragment):
         with pytest.raises(CapacityError):
@@ -227,7 +231,12 @@ class TestImportanceQuery:
                         (VariableId("V", 2), ("A",), DeterministicRule([1, 0]))],
         )
         dist = importance_query(spec, "V", intervention={"A": 1}, n_particles=10, rng=rng)
-        assert np.array_equal(dist.probs, [1.0, 0.0])
+        assert np.array_equal(dist, [1.0, 0.0])
+
+    def test_result_is_read_only(self, confounded_fragment, rng):
+        dist = importance_query(confounded_fragment, "DS", n_particles=10, rng=rng)
+        with pytest.raises(ValueError):
+            dist[0] = 1.0
 
     def test_interventional_convergence_at_5000_particles(self, confounded_fragment):
         exact = exact_query(confounded_fragment, "DS", intervention={"A": 1})
@@ -272,7 +281,7 @@ class TestImportanceQuery:
 
 class TestKlDivergence:
     def test_self_divergence_is_zero(self):
-        p = Dist((0, 1, 2), [0.2, 0.5, 0.3])
+        p = np.array([0.2, 0.5, 0.3])
         assert kl_divergence(p, p) == 0.0
 
     def test_two_point_example(self):
@@ -286,7 +295,7 @@ class TestKlDivergence:
 
     def test_support_mismatch(self):
         with pytest.raises(UsageError):
-            kl_divergence(Dist((0, 1), [0.5, 0.5]), Dist((1, 2), [0.5, 0.5]))
+            kl_divergence([[0.5, 0.5]], [0.5, 0.5])
         with pytest.raises(UsageError):
             kl_divergence([0.5, 0.5], [0.2, 0.3, 0.5])
 
@@ -300,6 +309,13 @@ class TestKlDivergence:
         assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(
             math.log(2.0), abs=1e-12
         )
+
+    def test_subnormal_q_entry_stays_finite(self):
+        # 0.5 / 1e-320 overflows, but ln 0.5 - ln 1e-320 does not
+        got = kl_divergence([0.5, 0.5], [1.0, 1e-320])
+        expected = 0.5 * math.log(0.5) + 0.5 * (math.log(0.5) - math.log(1e-320))
+        assert math.isfinite(got)
+        assert got == pytest.approx(expected, rel=1e-9)
 
 
 class TestSpecValidation:
@@ -334,9 +350,9 @@ class TestSpecValidation:
         )
         marginal = exact_query(spec, "V")
         expected = 0.3 * np.array([0.2, 0.5, 0.3]) + 0.7 * np.array([0.6, 0.1, 0.3])
-        assert marginal.probs == pytest.approx(expected, abs=1e-12)
+        assert marginal == pytest.approx(expected, abs=1e-12)
         given_u = exact_query(spec, "V", evidence={"U": 1})
-        assert given_u.probs == pytest.approx([0.6, 0.1, 0.3], abs=1e-12)
+        assert given_u == pytest.approx([0.6, 0.1, 0.3], abs=1e-12)
 
     def test_desugaring_keeps_a_sub_ulp_segment(self):
         # the rows' first CDF values are one ulp apart, so the noise segment
@@ -349,5 +365,5 @@ class TestSpecValidation:
                  CategoricalTable((2,), [[0.3, 0.7], [0.30000000000000004, 0.7]]))
             ],
         )
-        assert exact_query(spec, "X", evidence={"P": 0}).probs[0] == 0.3
-        assert exact_query(spec, "X", evidence={"P": 1}).probs[0] == 0.30000000000000004
+        assert exact_query(spec, "X", evidence={"P": 0})[0] == 0.3
+        assert exact_query(spec, "X", evidence={"P": 1})[0] == 0.30000000000000004

@@ -80,6 +80,8 @@ def sample_scenarios(
     """
     if count < 1:
         raise UsageError("scenario count must be >= 1")
+    if depth < 1:
+        raise UsageError("depth must be >= 1")
     if count * depth * 16 > sys.maxsize:  # the streams' bytes; numpy's array limit
         raise CapacityError(f"{count} scenarios of depth {depth} exceed the largest array")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
@@ -183,16 +185,20 @@ class ScenarioBounds:
         actions, lanes = np.arange(model.n_actions)[:, None, None], np.arange(k)
         for d in range(config.depth - 1, -1, -1):
             states, policy = rows[d]
-            # (action, state, scenario) triples; next-row cell s2 * k + lane
+            # (action, state, scenario) triples; the step's fresh outputs
+            # become the next-row cells s2 * k + lane and the bounds in place
             s2, r = model.batch_policy_step(states[:, None], actions, self.buckets[d, 0],
                                             config.mode)
-            at = s2 * k + lanes
-            q = self.upper[d + 1].reshape(-1).take(at)
+            s2 *= k
+            s2 += lanes
+            q = self.upper[d + 1].reshape(-1).take(s2)
             q *= gamma
             q += r
             self.upper[d][states] = np.maximum.reduce(q, axis=0)
-            low = self.lower[d + 1].reshape(-1).take(at.reshape(-1, k).take(policy, axis=0))
-            self.lower[d][states] = r.reshape(-1, k).take(policy, axis=0) + gamma * low
+            low = self.lower[d + 1].reshape(-1).take(s2.reshape(-1, k).take(policy, axis=0))
+            low *= gamma
+            low += r.reshape(-1, k).take(policy, axis=0)
+            self.lower[d][states] = low
 
 
 class DespotTree:
@@ -225,26 +231,35 @@ class DespotTree:
         self.n_trials = 0
         k = config.scenarios
         ids = np.arange(k)
-        self.root = self._node(0, ids, starts,
-                               self.scenario_bounds.tables[:, 0].reshape(2, -1)
-                               .take(starts * k + ids, axis=1))
+        self.root, = self._nodes(0, ids, starts,
+                                 self.scenario_bounds.tables[:, 0].reshape(2, -1)
+                                 .take(starts * k + ids, axis=1), [0])
         # the default policy's action at the root's most common state
         counts = np.bincount(starts, minlength=model.n_states)
         self.default_action = int(model.rollout_policy[int(np.argmax(counts))])
 
-    def _node(self, depth: int, scenario_ids: np.ndarray, states: np.ndarray,
-              cells: np.ndarray) -> DespotNode:
-        """A new node with its first bounds, from ``cells``, its scenarios'
-        ``(2, count)`` lower and upper table entries: the mean default-policy
-        return less the regularization is its default value and lower
-        bound, the mean clairvoyant return its upper bound."""
-        node = DespotNode(depth, scenario_ids, states, self.config.scenarios)
-        # np.add.reduce(row) / len(row) is what np.mean computes: the same
-        # pairwise sum over the same contiguous values, also along axis 1
-        low, up = np.add.reduce(cells, axis=1).tolist()
-        node.default_value = node.lower = low / node.count - self.config.regularization
-        node.upper = up / node.count
-        return node
+    def _nodes(self, depth: int, scenario_ids: np.ndarray, states: np.ndarray,
+               cells: np.ndarray, starts) -> list[DespotNode]:
+        """New nodes with their first bounds, one per slice of the scenarios
+        that begins at an entry of ``starts``, from ``cells``, the
+        scenarios' ``(2, count)`` lower and upper table entries: the mean
+        default-policy return less the regularization is a node's default
+        value and lower bound, the mean clairvoyant return its upper bound.
+        One ``np.add.reduceat`` sums every slice, ``x[0] + pairwise(x[1:])``
+        (``np.mean`` sums ``0.0 + pairwise(x)``), and one division per row
+        takes the means."""
+        total = self.config.scenarios
+        ends = [*starts[1:], len(scenario_ids)]
+        sums = np.add.reduceat(cells, starts, axis=1)
+        sums /= np.subtract(ends, starts)
+        sums[0] -= self.config.regularization
+        nodes = []
+        for lo, hi, low, up in zip(starts, ends, *sums.tolist()):
+            node = DespotNode(depth, scenario_ids[lo:hi], states[lo:hi], total)
+            node.default_value = node.lower = low
+            node.upper = up
+            nodes.append(node)
+        return nodes
 
     # -- trial machinery --------------------------------------------------------
 
@@ -265,10 +280,10 @@ class DespotTree:
         lu = self.scenario_bounds.tables[:, d + 1].reshape(2, -1).take(s2 * k + ids, axis=1)
         edges = [ActionEdge(total / m) for total in np.add.reduce(r, axis=1).tolist()]
         starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
-        for lo, hi, ak in zip(starts, starts[1:] + [len(key)], key[starts].tolist()):
+        children = self._nodes(d + 1, ids, s2, lu, starts)
+        for ak, child in zip(key[starts].tolist(), children):
             a, obs = divmod(ak, model.n_observations)
-            edges[a].children.append(
-                (obs, self._node(d + 1, ids[lo:hi], s2[lo:hi], lu[:, lo:hi])))
+            edges[a].children.append((obs, child))
         node.children = edges
         self.n_expansions += 1
 

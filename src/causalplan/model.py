@@ -22,6 +22,7 @@ from .scm import (
     ROW_SUM_TOLERANCE,
     ScmSpec,
     SpecificationError,
+    UsageError,
     VariableId,
     cdf_index,
     exact_query,
@@ -40,6 +41,32 @@ class TransitionMode(enum.Enum):
 
 
 _MODE_INDEX = {TransitionMode.OBSERVATIONAL: 0, TransitionMode.INTERVENTIONAL: 1}
+
+
+# Cells of a bucket grid over [0, 1).  A power of two, so ``u * _GRID_CELLS``
+# is exact and its floor is the cell that holds ``u``.
+_GRID_CELLS = 1 << 12
+
+
+def _bucket_grid(breaks: np.ndarray) -> np.ndarray:
+    """The bucket id of each grid cell ``[c / G, (c + 1) / G)`` of [0, 1):
+    the number of ``breaks <= c / G``, which every draw in the cell has at
+    or below it, or -1 where a break lies strictly inside the cell; in the
+    smallest signed type that holds the number of breaks."""
+    edges = np.arange(_GRID_CELLS + 1) / _GRID_CELLS
+    lo = breaks.searchsorted(edges[:-1], side="right")
+    inside = breaks.searchsorted(edges[1:], side="left") > lo
+    return np.where(inside, -1, lo).astype(np.min_scalar_type(-1 - len(breaks)))
+
+
+def _grid_lookup(grid: np.ndarray, breaks: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``breaks.searchsorted(draws, side="right")`` for a vector of draws in
+    [0, 1), through ``grid``, the :func:`_bucket_grid` of ``breaks``: each
+    draw's cell id, or a ``searchsorted`` for the draws in marked cells."""
+    ids = grid.take((draws * _GRID_CELLS).astype(np.intp))
+    marked = np.flatnonzero(ids < 0)
+    ids[marked] = breaks.searchsorted(draws[marked], side="right")
+    return ids
 
 
 class InconsistentObservationError(Exception):
@@ -165,6 +192,9 @@ class UcPomdpModel:
             [observation_table.values, term_row, term_row]))
         self._obs, self._obs_cdf = obs.values, obs.cdf
         self._obs_breaks, self._obs_buckets = obs.buckets
+        # bucket grids of the two modes' transition breaks and of the
+        # observation breaks, each built on its first lookup
+        self._grids = [None, None, None]
 
         self.initial_belief = Belief(self._pad(initial_belief, float, "initial belief"))
         self.rollout_policy = self._pad(rollout_policy, np.int64, "rollout policy")
@@ -336,20 +366,34 @@ class UcPomdpModel:
     def bucket_ids(self, draws, mode: TransitionMode) -> np.ndarray:
         """Bucket ids of unit draws in ``[0, 1)``: ``draws[..., 0]`` among
         the transition breaks of ``mode``, ``draws[..., 1]`` among the
-        observation breaks; the batched kernels take these ids.
+        observation breaks; the batched kernels take these ids.  A draw
+        outside ``[0, 1)``, or NaN, or a last axis other than 2 is a
+        ``UsageError``.
 
         The breaks and per-bucket categories are
         :attr:`~causalplan.scm.CategoricalTable.buckets` of a mode's
         transition rows (and of the observation rows), so there are at most
         ``1 + sum over rows of (nonzeros - 1)`` buckets, and each table
         entry is the category :func:`deterministic_step` draws at any ``u``
-        in the bucket."""
-        draws = np.asarray(draws)
-        ids = np.empty(draws.shape, dtype=np.int64)
-        ids[..., 0] = self._trans_breaks[_MODE_INDEX[mode]].searchsorted(
-            draws[..., 0], side="right")
-        ids[..., 1] = self._obs_breaks.searchsorted(draws[..., 1], side="right")
-        return ids
+        in the bucket.  An id is the number of breaks ``<= u``, read from a
+        grid of ``2**12`` equal cells of [0, 1) (:func:`_bucket_grid`), built
+        for each set of breaks on its first lookup and kept on the model;
+        only draws in a cell with a break strictly inside it are looked up
+        in the breaks themselves."""
+        draws = np.asarray(draws, dtype=float)
+        if draws.shape[-1:] != (2,):
+            raise UsageError("bucket draws need a last axis of length 2")
+        # min and max are NaN if any draw is, and both tests then fail
+        if draws.size and not (draws.min() >= 0.0 and draws.max() < 1.0):
+            raise UsageError("bucket draws must lie in [0, 1)")
+        flat = draws.reshape(-1, 2)
+        ids = np.empty(flat.shape, dtype=np.int64)
+        m = _MODE_INDEX[mode]
+        for half, g, breaks in ((0, m, self._trans_breaks[m]), (1, 2, self._obs_breaks)):
+            if self._grids[g] is None:
+                self._grids[g] = _bucket_grid(breaks)
+            ids[:, half] = _grid_lookup(self._grids[g], breaks, flat[:, half])
+        return ids.reshape(draws.shape)
 
     def batch_step(self, states, actions, b1, b2, mode: TransitionMode):
         """Vectorized :func:`deterministic_step` at transition bucket ids

@@ -266,6 +266,46 @@ def buckets_of(model, phi1, phi2, mode):
     return ids[..., 0], ids[..., 1]
 
 
+def slice_mean(x) -> float:
+    """The mean of a vector as ``np.add.reduceat`` sums a slice, its first
+    entry plus the pairwise sum of the rest, over the slice's length: the
+    arithmetic of a node's first bounds."""
+    return float((x[0] + np.add.reduce(x[1:])) / len(x))
+
+
+def noisy_sensor_model() -> UcPomdpModel:
+    """The shipped map's model with a noisy position sensor: 0.7 on the
+    cell's own observation index and 0.15 on each neighbouring index (both
+    on the one neighbour of the first and the last index).  Beliefs then
+    spread over several cells, and the observation rows have real CDF
+    breaks, which the shipped sensor's one-hot rows do not."""
+    truth = gridworld.build_model(gridworld.default_map())
+    n = truth.n_states - 2
+    obs = np.zeros((n, truth.n_observations))
+    for s in range(n):
+        obs[s, s] = 0.7
+        for nb in (s - 1, s + 1):
+            obs[s, nb if 0 <= nb < n else 2 * s - nb] += 0.15
+    return UcPomdpModel(
+        state_labels=truth.states[:-2],
+        actions=truth.actions,
+        ds_labels=truth.ds_labels,
+        observation_labels=truth.observation_labels,
+        confounder_prior=truth.confounder_prior,
+        reactive_policy=truth.reactive_policy,
+        confounded_states=truth.confounded_states,
+        p_uc=truth.p_uc,
+        p_0=truth.p_0,
+        successor_table=truth.successor_table[:-2],
+        observation_table=CategoricalTable((n,), obs),
+        rewards=truth._reward_table[:, :-2],
+        discount=truth.discount,
+        initial_belief=truth.initial_belief.probs[:-2],
+        rollout_policy=truth.rollout_policy[:-2],
+        name="gridworld-noisy-sensor",
+    )
+
+
 def tree_nodes(tree):
     """Every node of a ``DespotTree``, parents before children."""
     stack = [tree.root]

@@ -1,11 +1,14 @@
 """Planner tests: scenarios, bounds, trials, search, and episodes."""
 
+import gc
 import hashlib
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from causalplan import gridworld
+from causalplan import cli, despot, gridworld, model as model_module
 from causalplan.despot import (
     DespotNode,
     DespotTree,
@@ -18,7 +21,13 @@ from causalplan.despot import (
 from causalplan.model import Belief, TransitionMode, deterministic_step
 from causalplan.scm import CategoricalTable, UsageError
 
-from helpers import free_roam_model, reach_mask, scalar_bounds, two_state_model
+from helpers import (
+    free_roam_model,
+    noisy_sensor_model,
+    reach_mask,
+    scalar_bounds,
+    two_state_model,
+)
 
 INT = TransitionMode.INTERVENTIONAL
 OBS = TransitionMode.OBSERVATIONAL
@@ -73,6 +82,11 @@ class TestSampleScenarios:
     def test_count_must_be_positive(self, truth):
         with pytest.raises(UsageError):
             sample_scenarios(truth.initial_belief, 0, seed=0)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_must_be_positive(self, truth, depth):
+        with pytest.raises(UsageError, match="depth must be >= 1"):
+            sample_scenarios(truth.initial_belief, 10, 0, depth=depth)
 
 
 def make_node(truth, config, state, k=16, phi=0.5, depth=0):
@@ -191,11 +205,13 @@ class TestSearchCounters:
     pinned: a change that makes the planner search more or less shows here,
     apart from one that only runs the same search faster.  The sha256 of the
     root bounds' ``repr`` pins them bit for bit, so a change that perturbs
-    one float bit (a reordered sum, a new table layout) fails here too."""
+    one float bit (a reordered sum, a new table layout) fails here too.  The
+    hashes were re-pinned when a node's first bounds became ``reduceat``
+    sums; the expansion counts and actions held."""
 
     BOUNDS_SHA256 = {
-        INT: "0a47d8cb264affd3949f477562a517e163b3e919c72ec9b67a7baa1f1c6cc89c",
-        OBS: "11d4dab45ae8f5c943c7ad2631ed3c621a13b1eccfccaf43ca3770939d7a614c",
+        INT: "69583e0f913c39f0d53f8b40896346e1cccc97bc57982c09100fb5d4ca694215",
+        OBS: "f837ff06004dc2d3cd034843fdacc40156b06987d29c644a862e2b8d5438deea",
     }
 
     @pytest.mark.parametrize("mode, expansions, action",
@@ -214,6 +230,85 @@ class TestSearchCounters:
         assert {a for a, _ in results} == {action}
         bounds = repr([b for _, b in results]).encode()
         assert hashlib.sha256(bounds).hexdigest() == self.BOUNDS_SHA256[mode]
+
+
+class TestBucketGridLifetime:
+    """A model builds the bucket grid of a set of breaks on its first
+    lookup, keeps it, and drops it with itself."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        made = []
+
+        def counted(breaks, _make=model_module._bucket_grid):
+            made.append(len(breaks))
+            return _make(breaks)
+
+        monkeypatch.setattr(model_module, "_bucket_grid", counted)
+        return made
+
+    def test_learn_and_tables_build_no_grid(self, built, tmp_path):
+        assert cli.main(["learn", "--dataset-n", "100", "--out", str(tmp_path / "l")]) == 0
+        assert cli.main(["tables", "--out", str(tmp_path / "t")]) == 0
+        assert built == []
+
+    def test_searches_build_one_grid_per_mode_and_one_for_observations(self, built):
+        model = gridworld.build_model(gridworld.default_map())
+        config = PlannerConfig(scenarios=50, depth=5, budget_trials=20)
+        grids = []
+        for mode in (INT, OBS, INT, OBS):
+            search(model.initial_belief, model, replace(config, mode=mode))
+            grids.append(len(built))
+        assert grids == [2, 3, 3, 3]
+
+    def test_grids_go_with_their_model(self):
+        model = gridworld.build_model(gridworld.default_map())
+        for mode in (INT, OBS):
+            search(model.initial_belief, model,
+                   PlannerConfig(scenarios=50, depth=5, budget_trials=20, mode=mode))
+        grids = [weakref.ref(grid) for grid in model._grids]
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
+        assert [grid() for grid in grids] == [None] * 3
+
+
+class TestNoisySensor:
+    """Episodes on :func:`helpers.noisy_sensor_model`, whose observation
+    rows have CDF breaks and whose beliefs are not all point masses."""
+
+    def test_episodes_keep_bounds_beliefs_and_caches_sound(self, monkeypatch):
+        model = noisy_sensor_model()
+        assert len(model._obs_breaks) > 0
+        beliefs = []
+
+        def checked(belief, plan_model, config):
+            beliefs.append(belief.probs)
+            _, streams = sample_scenarios(belief, config.scenarios, config.seed,
+                                          config.depth)
+            ids = plan_model.bucket_ids(streams, config.mode)
+            breaks = plan_model._trans_breaks[model_module._MODE_INDEX[config.mode]]
+            assert np.array_equal(ids[..., 0],
+                                  breaks.searchsorted(streams[..., 0], side="right"))
+            assert np.array_equal(ids[..., 1], plan_model._obs_breaks.searchsorted(
+                streams[..., 1], side="right"))
+            return search(belief, plan_model, config)
+
+        monkeypatch.setattr(despot, "search", checked)
+        steps = []
+        for mode in (INT, OBS):
+            config = PlannerConfig(scenarios=100, budget_trials=100, mode=mode)
+            for seed in range(20):
+                steps.extend(run_episode(model, model, config, 15, seed).steps)
+        assert len(steps) == len(beliefs)
+        assert all(step.lower <= step.upper for step in steps)
+        assert all(abs(probs.sum() - 1.0) <= 1e-9 for probs in beliefs)
+        assert any(probs.max() < 0.9 for probs in beliefs)
+        # one reach entry per (mode, depth, start states): 13 for the 174
+        # searches of these 40 episodes
+        _, reach = despot._MODEL_CACHES[model]
+        assert len(reach) <= 16
 
 
 class TestRunTrial:

@@ -36,6 +36,7 @@ from causalplan import gridworld
 from helpers import (
     brute_force_optimum,
     permuted,
+    slice_mean,
     specs_equal,
     total_variation,
     tree_nodes,
@@ -262,11 +263,10 @@ class TestPlannerInvariants:
                         assert np.array_equal(child.states, s2[z == obs])
                         d = child.depth
                         cells = (child.states, child.scenario_ids)
-                        assert child.default_value == float(
-                            np.mean(table.lower[d][cells])
-                        ) - config.regularization
+                        assert child.default_value == slice_mean(
+                            table.lower[d][cells]) - config.regularization
                         if child.children is None:
-                            assert child.upper == float(np.mean(table.upper[d][cells]))
+                            assert child.upper == slice_mean(table.upper[d][cells])
                             assert child.lower == child.default_value
                         low += len(child.scenario_ids) * child.lower
                         up += len(child.scenario_ids) * child.upper

@@ -6,16 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from causalplan.learning import _inverse_cdf
 from causalplan.model import (
+    _GRID_CELLS,
     Belief,
     InconsistentObservationError,
     TransitionMode,
     UcPomdpModel,
+    _bucket_grid,
+    _grid_lookup,
     belief_update,
     deterministic_step,
 )
 from causalplan.scm import (
     CategoricalTable,
     SpecificationError,
+    UsageError,
     cdf_index,
     importance_query,
 )
@@ -339,3 +343,69 @@ class TestCdfInverters:
         unit = u < 1.0
         bucket = breaks.searchsorted(u[unit], side="right")
         assert np.array_equal(scalar[unit], buckets[bucket, ids[unit]])
+
+
+G = _GRID_CELLS
+
+
+@st.composite
+def break_sets(draw):
+    """Sorted distinct breaks in [0, 1) of five kinds: a random table's
+    CDF breaks, clusters with gaps under two ulps, breaks exactly on grid
+    edges ``c / G``, none (the shipped sensor's rows), and more than 255."""
+    kind = draw(st.sampled_from(["table", "close", "edges", "none", "many"]))
+    if kind == "table":
+        width = draw(st.integers(2, 6))
+        rows = np.array(draw(st.lists(
+            st.lists(st.integers(0, 9), min_size=width, max_size=width).filter(any),
+            min_size=1, max_size=6)), dtype=float)
+        return CategoricalTable((len(rows),), rows / rows.sum(axis=1, keepdims=True)
+                                ).buckets[0]
+    if kind == "close":
+        centres = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                                max_size=8))
+        points = [p for c in centres
+                  for p in (c, np.nextafter(c, 1.0), np.nextafter(np.nextafter(c, 1.0), 1.0))]
+    elif kind == "edges":
+        points = [c / G for c in draw(st.lists(st.integers(0, G - 1), max_size=12))]
+    elif kind == "none":
+        points = []
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        points = rng.random(draw(st.integers(256, 600)))
+    points = np.asarray(points, dtype=float)
+    return np.unique(points[points < 1.0])
+
+
+def grid_draws(breaks):
+    """0.0, each break and its two neighbours, every grid edge and the
+    largest double below 1, plus uniform draws; all in [0, 1)."""
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], breaks,
+                        np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0),
+                        np.arange(G) / G, np.random.default_rng(0).random(500)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestBucketGrid:
+    @given(break_sets())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_grid_lookup_equals_searchsorted(self, breaks):
+        grid = _bucket_grid(breaks)
+        assert np.iinfo(grid.dtype).max >= len(breaks)
+        u = grid_draws(breaks)
+        assert np.array_equal(_grid_lookup(grid, breaks, u),
+                              breaks.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize("half", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.0, 2.0])
+    def test_draws_outside_the_unit_interval_are_rejected(self, truth, half, bad):
+        draws = np.full((3, 2), 0.5)
+        draws[1, half] = bad
+        for mode in (INT, OBS):
+            with pytest.raises(UsageError):
+                truth.bucket_ids(draws, mode)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3,), (2, 1)])
+    def test_draws_without_a_pair_axis_are_rejected(self, truth, shape):
+        with pytest.raises(UsageError):
+            truth.bucket_ids(np.full(shape, 0.5), INT)

@@ -230,8 +230,6 @@ def _cmd_tables(options) -> int:
     if options["params"] is not None:
         params = learning.load_params(options["params"])
         sources.append(("learned", learning.assemble_model(truth, params)))
-    elif options["plan_model"] == "learned":
-        raise UsageError("tables for the learned model require --params")
     out = _out_dir(options)
     lines = ["source,mode,action," + ",".join(truth.ds_labels)]
     for source, model in sources:
@@ -335,7 +333,7 @@ COMMANDS = {
     "learn": ("fit tables from privileged records", _cmd_learn,
               (*_SHARED, "dataset_n", "smoothing", "seed", "write_dataset")),
     "tables": ("dump confounded-region tables", _cmd_tables,
-               (*_SHARED, "plan_model", "params")),
+               (*_SHARED, "params")),
     "eval": ("batch episode evaluation", _cmd_eval, (*_SHARED, *_PLANNING, "episodes")),
     "simulate": ("trace one episode", _cmd_simulate, (*_SHARED, *_PLANNING, "replay")),
 }

@@ -67,7 +67,7 @@ class PlannerConfig:
 
 
 def sample_scenarios(
-    belief: Belief, count: int, seed: int, depth: int = 15
+    belief: Belief, count: int, seed: int, depth: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``count`` scenarios, each a start state plus a per-depth stream of
     (transition, observation) unit-interval pairs; fully determined by
@@ -128,13 +128,17 @@ class ActionEdge:
 _MODEL_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-class ScenarioBounds:
-    """Per-scenario bounds of one search: ``lower[d][s, k]`` is the
-    discounted return of the default policy from state ``s`` at depth ``d``
-    to the horizon along scenario ``k``'s stream, and ``upper[d][s, k]`` the
-    best return any action sequence earns there, the scenario's clairvoyant
-    optimum (Ye et al., 2017).  Both are zero at the terminals and at the
-    horizon.
+def _fill_bounds(model: UcPomdpModel, config: PlannerConfig, buckets: np.ndarray,
+                 starts: np.ndarray) -> np.ndarray:
+    """The per-scenario bounds of one search as one ``(2, D+1, S, K)``
+    array: ``lower[d][s, k]``, the first half, is the discounted return of
+    the default policy from state ``s`` at depth ``d`` to the horizon along
+    scenario ``k``'s stream, and ``upper[d][s, k]`` the best return any
+    action sequence earns there, the scenario's clairvoyant optimum (Ye et
+    al., 2017).  Both are zero at the terminals and at the horizon.
+    ``buckets`` are the scenarios' bucket ids
+    (:meth:`~causalplan.model.UcPomdpModel.bucket_ids`), depth-major,
+    ``(D, 2, K)``; ``starts`` their start states.
 
     Both tables are filled from the horizon back, one batched policy step
     per depth over every (action, reachable ordinary state, scenario)
@@ -147,58 +151,52 @@ class ScenarioBounds:
     Scenarios are the innermost axis, so each operation of the fill runs
     along ``K`` contiguous lanes.
 
-    ``tables`` holds ``lower`` and ``upper`` as one ``(2, D+1, S, K)``
-    array.  It is the spare of a finished :func:`search` on the same model
-    when there is one: no search writes row ``D`` or a terminal row, so they
-    stay zero, and the other cells it does not fill hold earlier searches'
-    values, which it never reads.  ``buckets`` are the scenarios' bucket ids
-    (:meth:`~causalplan.model.UcPomdpModel.bucket_ids`), ``(K, D, 2)``; they
-    are kept depth-major, ``(D, 2, K)``, as ``self.buckets``.
+    The array is the spare of a finished :func:`search` on the same model
+    when there is one: no search writes row ``D`` or a terminal row, so
+    they stay zero, and the other cells it does not fill hold earlier
+    searches' values, which it never reads.
     """
-
-    def __init__(self, model: UcPomdpModel, config: PlannerConfig,
-                 buckets: np.ndarray, starts: np.ndarray):
-        k, n, gamma = len(buckets), model.n_states, model.discount
-        spare, reach = _MODEL_CACHES.setdefault(model, ({}, {}))
-        shape = (2, config.depth + 1, n, k)
-        self.tables = spare.pop(shape, None)
-        if self.tables is None:
-            self.tables = np.zeros(shape)
-        self.lower, self.upper = self.tables
-        self.buckets = np.ascontiguousarray(buckets.transpose(1, 2, 0))
-        live = np.zeros(n, dtype=bool)
-        live[starts] = True
-        key = (config.mode, config.depth, live.tobytes())
-        rows = reach.get(key)
-        if rows is None:
-            # per depth: the reachable ordinary states and the rows of the
-            # fill's (A * m, K) step results that the default policy takes;
-            # stored complete, so a concurrent search never sees a part
-            support = (model.transition_matrix(config.mode) > 0).any(axis=0)
-            rows = []
-            for _ in range(config.depth):
-                states = np.flatnonzero(live[:n - 2])
-                m = len(states)
-                rows.append((states, model.rollout_policy[states] * m + np.arange(m)))
-                live = support[live].any(axis=0)
-            reach[key] = rows
-        actions, lanes = np.arange(model.n_actions)[:, None, None], np.arange(k)
-        for d in range(config.depth - 1, -1, -1):
-            states, policy = rows[d]
-            # (action, state, scenario) triples; the step's fresh outputs
-            # become the next-row cells s2 * k + lane and the bounds in place
-            s2, r = model.batch_policy_step(states[:, None], actions, self.buckets[d, 0],
-                                            config.mode)
-            s2 *= k
-            s2 += lanes
-            q = self.upper[d + 1].reshape(-1).take(s2)
-            q *= gamma
-            q += r
-            self.upper[d][states] = np.maximum.reduce(q, axis=0)
-            low = self.lower[d + 1].reshape(-1).take(s2.reshape(-1, k).take(policy, axis=0))
-            low *= gamma
-            low += r.reshape(-1, k).take(policy, axis=0)
-            self.lower[d][states] = low
+    k, n, gamma = buckets.shape[2], model.n_states, model.discount
+    spare, reach = _MODEL_CACHES.setdefault(model, ({}, {}))
+    shape = (2, config.depth + 1, n, k)
+    tables = spare.pop(shape, None)
+    if tables is None:
+        tables = np.zeros(shape)
+    lower, upper = tables
+    live = np.zeros(n, dtype=bool)
+    live[starts] = True
+    key = (config.mode, config.depth, live.tobytes())
+    rows = reach.get(key)
+    if rows is None:
+        # per depth: the reachable ordinary states and the rows of the
+        # fill's (A * m, K) step results that the default policy takes;
+        # stored complete, so a concurrent search never sees a part
+        support = (model.transition_matrix(config.mode) > 0).any(axis=0)
+        rows = []
+        for _ in range(config.depth):
+            states = np.flatnonzero(live[:n - 2])
+            m = len(states)
+            rows.append((states, model.rollout_policy[states] * m + np.arange(m)))
+            live = support[live].any(axis=0)
+        reach[key] = rows
+    actions, lanes = np.arange(model.n_actions)[:, None, None], np.arange(k)
+    for d in range(config.depth - 1, -1, -1):
+        states, policy = rows[d]
+        # (action, state, scenario) triples; the step's fresh outputs
+        # become the next-row cells s2 * k + lane and the bounds in place
+        s2, r = model.batch_policy_step(states[:, None], actions, buckets[d, 0],
+                                        config.mode)
+        s2 *= k
+        s2 += lanes
+        q = upper[d + 1].reshape(-1).take(s2)
+        q *= gamma
+        q += r
+        upper[d][states] = np.maximum.reduce(q, axis=0)
+        low = lower[d + 1].reshape(-1).take(s2.reshape(-1, k).take(policy, axis=0))
+        low *= gamma
+        low += r.reshape(-1, k).take(policy, axis=0)
+        lower[d][states] = low
+    return tables
 
 
 class DespotTree:
@@ -212,10 +210,11 @@ class DespotTree:
         starts, self.streams = sample_scenarios(
             belief, config.scenarios, config.seed, config.depth
         )
-        self.scenario_bounds = ScenarioBounds(
-            model, config, model.bucket_ids(self.streams, config.mode), starts
-        )
-        self.buckets = self.scenario_bounds.buckets   # (D, 2, K)
+        # the scenarios' bucket ids, depth-major: (D, 2, K)
+        self.buckets = np.ascontiguousarray(
+            model.bucket_ids(self.streams, config.mode).transpose(1, 2, 0))
+        # the lower and upper bound tables, (2, D+1, S, K)
+        self.tables = _fill_bounds(model, config, self.buckets, starts)
         # the smallest integer type of the (action, observation) sort keys,
         # so the stable argsort of _expand is a radix sort
         self._key_type = np.min_scalar_type(model.n_actions * model.n_observations - 1)
@@ -231,8 +230,7 @@ class DespotTree:
         self.n_trials = 0
         k = config.scenarios
         ids = np.arange(k)
-        self.root, = self._nodes(0, ids, starts,
-                                 self.scenario_bounds.tables[:, 0].reshape(2, -1)
+        self.root, = self._nodes(0, ids, starts, self.tables[:, 0].reshape(2, -1)
                                  .take(starts * k + ids, axis=1), [0])
         # the default policy's action at the root's most common state
         counts = np.bincount(starts, minlength=model.n_states)
@@ -277,7 +275,7 @@ class DespotTree:
         order = np.argsort(key, kind="stable")
         key, s2, ids = key.take(order), s2.take(order), node.scenario_ids.take(order % m)
         # row 0 the lower, row 1 the upper table at each child's cells
-        lu = self.scenario_bounds.tables[:, d + 1].reshape(2, -1).take(s2 * k + ids, axis=1)
+        lu = self.tables[:, d + 1].reshape(2, -1).take(s2 * k + ids, axis=1)
         edges = [ActionEdge(total / m) for total in np.add.reduce(r, axis=1).tolist()]
         starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
         children = self._nodes(d + 1, ids, s2, lu, starts)
@@ -369,8 +367,8 @@ def search(
     """Build a tree and run trials until the budget is spent or the root gap
     shrinks to ``(1 - xi)`` of its initial value; returns the chosen action
     and the final root bounds.  The tree's bound tables then become the
-    spare of the next search on ``model`` (see :class:`ScenarioBounds`), so
-    a search does not allocate and page in fresh ones."""
+    spare of the next search on ``model`` (see :func:`_fill_bounds`), so a
+    search does not allocate and page in fresh ones."""
     tree = DespotTree(model, config, belief)
     gap0 = tree.root.upper - tree.root.lower
     target = (1.0 - config.xi) * gap0
@@ -389,7 +387,7 @@ def search(
             break
     result = tree.best_action(), tree.bounds()
     spare, _ = _MODEL_CACHES[model]
-    spare[tree.scenario_bounds.tables.shape] = tree.scenario_bounds.tables
+    spare[tree.tables.shape] = tree.tables
     return result
 
 

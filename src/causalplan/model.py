@@ -43,32 +43,6 @@ class TransitionMode(enum.Enum):
 _MODE_INDEX = {TransitionMode.OBSERVATIONAL: 0, TransitionMode.INTERVENTIONAL: 1}
 
 
-# Cells of a bucket grid over [0, 1).  A power of two, so ``u * _GRID_CELLS``
-# is exact and its floor is the cell that holds ``u``.
-_GRID_CELLS = 1 << 12
-
-
-def _bucket_grid(breaks: np.ndarray) -> np.ndarray:
-    """The bucket id of each grid cell ``[c / G, (c + 1) / G)`` of [0, 1):
-    the number of ``breaks <= c / G``, which every draw in the cell has at
-    or below it, or -1 where a break lies strictly inside the cell; in the
-    smallest signed type that holds the number of breaks."""
-    edges = np.arange(_GRID_CELLS + 1) / _GRID_CELLS
-    lo = breaks.searchsorted(edges[:-1], side="right")
-    inside = breaks.searchsorted(edges[1:], side="left") > lo
-    return np.where(inside, -1, lo).astype(np.min_scalar_type(-1 - len(breaks)))
-
-
-def _grid_lookup(grid: np.ndarray, breaks: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """``breaks.searchsorted(draws, side="right")`` for a vector of draws in
-    [0, 1), through ``grid``, the :func:`_bucket_grid` of ``breaks``: each
-    draw's cell id, or a ``searchsorted`` for the draws in marked cells."""
-    ids = grid.take((draws * _GRID_CELLS).astype(np.intp))
-    marked = np.flatnonzero(ids < 0)
-    ids[marked] = breaks.searchsorted(draws[marked], side="right")
-    return ids
-
-
 class InconsistentObservationError(Exception):
     """A belief update saw an observation with zero predicted probability."""
 
@@ -188,13 +162,9 @@ class UcPomdpModel:
             raise SpecificationError("observation table width != |Z|")
         term_row = np.zeros(self.n_observations)
         term_row[self.terminal_observation] = 1.0
-        obs = CategoricalTable((self.n_states,), np.vstack(
+        self._sensor = CategoricalTable((self.n_states,), np.vstack(
             [observation_table.values, term_row, term_row]))
-        self._obs, self._obs_cdf = obs.values, obs.cdf
-        self._obs_breaks, self._obs_buckets = obs.buckets
-        # bucket grids of the two modes' transition breaks and of the
-        # observation breaks, each built on its first lookup
-        self._grids = [None, None, None]
+        _, self._obs_buckets = self._sensor.buckets
 
         self.initial_belief = Belief(self._pad(initial_belief, float, "initial belief"))
         self.rollout_policy = self._pad(rollout_policy, np.int64, "rollout policy")
@@ -285,20 +255,15 @@ class UcPomdpModel:
             in_region, self._rel_region[:, :, None], self._rel_free[:, None]))
         for term in (self.goal_state, self.collided_state):
             trans[:, :, term, term] = 1.0
-        trans.setflags(write=False)
-        self._transition = trans
-        # per mode: breaks, then successor and reward per (bucket, action, state)
-        self._trans_breaks, self._succ, self._rew, cdf = [], [], [], []
-        for m in range(2):
-            table = CategoricalTable((n_a, n), trans[m].reshape(n_a * n, n))
-            breaks, succ = table.buckets
-            succ = succ.reshape(-1, n_a, n)
-            cdf.append(table.cdf)
-            self._trans_breaks.append(breaks)
+        # per mode, the law over (action, state) rows; the kernels' successor
+        # and reward per (bucket, action, state)
+        self._laws = tuple(CategoricalTable((n_a, n), t.reshape(n_a * n, n)) for t in trans)
+        self._succ, self._rew = [], []
+        for law in self._laws:
+            succ = law.buckets[1].reshape(-1, n_a, n)
             self._succ.append(succ.ravel())
             self._rew.append(self._reward_table[np.arange(n_a)[:, None],
                                                 np.arange(n), succ].ravel())
-        self._trans_cdf = np.reshape(cdf, trans.shape)
 
         # P(S' | s, a, u) under the mechanism tables, (ordinary state, A, U, S')
         p_uc = self.p_uc.values.reshape(n_a, self.n_confounder, 1, self.n_ds)
@@ -315,8 +280,10 @@ class UcPomdpModel:
         return self.states.index(label)
 
     def transition_matrix(self, mode: TransitionMode) -> np.ndarray:
-        """(action, state, successor) probabilities; terminal rows are identity."""
-        return self._transition[_MODE_INDEX[mode]]
+        """Read-only (action, state, successor) probabilities; terminal rows
+        are identity."""
+        n = self.n_states
+        return self._laws[_MODE_INDEX[mode]].values.reshape(self.n_actions, n, n)
 
     def region_rows(self, mode: TransitionMode) -> np.ndarray:
         """Read-only (action, relative outcome) probabilities inside the
@@ -353,7 +320,8 @@ class UcPomdpModel:
             p_uc=p_uc,
             p_0=p_0,
             successor_table=self.successor_table[:-2],
-            observation_table=CategoricalTable((self.n_states - 2,), self._obs[:-2]),
+            observation_table=CategoricalTable((self.n_states - 2,),
+                                              self._sensor.values[:-2]),
             rewards=self._reward_table[:, :-2],
             discount=self.discount,
             initial_belief=self.initial_belief.probs[:-2],
@@ -370,29 +338,22 @@ class UcPomdpModel:
         outside ``[0, 1)``, or NaN, or a last axis other than 2 is a
         ``UsageError``.
 
-        The breaks and per-bucket categories are
-        :attr:`~causalplan.scm.CategoricalTable.buckets` of a mode's
-        transition rows (and of the observation rows), so there are at most
-        ``1 + sum over rows of (nonzeros - 1)`` buckets, and each table
-        entry is the category :func:`deterministic_step` draws at any ``u``
-        in the bucket.  An id is the number of breaks ``<= u``, read from a
-        grid of ``2**12`` equal cells of [0, 1) (:func:`_bucket_grid`), built
-        for each set of breaks on its first lookup and kept on the model;
-        only draws in a cell with a break strictly inside it are looked up
-        in the breaks themselves."""
+        Each half is :meth:`~causalplan.scm.CategoricalTable.bucket_index`
+        of its table, the mode's transition law or the sensor, so there are
+        at most ``1 + sum over rows of (nonzeros - 1)`` buckets, and each
+        entry of the table's :attr:`~causalplan.scm.CategoricalTable.buckets`
+        is the category :func:`deterministic_step` draws at any ``u`` in the
+        bucket."""
         draws = np.asarray(draws, dtype=float)
         if draws.shape[-1:] != (2,):
             raise UsageError("bucket draws need a last axis of length 2")
-        # min and max are NaN if any draw is, and both tests then fail
-        if draws.size and not (draws.min() >= 0.0 and draws.max() < 1.0):
-            raise UsageError("bucket draws must lie in [0, 1)")
         flat = draws.reshape(-1, 2)
         ids = np.empty(flat.shape, dtype=np.int64)
-        m = _MODE_INDEX[mode]
-        for half, g, breaks in ((0, m, self._trans_breaks[m]), (1, 2, self._obs_breaks)):
-            if self._grids[g] is None:
-                self._grids[g] = _bucket_grid(breaks)
-            ids[:, half] = _grid_lookup(self._grids[g], breaks, flat[:, half])
+        # each half copied to a contiguous row: a strided check and lookup
+        # cost twice as much
+        tables = (self._laws[_MODE_INDEX[mode]], self._sensor)
+        for half, (table, u) in enumerate(zip(tables, flat.T.copy())):
+            ids[:, half] = table.bucket_index(u)
         return ids.reshape(draws.shape)
 
     def batch_step(self, states, actions, b1, b2, mode: TransitionMode):
@@ -419,7 +380,7 @@ def belief_update(
 ) -> Belief:
     """Bayes update of the belief after taking ``a`` and observing ``z``."""
     pred = b.probs @ model.transition_matrix(mode)[a]
-    post = pred * model._obs[:, z]
+    post = pred * model._sensor.values[:, z]
     mass = float(post.sum())
     if mass <= 0.0:
         raise InconsistentObservationError(
@@ -443,6 +404,7 @@ def deterministic_step(
     executes through it, and the batched kernels are checked against it."""
     if model.is_terminal(s):
         return s, model.terminal_observation, 0.0
-    s2 = int(cdf_index(model._trans_cdf[_MODE_INDEX[mode], a, s], phi[0]))
-    z = int(cdf_index(model._obs_cdf[s2], phi[1]))
+    law = model._laws[_MODE_INDEX[mode]]
+    s2 = int(cdf_index(law.cdf[a * model.n_states + s], phi[0]))
+    z = int(cdf_index(model._sensor.cdf[s2], phi[1]))
     return s2, z, float(model._reward_table[a, s, s2])

@@ -66,7 +66,7 @@ class CategoricalTable:
     an unconditional prior.
     """
 
-    __slots__ = ("parent_arities", "values", "_cdf", "_buckets")
+    __slots__ = ("parent_arities", "values", "_cdf", "_buckets", "_grid")
 
     def __init__(self, parent_arities: Sequence[int], values):
         self.parent_arities = tuple(int(a) for a in parent_arities)
@@ -77,12 +77,10 @@ class CategoricalTable:
             vals = vals[None, :]
         if vals.ndim != 2:
             raise SpecificationError("table values must be a matrix of rows")
-        n_rows = 1
-        for a in self.parent_arities:
-            n_rows *= a
-        if vals.shape[0] != n_rows:
+        expected = math.prod(self.parent_arities)
+        if vals.shape[0] != expected:
             raise SpecificationError(
-                f"table has {vals.shape[0]} rows, expected {n_rows} "
+                f"table has {vals.shape[0]} rows, expected {expected} "
                 f"for parent arities {self.parent_arities}"
             )
         if vals.shape[1] < 1:
@@ -100,21 +98,16 @@ class CategoricalTable:
         self.values = vals
         self._cdf = None
         self._buckets = None
+        self._grid = None
 
     @classmethod
     def uniform(cls, parent_arities: Sequence[int], n_categories: int) -> "CategoricalTable":
-        n_rows = 1
-        for a in parent_arities:
-            n_rows *= a
-        return cls(parent_arities, np.full((n_rows, n_categories), 1.0 / n_categories))
+        return cls(parent_arities, np.full((math.prod(parent_arities), n_categories),
+                                           1.0 / n_categories))
 
     @property
     def n_categories(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
 
     @property
     def cdf(self) -> np.ndarray:
@@ -145,27 +138,53 @@ class CategoricalTable:
             self._buckets = breaks, table
         return self._buckets
 
-    def row_index(self, assignment: Sequence[int]) -> int:
-        if len(assignment) != len(self.parent_arities):
-            raise UsageError(
-                f"assignment of length {len(assignment)} for "
-                f"{len(self.parent_arities)} parents"
-            )
-        idx = 0
-        for value, arity in zip(assignment, self.parent_arities):
-            if not 0 <= value < arity:
-                raise UsageError(f"parent value {value} out of range [0, {arity})")
-            idx = idx * arity + value
-        return idx
-
-    def row(self, assignment: Sequence[int] = ()) -> np.ndarray:
-        return self.values[self.row_index(assignment)]
+    def bucket_index(self, u) -> np.ndarray:
+        """Each draw's bucket (:attr:`buckets`) for a vector ``u`` of draws
+        in [0, 1): the number of breaks ``<= u``, read from a grid of
+        ``2**12`` equal cells of [0, 1) (:func:`_bucket_grid`) that is built
+        on the first call and kept on the table; only draws in a cell with a
+        break strictly inside it are looked up in the breaks themselves.  A
+        draw outside [0, 1), or NaN, is a ``UsageError``."""
+        u = np.asarray(u, dtype=float)
+        # min and max are NaN if any draw is, and both tests then fail
+        if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+            raise UsageError("bucket draws must lie in [0, 1)")
+        breaks, _ = self.buckets
+        if self._grid is None:
+            self._grid = _bucket_grid(breaks)
+        return _grid_lookup(self._grid, breaks, u)
 
     def __repr__(self) -> str:
         return (
             f"CategoricalTable(parents={self.parent_arities}, "
             f"categories={self.n_categories})"
         )
+
+
+# Cells of a bucket grid over [0, 1).  A power of two, so ``u * _GRID_CELLS``
+# is exact and its floor is the cell that holds ``u``.
+_GRID_CELLS = 1 << 12
+
+
+def _bucket_grid(breaks: np.ndarray) -> np.ndarray:
+    """The bucket id of each grid cell ``[c / G, (c + 1) / G)`` of [0, 1):
+    the number of ``breaks <= c / G``, which every draw in the cell has at
+    or below it, or -1 where a break lies strictly inside the cell; in the
+    smallest signed type that holds the number of breaks."""
+    edges = np.arange(_GRID_CELLS + 1) / _GRID_CELLS
+    lo = breaks.searchsorted(edges[:-1], side="right")
+    inside = breaks.searchsorted(edges[1:], side="left") > lo
+    return np.where(inside, -1, lo).astype(np.min_scalar_type(-1 - len(breaks)))
+
+
+def _grid_lookup(grid: np.ndarray, breaks: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``breaks.searchsorted(draws, side="right")`` for a vector of draws in
+    [0, 1), through ``grid``, the :func:`_bucket_grid` of ``breaks``: each
+    draw's cell id, or a ``searchsorted`` for the draws in marked cells."""
+    ids = grid.take((draws * _GRID_CELLS).astype(np.intp))
+    marked = np.flatnonzero(ids < 0)
+    ids[marked] = breaks.searchsorted(draws[marked], side="right")
+    return ids
 
 
 def cdf_index(cdf: np.ndarray, u):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from causalplan import gridworld
+from causalplan import despot, gridworld
 from causalplan.learning import Dataset, DatasetMeta
 from causalplan.model import TransitionMode, UcPomdpModel, deterministic_step
 from causalplan.scm import CategoricalTable, _query_setup, cdf_index
@@ -253,9 +253,9 @@ def assert_mechanism_rows_fold(model):
     for s, a, u in itertools.product(range(n - 2), range(model.n_actions),
                                      range(model.n_confounder)):
         if s in model.confounded_states:
-            rel = model.p_uc.row((a, u))
+            rel = model.p_uc.values[a * model.n_confounder + u]
         else:
-            rel = model.p_0.row((a,))
+            rel = model.p_0.values[a]
         assert np.array_equal(rows[s, a, u], fold_loop(model, s, rel))
 
 
@@ -264,6 +264,13 @@ def buckets_of(model, phi1, phi2, mode):
     the kernel inputs that stand for them."""
     ids = model.bucket_ids(np.stack([phi1, phi2], axis=-1), mode)
     return ids[..., 0], ids[..., 1]
+
+
+def bound_tables(model, config, starts, streams) -> np.ndarray:
+    """The ``(2, D+1, S, K)`` lower and upper bound tables that a search
+    from ``starts`` over ``streams`` fills (``despot._fill_bounds``)."""
+    buckets = model.bucket_ids(streams, config.mode).transpose(1, 2, 0)
+    return despot._fill_bounds(model, config, np.ascontiguousarray(buckets), starts)
 
 
 def slice_mean(x) -> float:

@@ -97,10 +97,16 @@ class TestTablesCommand:
             lv = np.array([float(x) for x in l.split(",")[3:]])
             assert np.abs(tv - lv).max() <= 0.02
 
-    def test_learned_requires_params(self, tmp_path):
+    def test_learned_requires_params(self, tmp_path, capsys):
+        # learned rows come from --params alone: tables reads no --plan-model
         assert run([
             "tables", "--plan-model", "learned", "--out", str(tmp_path)
         ]) == 2
+        assert capsys.readouterr().err == (
+            "error[usage]: unrecognized arguments: --plan-model learned\n")
+        assert run(["tables", "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "tables.csv")[1:]
+        assert rows and all(row.startswith("truth,") for row in rows)
 
 
 class TestEvalCommand:
@@ -451,7 +457,7 @@ PLANNING_FLAGS = {
 }
 COMMAND_FLAGS = {
     "learn": SHARED_FLAGS | {"--dataset-n", "--smoothing", "--seed", "--write-dataset"},
-    "tables": SHARED_FLAGS | {"--plan-model", "--params"},
+    "tables": SHARED_FLAGS | {"--params"},
     "eval": SHARED_FLAGS | PLANNING_FLAGS | {"--episodes"},
     "simulate": SHARED_FLAGS | PLANNING_FLAGS | {"--replay"},
 }
@@ -470,8 +476,8 @@ ALL_FLAGS = sorted(FLAG_VALUES)
 
 
 class TestFlags:
-    def test_commands_take_46_flags_of_20(self):
-        assert sum(map(len, COMMAND_FLAGS.values())) == 46
+    def test_commands_take_45_flags_of_20(self):
+        assert sum(map(len, COMMAND_FLAGS.values())) == 45
         assert set().union(*COMMAND_FLAGS.values()) == set(ALL_FLAGS)
         assert set(cli.COMMANDS) == set(COMMAND_FLAGS)
 

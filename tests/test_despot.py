@@ -8,12 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from causalplan import cli, despot, gridworld, model as model_module
+from causalplan import cli, despot, gridworld, model as model_module, scm
 from causalplan.despot import (
     DespotNode,
     DespotTree,
     PlannerConfig,
-    ScenarioBounds,
     run_episode,
     sample_scenarios,
     search,
@@ -22,6 +21,7 @@ from causalplan.model import Belief, TransitionMode, deterministic_step
 from causalplan.scm import CategoricalTable, UsageError
 
 from helpers import (
+    bound_tables,
     free_roam_model,
     noisy_sensor_model,
     reach_mask,
@@ -81,7 +81,7 @@ class TestSampleScenarios:
 
     def test_count_must_be_positive(self, truth):
         with pytest.raises(UsageError):
-            sample_scenarios(truth.initial_belief, 0, seed=0)
+            sample_scenarios(truth.initial_belief, 0, seed=0, depth=5)
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_depth_must_be_positive(self, truth, depth):
@@ -99,11 +99,10 @@ def node_bounds(node, model, config, streams):
     """The node's default value and upper bound as the planner forms them:
     the means of its scenarios' table entries, the first minus the
     regularization penalty."""
-    buckets = model.bucket_ids(streams, config.mode)
-    table = ScenarioBounds(model, config, buckets, node.states)
+    lower, upper = bound_tables(model, config, node.states, streams)
     ids, states, d = node.scenario_ids, node.states, node.depth
-    return (float(table.lower[d][states, ids].mean()) - config.regularization,
-            float(table.upper[d][states, ids].mean()))
+    return (float(lower[d][states, ids].mean()) - config.regularization,
+            float(upper[d][states, ids].mean()))
 
 
 class TestBounds:
@@ -144,24 +143,24 @@ class TestBounds:
 
 
 def assert_tables_equal_scalar_bounds(model, config, belief):
-    """Builds both ``ScenarioBounds`` tables for ``config`` from ``belief``
-    and checks every filled cell, those reachable from the start states,
-    against the scalar backward recursion; returns the table and the mask."""
+    """Fills both bound tables for ``config`` from ``belief`` and checks
+    every filled cell, those reachable from the start states, against the
+    scalar backward recursion; returns the tables and the mask."""
     k, depth, mode = config.scenarios, config.depth, config.mode
     starts, streams = sample_scenarios(belief, k, config.seed, depth)
-    table = ScenarioBounds(model, config, model.bucket_ids(streams, mode), starts)
-    assert table.lower.shape == table.upper.shape == (depth + 1, model.n_states, k)
+    tables = bound_tables(model, config, starts, streams)
+    assert tables.shape == (2, depth + 1, model.n_states, k)
     reach = reach_mask(model, starts, depth, mode)
     for j in range(k):
         lower, upper = scalar_bounds(model, streams[j], depth, mode)
-        assert np.array_equal(table.lower[:, :, j][reach], lower[reach])
-        assert np.array_equal(table.upper[:, :, j][reach], upper[reach])
-    return table, reach
+        assert np.array_equal(tables[0, :, :, j][reach], lower[reach])
+        assert np.array_equal(tables[1, :, :, j][reach], upper[reach])
+    return tables, reach
 
 
 class TestDefaultValueTable:
-    """Both ``ScenarioBounds`` tables: the default-value (lower) table and the
-    clairvoyant (upper) table."""
+    """Both bound tables of ``despot._fill_bounds``: the default-value
+    (lower) table and the clairvoyant (upper) table."""
 
     @pytest.mark.parametrize("mode", [INT, OBS])
     @pytest.mark.parametrize("which", ["truth", "two_state"])
@@ -181,9 +180,9 @@ class TestDefaultValueTable:
                  "confounded": min(truth.confounded_states)}[where]
         config = PlannerConfig(scenarios=k, depth=depth, mode=mode, seed=5)
         belief = Belief.point_mass(truth.n_states, state)
-        table, reach = assert_tables_equal_scalar_bounds(truth, config, belief)
+        (_, upper), reach = assert_tables_equal_scalar_bounds(truth, config, belief)
         assert np.flatnonzero(reach[0]).tolist() == [state]
-        assert table.upper[0][state].any() == (where != "goal")
+        assert upper[0][state].any() == (where != "goal")
 
     def test_one_policy_step_per_depth(self, truth, monkeypatch):
         calls = []
@@ -196,7 +195,7 @@ class TestDefaultValueTable:
         monkeypatch.setattr(type(truth), "batch_policy_step", counted)
         config = PlannerConfig(scenarios=20, depth=15, seed=0)
         starts, streams = sample_scenarios(truth.initial_belief, 20, seed=0, depth=15)
-        ScenarioBounds(truth, config, truth.bucket_ids(streams, config.mode), starts)
+        bound_tables(truth, config, starts, streams)
         assert len(calls) == config.depth
 
 
@@ -233,18 +232,19 @@ class TestSearchCounters:
 
 
 class TestBucketGridLifetime:
-    """A model builds the bucket grid of a set of breaks on its first
-    lookup, keeps it, and drops it with itself."""
+    """Each of a model's tables, the two modes' laws and the sensor, builds
+    its bucket grid on its first lookup, keeps it, and drops it with itself
+    and so with the model."""
 
     @pytest.fixture
     def built(self, monkeypatch):
         made = []
 
-        def counted(breaks, _make=model_module._bucket_grid):
+        def counted(breaks, _make=scm._bucket_grid):
             made.append(len(breaks))
             return _make(breaks)
 
-        monkeypatch.setattr(model_module, "_bucket_grid", counted)
+        monkeypatch.setattr(scm, "_bucket_grid", counted)
         return made
 
     def test_learn_and_tables_build_no_grid(self, built, tmp_path):
@@ -266,7 +266,7 @@ class TestBucketGridLifetime:
         for mode in (INT, OBS):
             search(model.initial_belief, model,
                    PlannerConfig(scenarios=50, depth=5, budget_trials=20, mode=mode))
-        grids = [weakref.ref(grid) for grid in model._grids]
+        grids = [weakref.ref(table._grid) for table in (*model._laws, model._sensor)]
         ref = weakref.ref(model)
         del model
         gc.collect()
@@ -280,7 +280,7 @@ class TestNoisySensor:
 
     def test_episodes_keep_bounds_beliefs_and_caches_sound(self, monkeypatch):
         model = noisy_sensor_model()
-        assert len(model._obs_breaks) > 0
+        assert len(model._sensor.buckets[0]) > 0
         beliefs = []
 
         def checked(belief, plan_model, config):
@@ -288,11 +288,11 @@ class TestNoisySensor:
             _, streams = sample_scenarios(belief, config.scenarios, config.seed,
                                           config.depth)
             ids = plan_model.bucket_ids(streams, config.mode)
-            breaks = plan_model._trans_breaks[model_module._MODE_INDEX[config.mode]]
-            assert np.array_equal(ids[..., 0],
-                                  breaks.searchsorted(streams[..., 0], side="right"))
-            assert np.array_equal(ids[..., 1], plan_model._obs_breaks.searchsorted(
-                streams[..., 1], side="right"))
+            law = plan_model._laws[model_module._MODE_INDEX[config.mode]]
+            for half, table in enumerate((law, plan_model._sensor)):
+                breaks, _ = table.buckets
+                assert np.array_equal(ids[..., half],
+                                      breaks.searchsorted(streams[..., half], side="right"))
             return search(belief, plan_model, config)
 
         monkeypatch.setattr(despot, "search", checked)
@@ -426,7 +426,7 @@ class TestBoundTableReuse:
             model.n_states, model.state_index((0, 2)))
         search(start, model, self.config(OBS, 0))
         tree = DespotTree(model, self.config(INT, 3), belief)
-        tables = tree.scenario_bounds.tables
+        tables = tree.tables
         kept = tables.copy()
         # a tree built on the model while a search runs gets other tables
         pairs = []
@@ -435,8 +435,7 @@ class TestBoundTableReuse:
         def build_a_tree(running):
             if not pairs:
                 other = DespotTree(model, running.config, belief)
-                pairs.append((running.scenario_bounds.tables,
-                              other.scenario_bounds.tables))
+                pairs.append((running.tables, other.tables))
             return trial(running)
 
         monkeypatch.setattr(DespotTree, "run_trial", build_a_tree)
@@ -449,7 +448,7 @@ class TestBoundTableReuse:
             for seed in range(3):
                 search(start, model, self.config(mode, seed))
                 search(belief, model, self.config(mode, seed))
-        assert tree.scenario_bounds.tables is tables
+        assert tree.tables is tables
         assert np.array_equal(tables, kept)
         fresh = DespotTree(gridworld.build_model(grid), self.config(INT, 3), belief)
         for t in (tree, fresh):

@@ -156,7 +156,7 @@ class TestModelInvariants:
         for _ in range(100):
             a = int(rng.integers(truth.n_actions))
             pred = b.probs @ truth.transition_matrix(OBS)[a]
-            feasible = np.flatnonzero(pred @ truth._obs > 0)
+            feasible = np.flatnonzero(pred @ truth._sensor.values > 0)
             z = int(rng.choice(feasible))
             b = belief_update(truth, b, a, z, OBS)
             assert abs(b.probs.sum() - 1.0) <= 1e-9
@@ -170,7 +170,7 @@ class TestModelInvariants:
         joint = np.zeros((model.n_states, model.n_observations))
         np.add.at(joint, (s2, z), 1.0 / n)
         expected = (
-            model.transition_matrix(INT)[1, 0][:, None] * model._obs
+            model.transition_matrix(INT)[1, 0][:, None] * model._sensor.values
         )
         assert np.abs(joint - expected).max() <= 0.005
 
@@ -245,7 +245,7 @@ class TestPlannerInvariants:
             if expanded >= 20:
                 break
             tree, _, _ = self._searched_tree(model, belief, mode, 300, 3)
-            config, table = tree.config, tree.scenario_bounds
+            config, (lower, upper) = tree.config, tree.tables
             for node in tree_nodes(tree):
                 if node.children is None:
                     continue
@@ -264,9 +264,9 @@ class TestPlannerInvariants:
                         d = child.depth
                         cells = (child.states, child.scenario_ids)
                         assert child.default_value == slice_mean(
-                            table.lower[d][cells]) - config.regularization
+                            lower[d][cells]) - config.regularization
                         if child.children is None:
-                            assert child.upper == slice_mean(table.upper[d][cells])
+                            assert child.upper == slice_mean(upper[d][cells])
                             assert child.lower == child.default_value
                         low += len(child.scenario_ids) * child.lower
                         up += len(child.scenario_ids) * child.upper
@@ -333,8 +333,9 @@ class TestLearningInvariants:
         params = fit(generate_dataset(truth, 800_000, seed=8))
         for a in range(truth.n_actions):
             for u in range(truth.n_confounder):
-                fitted = params.p_uc.row((a, u))
-                mechanism = truth.p_uc.row((a, u))
+                row = a * truth.n_confounder + u
+                fitted = params.p_uc.values[row]
+                mechanism = truth.p_uc.values[row]
                 mixture = truth.region_rows(OBS)[a]
                 assert np.abs(fitted - mechanism).max() <= 0.06
                 if np.abs(mechanism - mixture).max() > 0.2:

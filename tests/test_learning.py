@@ -144,8 +144,8 @@ class TestFit:
     def test_fitted_rows_track_mechanism_not_mixture(self, truth):
         ds = generate_dataset(truth, 800_000, seed=2)
         params = fit(ds)
-        row = params.p_uc.row((UP, 1))  # a=UP, zero orientation error
-        mechanism = truth.p_uc.row((UP, 1))
+        row = params.p_uc.values[UP * truth.n_confounder + 1]  # zero orientation error
+        mechanism = truth.p_uc.values[UP * truth.n_confounder + 1]
         mixture = truth.region_rows(OBS)[UP]
         assert np.abs(row - mechanism).max() <= 0.02
         assert np.abs(row - mixture).max() > 0.3

@@ -6,20 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from causalplan.learning import _inverse_cdf
 from causalplan.model import (
-    _GRID_CELLS,
+    _MODE_INDEX,
     Belief,
     InconsistentObservationError,
     TransitionMode,
     UcPomdpModel,
-    _bucket_grid,
-    _grid_lookup,
     belief_update,
     deterministic_step,
 )
 from causalplan.scm import (
+    _GRID_CELLS,
     CategoricalTable,
     SpecificationError,
     UsageError,
+    _bucket_grid,
+    _grid_lookup,
     cdf_index,
     importance_query,
 )
@@ -108,6 +109,14 @@ class TestTransitionDist:
         with pytest.raises(ValueError):
             truth.region_rows(mode)[UP, 0] = 1.0
 
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    def test_transition_matrix_is_a_read_only_view_of_its_law(self, truth, mode):
+        matrix = truth.transition_matrix(mode)
+        assert matrix.shape == (truth.n_actions, truth.n_states, truth.n_states)
+        assert np.shares_memory(matrix, truth._laws[_MODE_INDEX[mode]].values)
+        with pytest.raises(ValueError):
+            matrix[UP, 0, 0] = 1.0
+
     def test_modes_agree_outside_region(self, truth):
         for s in range(truth.n_states - 2):
             if s in truth.confounded_states:
@@ -130,11 +139,11 @@ class TestTransitionDist:
 class TestObservationDist:
     def test_noiseless_position(self, truth):
         s = truth.state_index((2, 1))
-        assert truth._obs[s, s] == 1.0
+        assert truth._sensor.values[s, s] == 1.0
 
     def test_terminals_emit_terminal_observation(self, truth):
         for t in (truth.goal_state, truth.collided_state):
-            assert truth._obs[t, truth.terminal_observation] == 1.0
+            assert truth._sensor.values[t, truth.terminal_observation] == 1.0
 
     def test_action_independence(self, truth, rng):
         # the observation drawn at phi[1] depends on the successor alone
@@ -174,7 +183,7 @@ class TestBeliefUpdate:
         pred = b.probs @ truth.transition_matrix(INT)[a]
         recovered = np.zeros(n)
         for z in range(truth.n_observations):
-            pz = float(pred @ truth._obs[:, z])
+            pz = float(pred @ truth._sensor.values[:, z])
             if pz == 0.0:
                 continue
             recovered += pz * belief_update(truth, b, a, z, INT).probs
@@ -185,7 +194,7 @@ class TestBeliefUpdate:
         for _ in range(50):
             a = int(rng.integers(4))
             pred = b.probs @ truth.transition_matrix(OBS)[a]
-            feasible = np.flatnonzero(pred @ truth._obs > 0)
+            feasible = np.flatnonzero(pred @ truth._sensor.values > 0)
             z = int(rng.choice(feasible))
             b = belief_update(truth, b, a, z, OBS)
             assert b.probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -283,8 +292,8 @@ class TestDeterministicStep:
     @pytest.mark.parametrize("mode", [INT, OBS])
     def test_batch_matches_scalar_at_cdf_ties(self, truth, mode):
         # draws equal to a CDF entry, where the side of the comparison matters
-        ties = np.unique(np.concatenate([truth._trans_cdf.ravel(),
-                                         truth._obs_cdf.ravel()]))
+        ties = np.unique(np.concatenate([table.cdf.ravel() for table
+                                         in (*truth._laws, truth._sensor)]))
         ties = ties[ties < 1.0]
         for s in range(truth.n_states - 2):
             for a in range(truth.n_actions):
@@ -349,18 +358,24 @@ G = _GRID_CELLS
 
 
 @st.composite
+def random_tables(draw):
+    """A table of one to six rows of two to six integer weights, some of
+    them zero, normalized."""
+    width = draw(st.integers(2, 6))
+    rows = np.array(draw(st.lists(
+        st.lists(st.integers(0, 9), min_size=width, max_size=width).filter(any),
+        min_size=1, max_size=6)), dtype=float)
+    return CategoricalTable((len(rows),), rows / rows.sum(axis=1, keepdims=True))
+
+
+@st.composite
 def break_sets(draw):
     """Sorted distinct breaks in [0, 1) of five kinds: a random table's
     CDF breaks, clusters with gaps under two ulps, breaks exactly on grid
     edges ``c / G``, none (the shipped sensor's rows), and more than 255."""
     kind = draw(st.sampled_from(["table", "close", "edges", "none", "many"]))
     if kind == "table":
-        width = draw(st.integers(2, 6))
-        rows = np.array(draw(st.lists(
-            st.lists(st.integers(0, 9), min_size=width, max_size=width).filter(any),
-            min_size=1, max_size=6)), dtype=float)
-        return CategoricalTable((len(rows),), rows / rows.sum(axis=1, keepdims=True)
-                                ).buckets[0]
+        return draw(random_tables()).buckets[0]
     if kind == "close":
         centres = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
                                 max_size=8))
@@ -395,6 +410,28 @@ class TestBucketGrid:
         u = grid_draws(breaks)
         assert np.array_equal(_grid_lookup(grid, breaks, u),
                               breaks.searchsorted(u, side="right"))
+
+    @given(random_tables())
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_bucket_index_equals_searchsorted(self, table):
+        breaks, _ = table.buckets
+        u = grid_draws(breaks)
+        assert np.array_equal(table.bucket_index(u), breaks.searchsorted(u, side="right"))
+
+    def test_a_table_builds_its_grid_once(self):
+        table = CategoricalTable((2,), [[0.3, 0.7], [0.5, 0.5]])
+        assert table._grid is None
+        first = table.bucket_index([0.1, 0.4, 0.6])
+        grid = table._grid
+        assert grid is not None
+        assert np.array_equal(table.bucket_index([0.1, 0.4, 0.6]), first)
+        assert table._grid is grid
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.0])
+    def test_bucket_index_rejects_draws_outside_the_unit_interval(self, bad):
+        table = CategoricalTable((2,), [[0.3, 0.7], [0.5, 0.5]])
+        with pytest.raises(UsageError, match=r"must lie in \[0, 1\)"):
+            table.bucket_index([0.5, bad])
 
     @pytest.mark.parametrize("half", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.0, 2.0])

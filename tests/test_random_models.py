@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalplan.despot import DespotTree, PlannerConfig, ScenarioBounds
+from causalplan.despot import DespotTree, PlannerConfig
 from causalplan.model import (
     Belief,
     InconsistentObservationError,
@@ -25,6 +25,7 @@ from causalplan.scm import CategoricalTable, exact_query
 from helpers import (
     assert_mechanism_rows_fold,
     assert_transition_rows_fold,
+    bound_tables,
     brute_force_optimum,
     buckets_of,
     determinized_optimum,
@@ -85,7 +86,7 @@ def unit_draws(model, rng, shape):
     """Draws in [0, 1), half of them exact CDF values, where ties and bucket
     edges sit."""
     u = rng.random(shape)
-    edges = np.concatenate([model._trans_cdf.ravel(), model._obs_cdf.ravel()])
+    edges = np.concatenate([law.cdf.ravel() for law in (*model._laws, model._sensor)])
     edges = edges[edges < 1.0]
     at = rng.random(shape) < 0.5
     u[at] = rng.choice(edges, at.sum())
@@ -95,9 +96,9 @@ def unit_draws(model, rng, shape):
 def nan_outside_reach(tree):
     """Sets every bound-table cell that the root's start states cannot
     reach to NaN, so a search that reads one gets a NaN bound."""
-    table, config = tree.scenario_bounds, tree.config
+    config = tree.config
     reach = reach_mask(tree.model, tree.root.states, config.depth, config.mode)
-    for rows in (table.lower, table.upper):
+    for rows in tree.tables:
         rows[np.broadcast_to(~reach[:, :, None], rows.shape)] = np.nan
 
 
@@ -152,13 +153,13 @@ def test_bound_tables_equal_the_scalar_recursion(model, seed, mode, k, depth):
     starts = rng.integers(0, model.n_states - 2, k)
     streams = unit_draws(model, rng, (k, depth, 2))
     config = PlannerConfig(scenarios=k, depth=depth, mode=mode)
-    table = ScenarioBounds(model, config, model.bucket_ids(streams, mode), starts)
+    table_lower, table_upper = bound_tables(model, config, starts, streams)
     # only the cells a search can read are filled
     reach = reach_mask(model, starts, depth, mode)
     for j in range(k):
         lower, upper = scalar_bounds(model, streams[j], depth, mode)
-        assert np.array_equal(table.lower[:, :, j][reach], lower[reach])
-        assert np.array_equal(table.upper[:, :, j][reach], upper[reach])
+        assert np.array_equal(table_lower[:, :, j][reach], lower[reach])
+        assert np.array_equal(table_upper[:, :, j][reach], upper[reach])
 
 
 @given(model=small_models())
@@ -170,7 +171,7 @@ def test_bucket_count_is_bounded_by_the_nonzeros(model):
         last_trans, last_obs = model.bucket_ids([np.nextafter(1.0, 0.0)] * 2, mode)
         rows = model.transition_matrix(mode).reshape(-1, model.n_states)
         assert last_trans <= ((rows > 0).sum(axis=1) - 1).sum()
-        assert last_obs <= ((model._obs > 0).sum(axis=1) - 1).sum()
+        assert last_obs <= ((model._sensor.values > 0).sum(axis=1) - 1).sum()
 
 
 @given(model=small_models())
@@ -251,7 +252,7 @@ def test_belief_update_is_bayes_rule(model, seed, mode):
     for a in range(model.n_actions):
         for z in range(model.n_observations):
             joint = [sum(belief.probs[s] * trans[a, s, s2] for s in range(n))
-                     * model._obs[s2, z] for s2 in range(n)]
+                     * model._sensor.values[s2, z] for s2 in range(n)]
             total = sum(joint)
             if total == 0.0:
                 with pytest.raises(InconsistentObservationError):

@@ -47,11 +47,6 @@ class TestCategoricalTable:
         with pytest.raises(SpecificationError):
             CategoricalTable((2,), [[0.5, 0.5]])
 
-    def test_row_indexing_is_mixed_radix(self):
-        t = CategoricalTable((2, 3), np.tile([0.25, 0.75], (6, 1)))
-        assert t.row_index((1, 2)) == 5
-        assert t.row_index((0, 1)) == 1
-
     def test_tolerates_decimal_literal_rows(self):
         CategoricalTable((), [0.1, 0.2, 0.7])  # should not raise
 

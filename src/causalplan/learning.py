@@ -8,6 +8,7 @@ fit.  File formats (dataset CSV, parameter text) are documented in the README.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import re
@@ -18,6 +19,11 @@ import numpy as np
 
 from .model import TransitionMode, UcPomdpModel
 from .scm import CapacityError, CategoricalTable, UsageError, kl_divergence
+
+
+# records per block of dataset generation and fitting: a block's float
+# draws (256 KiB) and keys stay in cache instead of streaming whole columns
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -104,42 +110,62 @@ def generate_dataset(model: UcPomdpModel, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise UsageError("n must be >= 1")
-    if n * 8 > sys.maxsize:  # the bytes of an (n,) float64 draw; numpy's array limit
+    if n * 8 > sys.maxsize:  # the bytes of the (n,) int64 cells; numpy's array limit
         raise CapacityError(f"{n} records exceed the largest array")
     if seed < 0:
         raise UsageError("seed must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 10)))
     n_ordinary = model.n_states - 2
-    n_a = model.n_actions
+    n_u, n_a = model.n_confounder, model.n_actions
 
-    u = _inverse_cdf(model.confounder_prior.cdf, 0, rng.random(n))
-    cells = rng.integers(0, n_ordinary, size=n)
+    # The (seed, 10) stream holds n confounder draws, the cells, n action
+    # draws and n outcome draws.  Each float64 takes exactly one 64-bit
+    # draw, so every float column reads its own generator, set to that
+    # column's start by a copy of the stream moved on with ``advance``.  The
+    # cells column's draw count varies with rejection, so it is drawn whole
+    # and freed once the region flags are read from it.
+    seq = np.random.SeedSequence((seed, 10))
+    u_rng = np.random.default_rng(seq)
+    stream = np.random.PCG64(seq).advance(n)
+    cells = np.random.Generator(stream).integers(0, n_ordinary, size=n)
+    a_rng = np.random.Generator(copy.deepcopy(stream))
+    ds_rng = np.random.Generator(stream.advance(n))
     region_mask = np.zeros(n_ordinary, dtype=bool)
     region_mask[list(model.confounded_states)] = True
     uc = region_mask[cells]
-    # every record takes the out-of-region branch, then the region's records
-    # are inverted again from the same draws
-    region = np.flatnonzero(uc)
-    u_region = u.take(region)
+    del cells
 
-    action_draws = rng.random(n)
-    a = _inverse_cdf(np.arange(1, n_a + 1)[None, :] / n_a, 0, action_draws)
-    a_region = _inverse_cdf(model.reactive_policy.cdf, u_region,
-                            action_draws.take(region))
-    a[region] = a_region
+    u = np.empty(n, dtype=np.min_scalar_type(n_u - 1))
+    a = np.empty(n, dtype=np.min_scalar_type(n_a - 1))
+    ds = np.empty(n, dtype=np.min_scalar_type(model.n_ds - 1))
+    uniform_cdf = np.arange(1, n_a + 1)[None, :] / n_a
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        u_block, a_block, ds_block = u[block], a[block], ds[block]
+        size = len(u_block)
+        u_block[:] = _inverse_cdf(model.confounder_prior.cdf, 0, u_rng.random(size))
+        # every record takes the out-of-region branch, then the region's
+        # records are inverted again from the same draws
+        region = np.flatnonzero(uc[block])
+        u_region = u_block.take(region)
 
-    ds_draws = rng.random(n)
-    ds = _inverse_cdf(model.p_0.cdf, a, ds_draws)
-    # widened first: the narrow columns would wrap under either numpy's promotion
-    ds[region] = _inverse_cdf(model.p_uc.cdf,
-                              a_region.astype(np.intp) * model.n_confounder + u_region,
-                              ds_draws.take(region))
+        action_draws = a_rng.random(size)
+        a_block[:] = _inverse_cdf(uniform_cdf, 0, action_draws)
+        a_region = _inverse_cdf(model.reactive_policy.cdf, u_region,
+                                action_draws.take(region))
+        a_block[region] = a_region
+
+        ds_draws = ds_rng.random(size)
+        ds_block[:] = _inverse_cdf(model.p_0.cdf, a_block, ds_draws)
+        # widened first: the narrow columns would wrap under either numpy's promotion
+        ds_block[region] = _inverse_cdf(model.p_uc.cdf,
+                                        a_region.astype(np.intp) * n_u + u_region,
+                                        ds_draws.take(region))
 
     meta = DatasetMeta(
         seed=seed,
         model_name=model.name,
         n_records=n,
-        n_u=model.n_confounder,
+        n_u=n_u,
         n_a=n_a,
         n_ds=model.n_ds,
     )
@@ -164,14 +190,19 @@ def fit(dataset: Dataset, smoothing: float = 1.0) -> LearnedParams:
         raise UsageError(f"smoothing {smoothing!r} overflows a row's total")
 
     # one count over (region flag, action, confounder, outcome), keyed in
-    # the smallest type of its cells; every table below sums it in integers
+    # the smallest type of its cells and summed block by block; every table
+    # below sums it in integers
     n_cells = 2 * n_a * n_u * n_ds
     cell = np.min_scalar_type(n_cells - 1).type
-    key = dataset.uc.astype(cell)
-    for column, arity in ((dataset.a, n_a), (dataset.u, n_u), (dataset.ds, n_ds)):
-        key *= cell(arity)
-        key += column
-    joint = np.bincount(key, minlength=n_cells).reshape(2, n_a, n_u, n_ds)
+    joint = np.zeros(n_cells, dtype=np.intp)
+    for lo in range(0, len(dataset), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        key = dataset.uc[block].astype(cell)
+        for column, arity in ((dataset.a, n_a), (dataset.u, n_u), (dataset.ds, n_ds)):
+            key *= cell(arity)
+            key += column[block]
+        joint += np.bincount(key, minlength=n_cells)
+    joint = joint.reshape(2, n_a, n_u, n_ds)
     u_counts = joint.sum(axis=(0, 1, 3)).astype(float)
     p_u = (u_counts + smoothing) / (u_counts.sum() + n_u * smoothing)
     # (action, confounder or n_u outside the region, outcome)

@@ -276,9 +276,6 @@ class UcPomdpModel:
     def is_terminal(self, s: int) -> bool:
         return s >= self.n_states - 2
 
-    def state_index(self, label) -> int:
-        return self.states.index(label)
-
     def transition_matrix(self, mode: TransitionMode) -> np.ndarray:
         """Read-only (action, state, successor) probabilities; terminal rows
         are identity."""

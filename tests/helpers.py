@@ -60,6 +60,11 @@ def hand_confounded_tables() -> tuple[dict, dict]:
     return interventional, observational
 
 
+def state_index(model, label) -> int:
+    """Index of the state labelled ``label``, a cell or a terminal."""
+    return model.states.index(label)
+
+
 def two_state_inputs() -> dict:
     """Constructor arguments of :func:`two_state_model`."""
     rows = [[0.7, 0.3], [0.2, 0.8]]

@@ -26,6 +26,7 @@ from helpers import (
     noisy_sensor_model,
     reach_mask,
     scalar_bounds,
+    state_index,
     two_state_model,
 )
 
@@ -108,7 +109,7 @@ def node_bounds(node, model, config, streams):
 class TestBounds:
     def test_rollout_from_goal_adjacent_cell(self, truth):
         config = PlannerConfig(scenarios=16, depth=15, regularization=0.01, seed=0)
-        s = truth.state_index((0, 2))
+        s = state_index(truth, (0, 2))
         # phi = 0.5 lands in the goal bucket of the UP transition CDF
         node, streams = make_node(truth, config, s)
         value, _ = node_bounds(node, truth, config, streams)
@@ -125,12 +126,12 @@ class TestBounds:
     # the shortest path's return
     def test_upper_bound_distance_one(self, truth):
         config = PlannerConfig(scenarios=8, depth=15, seed=0)
-        node, streams = make_node(truth, config, truth.state_index((0, 2)), k=8)
+        node, streams = make_node(truth, config, state_index(truth, (0, 2)), k=8)
         assert node_bounds(node, truth, config, streams)[1] == pytest.approx(99.0)
 
     def test_upper_bound_distance_three(self, truth):
         config = PlannerConfig(scenarios=8, depth=15, seed=0)
-        node, streams = make_node(truth, config, truth.state_index((0, 0)), k=8)
+        node, streams = make_node(truth, config, state_index(truth, (0, 0)), k=8)
         expected = -1.0 - 0.95 + 0.95 ** 2 * 99.0
         assert node_bounds(node, truth, config, streams)[1] == pytest.approx(
             expected, abs=1e-9
@@ -138,7 +139,7 @@ class TestBounds:
 
     def test_upper_bound_zero_at_horizon(self, truth):
         config = PlannerConfig(scenarios=8, depth=4, seed=0)
-        node, streams = make_node(truth, config, truth.state_index((0, 0)), k=8, depth=4)
+        node, streams = make_node(truth, config, state_index(truth, (0, 0)), k=8, depth=4)
         assert node_bounds(node, truth, config, streams)[1] == 0.0
 
 
@@ -346,7 +347,7 @@ class TestRunTrial:
         assert upper == pytest.approx(best, abs=1e-12)
 
     def test_modes_value_up_differently_at_confounded_cell(self, truth):
-        b = Belief.point_mass(truth.n_states, truth.state_index((0, 2)))
+        b = Belief.point_mass(truth.n_states, state_index(truth, (0, 2)))
         values = {}
         for mode in (INT, OBS):
             config = PlannerConfig(
@@ -408,8 +409,8 @@ class TestBoundTableReuse:
         model = gridworld.build_model(grid)
         # the start, the goal's neighbour, the confounded cell and a corner:
         # reach sets of different sizes, so each search meets stale rows
-        starts = [model.initial_belief.top_state, model.state_index((0, 2)),
-                  min(model.confounded_states), model.state_index((3, 3))]
+        starts = [model.initial_belief.top_state, state_index(model, (0, 2)),
+                  min(model.confounded_states), state_index(model, (3, 3))]
         runs = [(mode, s, seed, 10) for seed in (0, 1) for s in starts
                 for mode in (OBS, INT)]
         runs.insert(5, (INT, starts[0], 2, 4))   # another table shape between
@@ -423,7 +424,7 @@ class TestBoundTableReuse:
     def test_a_directly_built_tree_keeps_its_tables(self, grid, monkeypatch):
         model = gridworld.build_model(grid)
         start, belief = model.initial_belief, Belief.point_mass(
-            model.n_states, model.state_index((0, 2)))
+            model.n_states, state_index(model, (0, 2)))
         search(start, model, self.config(OBS, 0))
         tree = DespotTree(model, self.config(INT, 3), belief)
         tables = tree.tables

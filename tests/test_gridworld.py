@@ -18,7 +18,7 @@ from causalplan.gridworld import (
 )
 from causalplan.model import TransitionMode
 
-from helpers import dist_prob, hand_confounded_tables, serialize_map
+from helpers import dist_prob, hand_confounded_tables, serialize_map, state_index
 
 RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
 
@@ -174,14 +174,14 @@ class TestMapTopology:
 
 class TestBuildModel:
     def test_folded_interventional_up(self, grid, truth):
-        s = truth.state_index((0, 2))
+        s = state_index(truth, (0, 2))
         row = truth.transition_matrix(TransitionMode.INTERVENTIONAL)[UP, s]
         assert row[truth.goal_state] == pytest.approx(0.73, abs=1e-12)
         assert row[truth.collided_state] == pytest.approx(0.26, abs=1e-12)
-        assert row[truth.state_index((0, 1))] == pytest.approx(0.01, abs=1e-12)
+        assert row[state_index(truth, (0, 1))] == pytest.approx(0.01, abs=1e-12)
 
     def test_folded_observational_up(self, truth):
-        s = truth.state_index((0, 2))
+        s = state_index(truth, (0, 2))
         row = truth.transition_matrix(TransitionMode.OBSERVATIONAL)[UP, s]
         assert row[truth.goal_state] == pytest.approx(89 / 420, abs=1e-12)
 

@@ -58,7 +58,7 @@ def dist_strategy(k):
 
 class TestCausalModelInvariants:
     @given(prior=dist_strategy(3), rows=st.lists(dist_strategy(4), min_size=3, max_size=3))
-    @settings(max_examples=50, deadline=None)
+    @settings(derandomize=True, max_examples=50, deadline=None)
     def test_query_outputs_normalized(self, prior, rows):
         spec = ScmSpec(
             exogenous=[(VariableId("U", 3), CategoricalTable((), prior))],
@@ -76,7 +76,7 @@ class TestCausalModelInvariants:
         rows=st.lists(dist_strategy(3), min_size=3, max_size=3),
         value=st.integers(0, 2),
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(derandomize=True, max_examples=50, deadline=None)
     def test_no_confounding_makes_do_equal_conditioning(self, a_prior, rows, value):
         # A has no parents, so intervening on it cannot sever any back door
         spec = ScmSpec(
@@ -91,7 +91,7 @@ class TestCausalModelInvariants:
         assert by_do == pytest.approx(by_seeing, abs=1e-12)
 
     @given(a=st.integers(0, 3), ds=st.integers(0, 3))
-    @settings(max_examples=20, deadline=None)
+    @settings(derandomize=True, max_examples=20, deadline=None)
     def test_mutilation_idempotent_and_commutative(self, confounded_fragment, a, ds):
         once = mutilate(confounded_fragment, {"A": a})
         assert specs_equal(mutilate(once, {"A": a}), once)

@@ -1,9 +1,12 @@
 """Learning tests: dataset generation, fitting, assembly, fit evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from causalplan.learning import (
+    _BLOCK,
     Dataset,
     DatasetMeta,
     _inverse_cdf,
@@ -51,8 +54,11 @@ class TestGenerateDataset:
         assert abs(dataset_100k.uc.mean() - expected) <= 0.01
 
     @pytest.mark.parametrize("seed", [0, 7, 123, 999])
-    @pytest.mark.parametrize("n", [1, 7, 100_000])
+    @pytest.mark.parametrize("n", [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7,
+                                   100_000])
     def test_matches_two_branch_reference(self, truth, seed, n):
+        # the reference draws each column in one pass, so the sizes at and
+        # around a block edge check the block-wise generators against it;
         # two_state_model has no confounded cells, so no record takes the region branch
         for model in (truth, two_state_model()):
             got = generate_dataset(model, n, seed)
@@ -73,6 +79,18 @@ class TestGenerateDataset:
         assert got.dtype == np.uint16
         want = [cdf_index(table.cdf[r], d) for r, d in zip(rows, draws)]
         assert np.array_equal(got, want)
+
+    def test_traced_peak_stays_under_16_bytes_per_record(self, truth):
+        # the columns (4 bytes a record) and the whole int64 cells column
+        # (8) fit; any whole-length float64 temporary on top would not
+        n = 400_000
+        tracemalloc.start()
+        try:
+            generate_dataset(truth, n, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n, f"{peak / n:.1f} bytes per record"
 
     def test_deterministic_given_seed(self, truth):
         a = generate_dataset(truth, 5_000, seed=7)
@@ -117,6 +135,26 @@ class TestFit:
                               / (region_rows.sum(axis=1, keepdims=True) + n_ds * 0.5))
         assert np.array_equal(params.p_0.values, (free + 0.5)
                               / (free.sum(axis=1, keepdims=True) + n_ds * 0.5))
+
+    def test_joint_over_several_blocks_matches_one_bincount(self):
+        n_u, n_a, n_ds, n = 3, 4, 4, 3 * _BLOCK + 7
+        rng = np.random.default_rng(8)
+        uc = rng.random(n) < 0.3
+        u, a, ds = (rng.integers(0, k, size=n) for k in (n_u, n_a, n_ds))
+        meta = DatasetMeta(seed=0, model_name="blocks", n_records=n,
+                           n_u=n_u, n_a=n_a, n_ds=n_ds)
+        params = fit(Dataset(uc, u, a, ds, meta), smoothing=1.0)
+        key = ((uc * n_a + a) * n_u + u) * n_ds + ds
+        joint = np.bincount(key, minlength=2 * n_a * n_u * n_ds).reshape(2, n_a, n_u, n_ds)
+        region = joint[1].reshape(n_a * n_u, n_ds)
+        free = joint[0].sum(axis=1)
+        assert np.array_equal(params.meta.u_count, joint.sum(axis=(0, 1, 3)))
+        assert np.array_equal(params.meta.uc_row_counts, region.sum(axis=1))
+        assert np.array_equal(params.meta.free_row_counts, free.sum(axis=1))
+        assert np.array_equal(params.p_uc.values, (region + 1.0)
+                              / (region.sum(axis=1, keepdims=True) + n_ds))
+        assert np.array_equal(params.p_0.values, (free + 1.0)
+                              / (free.sum(axis=1, keepdims=True) + n_ds))
 
     def test_smoothing_lower_bounds_every_entry(self, dataset_100k):
         params = fit(dataset_100k, smoothing=1.0)

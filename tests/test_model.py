@@ -32,6 +32,7 @@ from helpers import (
     dist_prob,
     fold_loop,
     sample_reactive_action,
+    state_index,
     two_state_inputs,
     two_state_model,
 )
@@ -129,7 +130,7 @@ class TestTransitionDist:
     def test_importance_method_matches_exact(self, truth, rng):
         # the model's own causal spec, answered by sampling, folds into the
         # exactly enumerated transition row
-        s = truth.state_index((0, 2))
+        s = state_index(truth, (0, 2))
         exact = truth.transition_matrix(INT)[UP, s]
         rel = importance_query(truth._spec_region, "DS", intervention={"A": UP},
                                n_particles=20000, rng=rng)
@@ -138,7 +139,7 @@ class TestTransitionDist:
 
 class TestObservationDist:
     def test_noiseless_position(self, truth):
-        s = truth.state_index((2, 1))
+        s = state_index(truth, (2, 1))
         assert truth._sensor.values[s, s] == 1.0
 
     def test_terminals_emit_terminal_observation(self, truth):
@@ -157,22 +158,22 @@ class TestObservationDist:
 
 class TestBeliefUpdate:
     def test_point_mass_collapses_to_observed_cell(self, truth):
-        b = Belief.point_mass(truth.n_states, truth.state_index((0, 0)))
-        z = truth.state_index((0, 1))  # observation ids mirror cell ids
+        b = Belief.point_mass(truth.n_states, state_index(truth, (0, 0)))
+        z = state_index(truth, (0, 1))  # observation ids mirror cell ids
         b2 = belief_update(truth, b, UP, z, INT)
-        assert b2.probs[truth.state_index((0, 1))] == pytest.approx(1.0)
+        assert b2.probs[state_index(truth, (0, 1))] == pytest.approx(1.0)
 
     def test_posterior_proportional_to_inflow(self, truth):
         n = truth.n_states
         b = Belief(np.full(n, 1.0 / n))
-        z = truth.state_index((1, 0))
+        z = state_index(truth, (1, 0))
         b2 = belief_update(truth, b, RIGHT, z, INT)
         # noiseless sensor: only the observed cell can carry mass
-        assert b2.probs[truth.state_index((1, 0))] == pytest.approx(1.0)
+        assert b2.probs[state_index(truth, (1, 0))] == pytest.approx(1.0)
 
     def test_impossible_observation_raises(self, truth):
-        b = Belief.point_mass(truth.n_states, truth.state_index((0, 0)))
-        z_far = truth.state_index((3, 3))
+        b = Belief.point_mass(truth.n_states, state_index(truth, (0, 0)))
+        z_far = state_index(truth, (3, 3))
         with pytest.raises(InconsistentObservationError):
             belief_update(truth, b, UP, z_far, INT)
 
@@ -206,15 +207,15 @@ class TestReward:
     ``_reward_table[a, s, s_next]``."""
 
     def test_ordinary_move(self, truth):
-        s = truth.state_index((0, 0))
-        assert truth._reward_table[UP, s, truth.state_index((0, 1))] == -1.0
+        s = state_index(truth, (0, 0))
+        assert truth._reward_table[UP, s, state_index(truth, (0, 1))] == -1.0
 
     def test_goal_arrival(self, truth):
-        s = truth.state_index((0, 2))
+        s = state_index(truth, (0, 2))
         assert truth._reward_table[UP, s, truth.goal_state] == 99.0
 
     def test_collision(self, truth):
-        s = truth.state_index((0, 0))
+        s = state_index(truth, (0, 0))
         assert truth._reward_table[LEFT, s, truth.collided_state] == -51.0
 
     def test_terminal_absorbs_with_zero(self, truth):
@@ -224,7 +225,7 @@ class TestReward:
 
 class TestReactiveAction:
     def test_region_minus_90_prefers_up(self, truth):
-        s = truth.state_index((0, 2))
+        s = state_index(truth, (0, 2))
         rng = np.random.default_rng(0)
         draws = np.array(
             [sample_reactive_action(truth, s, 0, rng) for _ in range(100_000)]
@@ -232,7 +233,7 @@ class TestReactiveAction:
         assert abs(np.mean(draws == UP) - 0.85) <= 0.01
 
     def test_region_zero_error_prefers_sides(self, truth):
-        s = truth.state_index((0, 2))
+        s = state_index(truth, (0, 2))
         rng = np.random.default_rng(1)
         draws = np.array(
             [sample_reactive_action(truth, s, 1, rng) for _ in range(100_000)]
@@ -241,7 +242,7 @@ class TestReactiveAction:
         assert abs(np.mean(draws == LEFT) - 0.45) <= 0.01
 
     def test_uniform_outside_region(self, truth):
-        s = truth.state_index((2, 1))
+        s = state_index(truth, (2, 1))
         rng = np.random.default_rng(2)
         draws = np.array(
             [sample_reactive_action(truth, s, 0, rng) for _ in range(100_000)]
@@ -252,20 +253,20 @@ class TestReactiveAction:
 
 class TestDeterministicStep:
     def test_phi_zero_selects_first_successor(self, truth):
-        s = truth.state_index((0, 2))
+        s = state_index(truth, (0, 2))
         first = int(np.flatnonzero(truth.transition_matrix(INT)[UP, s])[0])
         s2, _, _ = deterministic_step(truth, s, UP, (0.0, 0.0), INT)
         assert s2 == first
 
     def test_empirical_marginal_matches_transition_dist(self, truth, rng):
-        s = truth.state_index((0, 2))
+        s = state_index(truth, (0, 2))
         b1, b2 = buckets_of(truth, rng.random(1_000_000), rng.random(1_000_000), INT)
         s2, _, _ = truth.batch_step(np.full(1_000_000, s), UP, b1, b2, INT)
         freq = np.bincount(s2, minlength=truth.n_states) / len(s2)
         assert np.abs(freq - truth.transition_matrix(INT)[UP, s]).max() <= 0.005
 
     def test_pure_function_of_inputs(self, truth):
-        s = truth.state_index((0, 1))
+        s = state_index(truth, (0, 1))
         out1 = deterministic_step(truth, s, UP, (0.42, 0.17), OBS)
         out2 = deterministic_step(truth, s, UP, (0.42, 0.17), OBS)
         assert out1 == out2

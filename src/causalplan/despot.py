@@ -146,8 +146,9 @@ def _fill_bounds(model: UcPomdpModel, config: PlannerConfig, buckets: np.ndarray
     ``upper[d] = max_a (r_a + gamma * upper[d + 1][s2_a, k])``, the same
     arithmetic as a scalar :func:`~causalplan.model.deterministic_step`
     recursion, so every filled entry equals it bit for bit.  A node at depth
-    ``d`` only holds states reachable in ``d`` steps from ``starts`` through
-    the transition support, so only those rows of ``d`` are filled and read.
+    ``d`` only holds states reachable in ``d`` steps from ``starts``
+    (:meth:`~causalplan.model.UcPomdpModel.successor_mask`), so only
+    those rows of ``d`` are filled and read.
     Scenarios are the innermost axis, so each operation of the fill runs
     along ``K`` contiguous lanes.
 
@@ -171,13 +172,12 @@ def _fill_bounds(model: UcPomdpModel, config: PlannerConfig, buckets: np.ndarray
         # per depth: the reachable ordinary states and the rows of the
         # fill's (A * m, K) step results that the default policy takes;
         # stored complete, so a concurrent search never sees a part
-        support = (model.transition_matrix(config.mode) > 0).any(axis=0)
         rows = []
         for _ in range(config.depth):
             states = np.flatnonzero(live[:n - 2])
             m = len(states)
             rows.append((states, model.rollout_policy[states] * m + np.arange(m)))
-            live = support[live].any(axis=0)
+            live = model.successor_mask(live, config.mode)
         reach[key] = rows
     actions, lanes = np.arange(model.n_actions)[:, None, None], np.arange(k)
     for d in range(config.depth - 1, -1, -1):

@@ -19,7 +19,8 @@ from importlib import resources
 
 import numpy as np
 
-from .model import UcPomdpModel
+from .model import COLLIDED_LABEL as COLLIDED, GOAL_LABEL as GOAL
+from .model import TERMINAL_OBSERVATION_LABEL, UcPomdpModel
 from .scm import CategoricalTable
 
 ACTIONS = ("RIGHT", "UP", "LEFT", "DOWN")
@@ -38,9 +39,6 @@ REACTIVE_ROWS = (
 )
 FORWARD_PROB = 0.90
 DRIFT_PROB = 0.05
-
-GOAL = "goal-reached"
-COLLIDED = "collided"
 
 BASE_REWARD = -1.0
 GOAL_BONUS = 100.0
@@ -227,7 +225,7 @@ def build_model(grid: GridMap, discount: float = 0.95) -> UcPomdpModel:
         state_labels=cells,
         actions=ACTIONS,
         ds_labels=DS_LABELS,
-        observation_labels=tuple(cells) + ("terminal",),
+        observation_labels=tuple(cells) + (TERMINAL_OBSERVATION_LABEL,),
         confounder_prior=CategoricalTable((), CONFOUNDER_PRIOR),
         reactive_policy=CategoricalTable((len(ORIENTATION_ERRORS),), REACTIVE_ROWS),
         confounded_states=[cell_index[c] for c in sorted(grid.confounded)],

@@ -244,17 +244,18 @@ def assemble_model(structure: UcPomdpModel, params: LearnedParams) -> UcPomdpMod
 
 def eval_kl_full_transition(learned: UcPomdpModel, truth: UcPomdpModel) -> float:
     """Mean KL over (state, action, confounder) contexts of the true full
-    transition row against the learned one, uniformly weighted."""
-    if learned.n_states != truth.n_states or learned.n_actions != truth.n_actions:
-        raise UsageError("models disagree on state or action spaces")
-    if learned.n_confounder != truth.n_confounder:
-        raise UsageError("models disagree on the confounder")
+    transition row against the learned one, uniformly weighted, over the
+    successor slots that the two models must share."""
+    if not np.array_equal(learned.successor_table, truth.successor_table):
+        raise UsageError("models disagree on states or successors")
+    if (learned.n_actions, learned.n_confounder) != (truth.n_actions, truth.n_confounder):
+        raise UsageError("models disagree on the actions or the confounder")
     # one KL per (s, a, u) context, added in that order: each context keeps
     # its own np.sum grouping, so the mean does not move in its last bits
-    n = truth.n_states
-    truth_rows = truth.mechanism_rows.reshape(-1, n)
+    k = truth.mechanism_rows.shape[-1]
+    truth_rows = truth.mechanism_rows.reshape(-1, k)
     total = 0.0
-    for t, l in zip(truth_rows, learned.mechanism_rows.reshape(-1, n)):
+    for t, l in zip(truth_rows, learned.mechanism_rows.reshape(-1, k)):
         total += kl_divergence(t, l)
     return total / len(truth_rows)
 

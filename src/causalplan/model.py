@@ -7,10 +7,15 @@ into a confounded region and everywhere else.  Successor-state distributions
 are obtained by assembling the corresponding structural causal model and
 running exact inference on it, once per (region, action, mode), and folding
 the relative outcome through the deterministic successor assignment.
+
+Laws over successors are kept over **successor slots**, a layout only this
+module reads: slot ``j`` of state ``s`` holds the ``j``-th distinct entry of
+``successor_table[s]``, ascending; the last repeats at zero mass up to |ΔS|.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 from typing import Sequence
@@ -132,14 +137,8 @@ class UcPomdpModel:
             raise SpecificationError("discount must lie in (0, 1)")
         self.discount = float(discount)
 
-        self.confounder_prior = confounder_prior
-        self.n_confounder = confounder_prior.n_categories
         self.reactive_policy = reactive_policy
         self.confounded_states = frozenset(int(s) for s in confounded_states)
-        self.p_uc = p_uc
-        self.p_0 = p_0
-
-        self._validate_tables()
 
         n_ordinary = self.n_states - 2
         succ = np.asarray(successor_table, dtype=np.int64)
@@ -153,6 +152,11 @@ class UcPomdpModel:
         terminals = [[self.goal_state] * self.n_ds, [self.collided_state] * self.n_ds]
         self.successor_table = np.vstack([succ, terminals])
         self.successor_table.setflags(write=False)
+        # _slots[s, j]: slot j's state; _slot_of[s, ds]: the slot of outcome ds
+        srt = np.sort(self.successor_table, axis=1)
+        repeat = np.diff(srt, axis=1, prepend=-1) == 0
+        self._slots = np.sort(np.where(repeat, srt[:, -1:], srt), axis=1)
+        self._slot_of = (self._slots[:, None] < self.successor_table[:, :, None]).sum(axis=2)
 
         if observation_table.parent_arities != (n_ordinary,):
             raise SpecificationError(
@@ -171,20 +175,24 @@ class UcPomdpModel:
         if self.rollout_policy.min() < 0 or self.rollout_policy.max() >= self.n_actions:
             raise SpecificationError("rollout policy references unknown actions")
 
-        rew = np.zeros((self.n_actions, self.n_states, self.n_states))
-        if np.shape(rewards) != rew[:, :-2].shape:
+        expected = (self.n_actions, n_ordinary, self.n_states)
+        if np.shape(rewards) != expected:
             raise SpecificationError(f"reward array shape {np.shape(rewards)}, "
-                                     f"expected {rew[:, :-2].shape}")
-        rew[:, :-2] = rewards
-        rew.setflags(write=False)
-        self._reward_table = rew
-
-        self._build_specs()
-        self._build_caches()
+                                     f"expected {expected}")
+        # (action, state, slot): the reward of moving to the slot's state
+        self._rewards = np.zeros((self.n_actions, self.n_states, self.n_ds))
+        self._rewards[:, :-2] = np.take_along_axis(np.asarray(rewards, dtype=float),
+                                                   self._slots[None, :-2], axis=2)
+        for table in (self._slots, self._slot_of, self._rewards):
+            table.setflags(write=False)
+        self._set_tables(confounder_prior, p_uc, p_0)
 
     # -- construction helpers -------------------------------------------------
 
-    def _validate_tables(self):
+    def _set_tables(self, confounder_prior, p_uc, p_0):
+        """Check and take the three learnable tables; build what they feed."""
+        self.confounder_prior, self.p_uc, self.p_0 = confounder_prior, p_uc, p_0
+        self.n_confounder = confounder_prior.n_categories
         if self.confounder_prior.parent_arities != ():
             raise SpecificationError("confounder prior must be parentless")
         if self.reactive_policy.parent_arities != (self.n_confounder,):
@@ -201,6 +209,7 @@ class UcPomdpModel:
                if not 0 <= s < self.n_states - 2]
         if bad:
             raise SpecificationError(f"confounded region lists non-states: {bad}")
+        self._build_caches()
 
     def _pad(self, vec, dtype, what) -> np.ndarray:
         """A read-only copy of ``vec``, given over the ordinary states, with
@@ -212,7 +221,7 @@ class UcPomdpModel:
         v.setflags(write=False)
         return v
 
-    def _build_specs(self):
+    def _build_caches(self):
         u_var = VariableId("U", self.n_confounder)
         a_var = VariableId("A", self.n_actions)
         ds_var = VariableId("DS", self.n_ds)
@@ -230,8 +239,6 @@ class UcPomdpModel:
                 (ds_var, ("A",), self.p_0),
             ],
         )
-
-    def _build_caches(self):
         # Relative-outcome rows per (mode, action) for both regions.  Outside
         # the confounded region the action carries no information about the
         # confounder, so one interventional query serves both modes.
@@ -250,22 +257,23 @@ class UcPomdpModel:
 
         # rel[m, a, s]: the region's row inside it, the free row outside
         in_region = np.isin(np.arange(n - 2), list(self.confounded_states))[:, None]
-        trans = np.zeros((2, n_a, n, n))
+        trans = np.zeros((2, n_a, n, self.n_ds))
         trans[:, :, :-2] = self._fold(np.where(
             in_region, self._rel_region[:, :, None], self._rel_free[:, None]))
-        for term in (self.goal_state, self.collided_state):
-            trans[:, :, term, term] = 1.0
+        trans[:, :, -2:, 0] = 1.0
         # per mode, the law over (action, state) rows; the kernels' successor
-        # and reward per (bucket, action, state)
-        self._laws = tuple(CategoricalTable((n_a, n), t.reshape(n_a * n, n)) for t in trans)
-        self._succ, self._rew = [], []
-        for law in self._laws:
-            succ = law.buckets[1].reshape(-1, n_a, n)
-            self._succ.append(succ.ravel())
-            self._rew.append(self._reward_table[np.arange(n_a)[:, None],
-                                                np.arange(n), succ].ravel())
+        # and reward per (bucket, action, state); each slot's state where
+        # some action gives it mass, else S
+        self._laws = tuple(CategoricalTable((n_a, n), t.reshape(n_a * n, -1)) for t in trans)
+        self._succ, self._rew, self._reach = [], [], []
+        for law, t in zip(self._laws, trans):
+            slot = law.buckets[1].reshape(-1, n_a, n)
+            self._succ.append(self._slots[np.arange(n), slot].ravel())
+            self._rew.append(self._rewards[np.arange(n_a)[:, None],
+                                           np.arange(n), slot].ravel())
+            self._reach.append(np.where((t > 0).any(axis=0), self._slots, n))
 
-        # P(S' | s, a, u) under the mechanism tables, (ordinary state, A, U, S')
+        # P(S' | s, a, u) under the mechanism tables, (ordinary state, A, U, slot)
         p_uc = self.p_uc.values.reshape(n_a, self.n_confounder, 1, self.n_ds)
         mech = self._fold(np.where(in_region, p_uc, self.p_0.values[:, None, None]))
         self.mechanism_rows = mech.transpose(2, 0, 1, 3)
@@ -276,27 +284,27 @@ class UcPomdpModel:
     def is_terminal(self, s: int) -> bool:
         return s >= self.n_states - 2
 
-    def transition_matrix(self, mode: TransitionMode) -> np.ndarray:
-        """Read-only (action, state, successor) probabilities; terminal rows
-        are identity."""
-        n = self.n_states
-        return self._laws[_MODE_INDEX[mode]].values.reshape(self.n_actions, n, n)
-
     def region_rows(self, mode: TransitionMode) -> np.ndarray:
         """Read-only (action, relative outcome) probabilities inside the
         confounded region, before folding into states."""
         return self._rel_region[_MODE_INDEX[mode]]
 
+    def successor_mask(self, live: np.ndarray, mode: TransitionMode) -> np.ndarray:
+        """The states that some action moves a state of the boolean mask
+        ``live`` to with nonzero probability under ``mode``."""
+        out = np.zeros(self.n_states + 1, dtype=bool)
+        out[self._reach[_MODE_INDEX[mode]][live]] = True
+        return out[:-1]
+
     def _fold(self, rel: np.ndarray) -> np.ndarray:
-        """Successor-state rows from a stack of relative-outcome rows
-        ``rel[..., s, ds]`` over the ordinary states: entry ``ds`` of row
-        ``s`` adds to column ``successor_table[s, ds]``, in ``ds`` order,
-        through one ``bincount`` over the (row, successor) cells."""
-        n = self.n_states
+        """Rows over successor slots, shaped as ``rel``, from a stack of
+        relative-outcome rows ``rel[..., s, ds]`` over the ordinary states:
+        entry ``ds`` of row ``s`` adds to slot ``_slot_of[s, ds]``, in ``ds``
+        order, through one ``bincount`` over the (row, slot) cells."""
         rows = np.arange(rel[..., 0].size).reshape(rel.shape[:-1] + (1,))
-        cells = rows * n + self.successor_table[:-2]
+        cells = rows * self.n_ds + self._slot_of[:-2]
         return np.bincount(cells.ravel(), weights=rel.ravel(),
-                           minlength=rows.size * n).reshape(rel.shape[:-1] + (n,))
+                           minlength=rel.size).reshape(rel.shape)
 
     def with_tables(
         self,
@@ -305,26 +313,12 @@ class UcPomdpModel:
         p_0: CategoricalTable,
         name: str | None = None,
     ) -> "UcPomdpModel":
-        """A copy of this model with the three learnable tables substituted."""
-        return UcPomdpModel(
-            state_labels=self.states[:-2],
-            actions=self.actions,
-            ds_labels=self.ds_labels,
-            observation_labels=self.observation_labels,
-            confounder_prior=confounder_prior,
-            reactive_policy=self.reactive_policy,
-            confounded_states=self.confounded_states,
-            p_uc=p_uc,
-            p_0=p_0,
-            successor_table=self.successor_table[:-2],
-            observation_table=CategoricalTable((self.n_states - 2,),
-                                              self._sensor.values[:-2]),
-            rewards=self._reward_table[:, :-2],
-            discount=self.discount,
-            initial_belief=self.initial_belief.probs[:-2],
-            rollout_policy=self.rollout_policy[:-2],
-            name=name or f"{self.name}+tables",
-        )
+        """A copy of this model with the three learnable tables substituted;
+        it shares the read-only arrays that do not depend on them."""
+        model = copy.copy(self)
+        model.name = name or f"{self.name}+tables"
+        model._set_tables(confounder_prior, p_uc, p_0)
+        return model
 
     # -- batched simulation -----------------------------------------------------
 
@@ -375,8 +369,13 @@ class UcPomdpModel:
 def belief_update(
     model: UcPomdpModel, b: Belief, a: int, z: int, mode: TransitionMode
 ) -> Belief:
-    """Bayes update of the belief after taking ``a`` and observing ``z``."""
-    pred = b.probs @ model.transition_matrix(mode)[a]
+    """Bayes update of the belief after taking ``a`` and observing ``z``:
+    each state's mass times its row over successor slots, summed into the
+    slots' states by one ``bincount``."""
+    n = model.n_states
+    law = model._laws[_MODE_INDEX[mode]].values.reshape(model.n_actions, n, -1)[a]
+    pred = np.bincount(model._slots.ravel(), weights=(b.probs[:, None] * law).ravel(),
+                       minlength=n)
     post = pred * model._sensor.values[:, z]
     mass = float(post.sum())
     if mass <= 0.0:
@@ -402,6 +401,7 @@ def deterministic_step(
     if model.is_terminal(s):
         return s, model.terminal_observation, 0.0
     law = model._laws[_MODE_INDEX[mode]]
-    s2 = int(cdf_index(law.cdf[a * model.n_states + s], phi[0]))
+    slot = int(cdf_index(law.cdf[a * model.n_states + s], phi[0]))
+    s2 = int(model._slots[s, slot])
     z = int(cdf_index(model._sensor.cdf[s2], phi[1]))
-    return s2, z, float(model._reward_table[a, s, s2])
+    return s2, z, float(model._rewards[a, s, slot])

@@ -13,7 +13,7 @@ import numpy as np
 
 from causalplan import despot, gridworld
 from causalplan.learning import Dataset, DatasetMeta
-from causalplan.model import TransitionMode, UcPomdpModel, deterministic_step
+from causalplan.model import _MODE_INDEX, TransitionMode, UcPomdpModel, deterministic_step
 from causalplan.scm import CategoricalTable, _query_setup, cdf_index
 
 PRIOR = {-90: 0.10, 0: 0.80, 90: 0.10}
@@ -218,7 +218,7 @@ def reach_mask(model, starts, horizon, mode) -> np.ndarray:
     """``(horizon + 1, S)`` mask of the states that some path of nonzero
     transition probability reaches in ``d`` steps from ``starts``, one row
     at a time: the cells a search can read."""
-    trans = model.transition_matrix(mode)
+    trans = transition_matrix(model, mode)
     mask = np.zeros((horizon + 1, model.n_states), dtype=bool)
     mask[0, list(starts)] = True
     for d in range(horizon):
@@ -226,6 +226,33 @@ def reach_mask(model, starts, horizon, mode) -> np.ndarray:
             for a in range(model.n_actions):
                 mask[d + 1, trans[a, s] > 0] = True
     return mask
+
+
+def dense_row(model, s, row):
+    """``row[..., j]``, over the successor slots of state ``s``, written out
+    over all states: each distinct slot's entry at its state, and zero at
+    the states that are no successor of ``s``."""
+    slots = model._slots[s]
+    distinct = np.diff(slots, prepend=-1) > 0
+    out = np.zeros(np.shape(row)[:-1] + (model.n_states,))
+    out[..., slots[distinct]] = np.asarray(row)[..., distinct]
+    return out
+
+
+def transition_matrix(model, mode) -> np.ndarray:
+    """(action, state, successor) probabilities of ``mode``'s law, written
+    out over all states; terminal rows are identity."""
+    n = model.n_states
+    law = model._laws[_MODE_INDEX[mode]].values.reshape(model.n_actions, n, -1)
+    return np.stack([dense_row(model, s, law[:, s]) for s in range(n)], axis=1)
+
+
+def reward_table(model) -> np.ndarray:
+    """(action, state, successor) rewards as the kernels read them, written
+    out over all states; zero where the successor is no successor of the
+    state, and at the terminals."""
+    return np.stack([dense_row(model, s, model._rewards[:, s])
+                     for s in range(model.n_states)], axis=1)
 
 
 def fold_loop(model, s, rel):
@@ -240,7 +267,7 @@ def assert_transition_rows_fold(model):
     """Every ordinary row of both modes' transition matrices equals its
     relative row, the region's or the free one, folded by :func:`fold_loop`."""
     for m, mode in enumerate((TransitionMode.OBSERVATIONAL, TransitionMode.INTERVENTIONAL)):
-        matrix = model.transition_matrix(mode)
+        matrix = transition_matrix(model, mode)
         for a in range(model.n_actions):
             for s in range(model.n_states - 2):
                 region = s in model.confounded_states
@@ -254,14 +281,14 @@ def assert_mechanism_rows_fold(model):
     :func:`fold_loop`."""
     n = model.n_states
     rows = model.mechanism_rows
-    assert rows.shape == (n - 2, model.n_actions, model.n_confounder, n)
+    assert rows.shape == (n - 2, model.n_actions, model.n_confounder, model.n_ds)
     for s, a, u in itertools.product(range(n - 2), range(model.n_actions),
                                      range(model.n_confounder)):
         if s in model.confounded_states:
             rel = model.p_uc.values[a * model.n_confounder + u]
         else:
             rel = model.p_0.values[a]
-        assert np.array_equal(rows[s, a, u], fold_loop(model, s, rel))
+        assert np.array_equal(dense_row(model, s, rows[s, a, u]), fold_loop(model, s, rel))
 
 
 def buckets_of(model, phi1, phi2, mode):
@@ -310,7 +337,7 @@ def noisy_sensor_model() -> UcPomdpModel:
         p_0=truth.p_0,
         successor_table=truth.successor_table[:-2],
         observation_table=CategoricalTable((n,), obs),
-        rewards=truth._reward_table[:, :-2],
+        rewards=reward_table(truth)[:, :-2],
         discount=truth.discount,
         initial_belief=truth.initial_belief.probs[:-2],
         rollout_policy=truth.rollout_policy[:-2],

@@ -1,5 +1,6 @@
 """Benchmark environment tests: map parsing, headings, drift, moves, assembly."""
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -18,7 +19,13 @@ from causalplan.gridworld import (
 )
 from causalplan.model import TransitionMode
 
-from helpers import dist_prob, hand_confounded_tables, serialize_map, state_index
+from helpers import (
+    dist_prob,
+    hand_confounded_tables,
+    serialize_map,
+    state_index,
+    transition_matrix,
+)
 
 RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
 
@@ -175,14 +182,14 @@ class TestMapTopology:
 class TestBuildModel:
     def test_folded_interventional_up(self, grid, truth):
         s = state_index(truth, (0, 2))
-        row = truth.transition_matrix(TransitionMode.INTERVENTIONAL)[UP, s]
+        row = transition_matrix(truth, TransitionMode.INTERVENTIONAL)[UP, s]
         assert row[truth.goal_state] == pytest.approx(0.73, abs=1e-12)
         assert row[truth.collided_state] == pytest.approx(0.26, abs=1e-12)
         assert row[state_index(truth, (0, 1))] == pytest.approx(0.01, abs=1e-12)
 
     def test_folded_observational_up(self, truth):
         s = state_index(truth, (0, 2))
-        row = truth.transition_matrix(TransitionMode.OBSERVATIONAL)[UP, s]
+        row = transition_matrix(truth, TransitionMode.OBSERVATIONAL)[UP, s]
         assert row[truth.goal_state] == pytest.approx(89 / 420, abs=1e-12)
 
     def test_relative_tables_match_hand_mixture(self, truth):
@@ -195,8 +202,24 @@ class TestBuildModel:
 
     def test_transition_rows_normalized(self, truth):
         for mode in TransitionMode:
-            T = truth.transition_matrix(mode)
+            T = transition_matrix(truth, mode)
             assert np.allclose(T.sum(axis=2), 1.0, atol=1e-9)
+
+    def test_open_30x30_map_builds_in_little_memory(self):
+        # S = 902: laws, CDFs, mechanism rows and rewards over the successor
+        # slots take O(S) memory; the dense (A, S, S) tables of the
+        # transition laws peaked at 307 MiB and kept 213 MiB
+        grid = GridMap(width=30, height=30, occupied=frozenset(), start=(0, 0),
+                       goal=(29, 29), confounded=frozenset({(14, 14), (15, 14)}))
+        tracemalloc.start()
+        try:
+            model = gridworld.build_model(grid)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.n_states == 902
+        assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert retained < 32 * 2**20, f"retained {retained / 2**20:.1f} MiB"
 
     def test_state_count_matches_free_cells(self, grid, truth):
         assert truth.n_states == len(grid.free_cells) + 2

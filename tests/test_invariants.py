@@ -39,6 +39,7 @@ from helpers import (
     slice_mean,
     specs_equal,
     total_variation,
+    transition_matrix,
     tree_nodes,
     two_state_model,
 )
@@ -133,13 +134,13 @@ class TestCausalModelInvariants:
 class TestModelInvariants:
     def test_transition_rows_sum_to_one_in_both_modes(self, truth):
         for mode in (INT, OBS):
-            sums = truth.transition_matrix(mode).sum(axis=2)
+            sums = transition_matrix(truth, mode).sum(axis=2)
             assert np.abs(sums - 1.0).max() <= 1e-9
 
     def test_confounding_gap_is_material(self, truth):
         for s in truth.confounded_states:
-            t_int = truth.transition_matrix(INT)[:, s, :]
-            t_obs = truth.transition_matrix(OBS)[:, s, :]
+            t_int = transition_matrix(truth, INT)[:, s, :]
+            t_obs = transition_matrix(truth, OBS)[:, s, :]
             assert np.abs(t_int - t_obs).max() > 0.1
 
     def test_modes_identical_outside_region(self, truth):
@@ -147,15 +148,15 @@ class TestModelInvariants:
             s for s in range(truth.n_states - 2)
             if s not in truth.confounded_states
         ]
-        t_int = truth.transition_matrix(INT)[:, outside, :]
-        t_obs = truth.transition_matrix(OBS)[:, outside, :]
+        t_int = transition_matrix(truth, INT)[:, outside, :]
+        t_obs = transition_matrix(truth, OBS)[:, outside, :]
         assert np.abs(t_int - t_obs).max() <= 1e-12
 
     def test_belief_update_preserves_simplex(self, truth, rng):
         b = Belief(np.full(truth.n_states, 1.0 / truth.n_states))
         for _ in range(100):
             a = int(rng.integers(truth.n_actions))
-            pred = b.probs @ truth.transition_matrix(OBS)[a]
+            pred = b.probs @ transition_matrix(truth, OBS)[a]
             feasible = np.flatnonzero(pred @ truth._sensor.values > 0)
             z = int(rng.choice(feasible))
             b = belief_update(truth, b, a, z, OBS)
@@ -170,7 +171,7 @@ class TestModelInvariants:
         joint = np.zeros((model.n_states, model.n_observations))
         np.add.at(joint, (s2, z), 1.0 / n)
         expected = (
-            model.transition_matrix(INT)[1, 0][:, None] * model._sensor.values
+            transition_matrix(model, INT)[1, 0][:, None] * model._sensor.values
         )
         assert np.abs(joint - expected).max() <= 0.005
 

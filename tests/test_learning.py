@@ -19,13 +19,15 @@ from causalplan.learning import (
     save_dataset_csv,
     save_params,
 )
-from causalplan.model import TransitionMode
+from causalplan.model import TransitionMode, UcPomdpModel
 from causalplan.scm import CategoricalTable, UsageError, cdf_index
 
 from helpers import (
     generate_dataset_two_branch,
     load_dataset_csv,
     permuted,
+    transition_matrix,
+    two_state_inputs,
     two_state_model,
 )
 
@@ -224,17 +226,27 @@ class TestAssembleModel:
         rebuilt = truth.with_tables(truth.confounder_prior, truth.p_uc, truth.p_0)
         for mode in (INT, OBS):
             assert np.abs(
-                rebuilt.transition_matrix(mode) - truth.transition_matrix(mode)
+                transition_matrix(rebuilt, mode) - transition_matrix(truth, mode)
             ).max() <= 1e-12
         assert eval_kl_full_transition(rebuilt, truth) == pytest.approx(0.0, abs=1e-12)
 
     def test_assembled_model_is_valid(self, truth, dataset_100k):
         learned = assemble_model(truth, fit(dataset_100k))
         for mode in (INT, OBS):
-            T = learned.transition_matrix(mode)
+            T = transition_matrix(learned, mode)
             assert np.allclose(T.sum(axis=2), 1.0, atol=1e-9)
         assert learned.confounded_states == truth.confounded_states
         assert np.array_equal(learned.successor_table, truth.successor_table)
+
+    def test_kl_rejects_models_with_other_successors(self):
+        # the rows are over successor slots, which only match between
+        # models with one successor table
+        model = two_state_model()
+        other = UcPomdpModel(**{**two_state_inputs(),
+                                "successor_table": np.array([[1, 0], [0, 1]])})
+        assert eval_kl_full_transition(model, model) == 0.0
+        with pytest.raises(UsageError, match="successors"):
+            eval_kl_full_transition(other, model)
 
     def test_arity_mismatch_rejected(self, truth):
         from causalplan.learning import LearnedParams, FitMeta

@@ -32,7 +32,9 @@ from helpers import (
     dist_prob,
     fold_loop,
     sample_reactive_action,
+    reward_table,
     state_index,
+    transition_matrix,
     two_state_inputs,
     two_state_model,
 )
@@ -70,10 +72,10 @@ class TestConstruction:
     def test_with_own_tables_rebuilds_the_same_arrays(self, truth, which):
         model = truth if which == "truth" else two_state_model()
         copy = model.with_tables(model.confounder_prior, model.p_uc, model.p_0)
-        for name in ("_reward_table", "rollout_policy"):
-            assert np.array_equal(getattr(copy, name), getattr(model, name))
+        assert np.array_equal(reward_table(copy), reward_table(model))
+        assert np.array_equal(copy.rollout_policy, model.rollout_policy)
         assert np.array_equal(copy.initial_belief.probs, model.initial_belief.probs)
-        assert copy._reward_table.flags.c_contiguous
+        assert copy._rewards.flags.c_contiguous
 
     @pytest.mark.parametrize("build", [
         lambda p: CategoricalTable((), p),
@@ -111,27 +113,28 @@ class TestTransitionDist:
             truth.region_rows(mode)[UP, 0] = 1.0
 
     @pytest.mark.parametrize("mode", [INT, OBS])
-    def test_transition_matrix_is_a_read_only_view_of_its_law(self, truth, mode):
-        matrix = truth.transition_matrix(mode)
-        assert matrix.shape == (truth.n_actions, truth.n_states, truth.n_states)
-        assert np.shares_memory(matrix, truth._laws[_MODE_INDEX[mode]].values)
+    def test_law_is_a_read_only_table_over_successor_slots(self, truth, mode):
+        values = truth._laws[_MODE_INDEX[mode]].values
+        assert values.shape == (truth.n_actions * truth.n_states, truth.n_ds)
+        assert transition_matrix(truth, mode).shape == (
+            truth.n_actions, truth.n_states, truth.n_states)
         with pytest.raises(ValueError):
-            matrix[UP, 0, 0] = 1.0
+            values[UP * truth.n_states, 0] = 1.0
 
     def test_modes_agree_outside_region(self, truth):
         for s in range(truth.n_states - 2):
             if s in truth.confounded_states:
                 continue
             for a in range(truth.n_actions):
-                inter = truth.transition_matrix(INT)[a, s]
-                obser = truth.transition_matrix(OBS)[a, s]
+                inter = transition_matrix(truth, INT)[a, s]
+                obser = transition_matrix(truth, OBS)[a, s]
                 assert obser == pytest.approx(inter, abs=1e-12)
 
     def test_importance_method_matches_exact(self, truth, rng):
         # the model's own causal spec, answered by sampling, folds into the
         # exactly enumerated transition row
         s = state_index(truth, (0, 2))
-        exact = truth.transition_matrix(INT)[UP, s]
+        exact = transition_matrix(truth, INT)[UP, s]
         rel = importance_query(truth._spec_region, "DS", intervention={"A": UP},
                                n_particles=20000, rng=rng)
         assert np.abs(exact - fold_loop(truth, s, rel)).max() <= 0.02
@@ -181,7 +184,7 @@ class TestBeliefUpdate:
         n = truth.n_states
         b = Belief(np.full(n, 1.0 / n))
         a = UP
-        pred = b.probs @ truth.transition_matrix(INT)[a]
+        pred = b.probs @ transition_matrix(truth, INT)[a]
         recovered = np.zeros(n)
         for z in range(truth.n_observations):
             pz = float(pred @ truth._sensor.values[:, z])
@@ -194,7 +197,7 @@ class TestBeliefUpdate:
         b = Belief(np.full(truth.n_states, 1.0 / truth.n_states))
         for _ in range(50):
             a = int(rng.integers(4))
-            pred = b.probs @ truth.transition_matrix(OBS)[a]
+            pred = b.probs @ transition_matrix(truth, OBS)[a]
             feasible = np.flatnonzero(pred @ truth._sensor.values > 0)
             z = int(rng.choice(feasible))
             b = belief_update(truth, b, a, z, OBS)
@@ -203,24 +206,24 @@ class TestBeliefUpdate:
 
 
 class TestReward:
-    """Rewards as the kernels and ``run_episode`` read them:
-    ``_reward_table[a, s, s_next]``."""
+    """Rewards as the kernels and ``run_episode`` read them, written out
+    over successors: ``reward_table(model)[a, s, s_next]``."""
 
     def test_ordinary_move(self, truth):
         s = state_index(truth, (0, 0))
-        assert truth._reward_table[UP, s, state_index(truth, (0, 1))] == -1.0
+        assert reward_table(truth)[UP, s, state_index(truth, (0, 1))] == -1.0
 
     def test_goal_arrival(self, truth):
         s = state_index(truth, (0, 2))
-        assert truth._reward_table[UP, s, truth.goal_state] == 99.0
+        assert reward_table(truth)[UP, s, truth.goal_state] == 99.0
 
     def test_collision(self, truth):
         s = state_index(truth, (0, 0))
-        assert truth._reward_table[LEFT, s, truth.collided_state] == -51.0
+        assert reward_table(truth)[LEFT, s, truth.collided_state] == -51.0
 
     def test_terminal_absorbs_with_zero(self, truth):
-        assert truth._reward_table[UP, truth.goal_state, truth.goal_state] == 0.0
-        assert truth._reward_table[DOWN, truth.collided_state, truth.collided_state] == 0.0
+        assert reward_table(truth)[UP, truth.goal_state, truth.goal_state] == 0.0
+        assert reward_table(truth)[DOWN, truth.collided_state, truth.collided_state] == 0.0
 
 
 class TestReactiveAction:
@@ -254,7 +257,7 @@ class TestReactiveAction:
 class TestDeterministicStep:
     def test_phi_zero_selects_first_successor(self, truth):
         s = state_index(truth, (0, 2))
-        first = int(np.flatnonzero(truth.transition_matrix(INT)[UP, s])[0])
+        first = int(np.flatnonzero(transition_matrix(truth, INT)[UP, s])[0])
         s2, _, _ = deterministic_step(truth, s, UP, (0.0, 0.0), INT)
         assert s2 == first
 
@@ -263,7 +266,7 @@ class TestDeterministicStep:
         b1, b2 = buckets_of(truth, rng.random(1_000_000), rng.random(1_000_000), INT)
         s2, _, _ = truth.batch_step(np.full(1_000_000, s), UP, b1, b2, INT)
         freq = np.bincount(s2, minlength=truth.n_states) / len(s2)
-        assert np.abs(freq - truth.transition_matrix(INT)[UP, s]).max() <= 0.005
+        assert np.abs(freq - transition_matrix(truth, INT)[UP, s]).max() <= 0.005
 
     def test_pure_function_of_inputs(self, truth):
         s = state_index(truth, (0, 1))

@@ -32,6 +32,7 @@ from helpers import (
     free_roam_model,
     reach_mask,
     scalar_bounds,
+    transition_matrix,
     tree_nodes,
 )
 
@@ -40,7 +41,9 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 @st.composite
-def small_models(draw):
+def small_models(draw, repeated_successors=False):
+    """A random model; with ``repeated_successors`` every state's last
+    relative outcome leads where its first does."""
     n = draw(st.integers(2, 4))      # ordinary states
     n_a = draw(st.integers(2, 3))
     n_z = draw(st.integers(2, 3))    # ordinary observations
@@ -58,6 +61,12 @@ def small_models(draw):
         w[w.sum(axis=1) == 0, 0] = 1
         return w / w.sum(axis=1, keepdims=True)
 
+    def successors():
+        table = ints((n, n_ds), 0, n + 1)
+        if repeated_successors:
+            table[:, -1] = table[:, 0]
+        return table
+
     return UcPomdpModel(
         state_labels=range(n),
         actions=[f"a{i}" for i in range(n_a)],
@@ -69,7 +78,7 @@ def small_models(draw):
         confounded_states=draw(st.lists(st.integers(0, n - 1), unique=True)),
         p_uc=CategoricalTable((n_a, n_u), rows(n_a * n_u, n_ds)),
         p_0=CategoricalTable((n_a,), rows(n_a, n_ds)),
-        successor_table=ints((n, n_ds), 0, n + 1),
+        successor_table=successors(),
         observation_table=CategoricalTable((n,), np.hstack([rows(n, n_z),
                                                             np.zeros((n, 1))])),
         rewards=ints((n_a, n, n + 2), -4, 4) / 2,
@@ -169,7 +178,7 @@ def test_bucket_count_is_bounded_by_the_nonzeros(model):
     # lies below 1, so the draw just below 1 falls in the last bucket
     for mode in TransitionMode:
         last_trans, last_obs = model.bucket_ids([np.nextafter(1.0, 0.0)] * 2, mode)
-        rows = model.transition_matrix(mode).reshape(-1, model.n_states)
+        rows = transition_matrix(model, mode).reshape(-1, model.n_states)
         assert last_trans <= ((rows > 0).sum(axis=1) - 1).sum()
         assert last_obs <= ((model._sensor.values > 0).sum(axis=1) - 1).sum()
 
@@ -180,6 +189,19 @@ def test_folds_equal_the_entrywise_loop(model):
     # arbitrary successor tables: several outcomes often share a successor
     assert_transition_rows_fold(model)
     assert_mechanism_rows_fold(model)
+
+
+@given(model=small_models(repeated_successors=True))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_successor_slots_are_the_distinct_successors(model):
+    # slot j of state s is its j-th distinct successor, padded with the
+    # largest at zero mass; every relative outcome's slot holds its successor
+    for s, successors in enumerate(model.successor_table):
+        distinct = np.unique(successors)
+        padding = [distinct[-1]] * (model.n_ds - len(distinct))
+        assert np.array_equal(model._slots[s], [*distinct, *padding])
+        assert np.array_equal(model._slots[s, model._slot_of[s]], successors)
+    assert_transition_rows_fold(model)
 
 
 # sampled_from leans to its first entry: deep trees and a small xi, which
@@ -248,7 +270,7 @@ def test_belief_update_is_bayes_rule(model, seed, mode):
     weights = rng.integers(0, 3, n).astype(float)
     weights[rng.integers(n)] += 1.0
     belief = Belief(weights / weights.sum())
-    trans = model.transition_matrix(mode)
+    trans = transition_matrix(model, mode)
     for a in range(model.n_actions):
         for z in range(model.n_observations):
             joint = [sum(belief.probs[s] * trans[a, s, s2] for s in range(n))
@@ -285,4 +307,4 @@ def test_scm_queries_fold_into_the_transition_matrix(model):
                 for ds, s2 in enumerate(model.successor_table[s]):
                     expected[a, s, s2] += rel[ds]
         expected[:, n - 2, n - 2] = expected[:, n - 1, n - 1] = 1.0
-        assert np.array_equal(model.transition_matrix(mode), expected)
+        assert np.array_equal(transition_matrix(model, mode), expected)

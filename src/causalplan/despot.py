@@ -140,10 +140,11 @@ def _fill_bounds(model: UcPomdpModel, config: PlannerConfig, buckets: np.ndarray
     (:meth:`~causalplan.model.UcPomdpModel.bucket_ids`), depth-major,
     ``(D, 2, K)``; ``starts`` their start states.
 
-    Both tables are filled from the horizon back, one batched policy step
-    per depth over every (action, reachable ordinary state, scenario)
-    triple: ``lower[d] = r_pi + gamma * lower[d + 1][s2_pi, k]`` and
-    ``upper[d] = max_a (r_a + gamma * upper[d + 1][s2_a, k])``, the same
+    Both tables are filled from the horizon back, one
+    :meth:`~causalplan.model.UcPomdpModel.batch_policy_step` per depth, the
+    outer product of every action and reachable ordinary state with the
+    scenarios' bucket ids: ``lower[d] = r_pi + gamma * lower[d + 1][s2_pi,
+    k]`` and ``upper[d] = max_a (r_a + gamma * upper[d + 1][s2_a, k])``, the same
     arithmetic as a scalar :func:`~causalplan.model.deterministic_step`
     recursion, so every filled entry equals it bit for bit.  A node at depth
     ``d`` only holds states reachable in ``d`` steps from ``starts``
@@ -179,13 +180,12 @@ def _fill_bounds(model: UcPomdpModel, config: PlannerConfig, buckets: np.ndarray
             rows.append((states, model.rollout_policy[states] * m + np.arange(m)))
             live = model.successor_mask(live, config.mode)
         reach[key] = rows
-    actions, lanes = np.arange(model.n_actions)[:, None, None], np.arange(k)
+    lanes = np.arange(k)
     for d in range(config.depth - 1, -1, -1):
         states, policy = rows[d]
         # (action, state, scenario) triples; the step's fresh outputs
         # become the next-row cells s2 * k + lane and the bounds in place
-        s2, r = model.batch_policy_step(states[:, None], actions, buckets[d, 0],
-                                        config.mode)
+        s2, r = model.batch_policy_step(states, buckets[d, 0], config.mode)
         s2 *= k
         s2 += lanes
         q = upper[d + 1].reshape(-1).take(s2)

@@ -235,7 +235,7 @@ def build_model(grid: GridMap, discount: float = 0.95) -> UcPomdpModel:
         observation_table=CategoricalTable((n,), obs),
         rewards=rewards,
         discount=discount,
-        initial_belief=np.eye(n)[cell_index[grid.start]],
+        initial_belief=(np.arange(n) == cell_index[grid.start]).astype(float),
         rollout_policy=[_greedy_action(grid, c) for c in cells],
         name=f"gridworld-{grid.width}x{grid.height}",
     )

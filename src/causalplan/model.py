@@ -262,15 +262,15 @@ class UcPomdpModel:
             in_region, self._rel_region[:, :, None], self._rel_free[:, None]))
         trans[:, :, -2:, 0] = 1.0
         # per mode, the law over (action, state) rows; the kernels' successor
-        # and reward per (bucket, action, state); each slot's state where
-        # some action gives it mass, else S
+        # and reward per (action, state, bucket), buckets innermost; each
+        # slot's state where some action gives it mass, else S
         self._laws = tuple(CategoricalTable((n_a, n), t.reshape(n_a * n, -1)) for t in trans)
         self._succ, self._rew, self._reach = [], [], []
+        states = np.arange(n)[:, None]
         for law, t in zip(self._laws, trans):
-            slot = law.buckets[1].reshape(-1, n_a, n)
-            self._succ.append(self._slots[np.arange(n), slot].ravel())
-            self._rew.append(self._rewards[np.arange(n_a)[:, None],
-                                           np.arange(n), slot].ravel())
+            slot = np.ascontiguousarray(law.buckets[1].reshape(-1, n_a, n).transpose(1, 2, 0))
+            self._succ.append(self._slots[states, slot])
+            self._rew.append(self._rewards[np.arange(n_a)[:, None, None], states, slot])
             self._reach.append(np.where((t > 0).any(axis=0), self._slots, n))
 
         # P(S' | s, a, u) under the mechanism tables, (ordinary state, A, U, slot)
@@ -349,18 +349,23 @@ class UcPomdpModel:
 
     def batch_step(self, states, actions, b1, b2, mode: TransitionMode):
         """Vectorized :func:`deterministic_step` at transition bucket ids
-        ``b1`` and observation bucket ids ``b2`` (:meth:`bucket_ids`); the
-        inputs broadcast together, as in :meth:`batch_policy_step`."""
-        s2, r = self.batch_policy_step(states, actions, b1, mode)
-        return s2, self._obs_buckets.take(b2 * self.n_states + s2), r
-
-    def batch_policy_step(self, states, actions, b1, mode: TransitionMode):
-        """Vectorized transition half of :func:`deterministic_step` at
-        transition bucket ids ``b1`` (:meth:`bucket_ids`): successor states
-        and rewards, shaped as ``states``, ``actions`` and ``b1`` broadcast."""
+        ``b1`` and observation bucket ids ``b2`` (:meth:`bucket_ids`):
+        successor states, observations and rewards, shaped as the inputs
+        broadcast together; one ``take`` per table at ``(a * S + s) * B + b``."""
         m = _MODE_INDEX[mode]
-        at = (b1 * self.n_actions + actions) * self.n_states + states
-        return self._succ[m].take(at), self._rew[m].take(at)
+        at = (actions * self.n_states + states) * self._succ[m].shape[2] + b1
+        s2 = self._succ[m].take(at)
+        return s2, self._obs_buckets.take(b2 * self.n_states + s2), self._rew[m].take(at)
+
+    def batch_policy_step(self, states, b1, mode: TransitionMode):
+        """The transition half of :func:`deterministic_step` for every
+        action from each of the m ``states`` at each of the K transition
+        bucket ids ``b1`` (:meth:`bucket_ids`), both vectors: ``(A, m, K)``
+        successor states and rewards, the states' ``(A, m, B)`` rows of the
+        bucket-innermost tables taken at ``b1`` along their last axis."""
+        m = _MODE_INDEX[mode]
+        return (self._succ[m].take(states, axis=1).take(b1, axis=2),
+                self._rew[m].take(states, axis=1).take(b1, axis=2))
 
 
 # -- module-level operations ---------------------------------------------------

@@ -298,6 +298,30 @@ def buckets_of(model, phi1, phi2, mode):
     return ids[..., 0], ids[..., 1]
 
 
+def assert_kernels_equal_scalar_step(model, mode):
+    """Both batched access patterns equal :func:`deterministic_step` exactly,
+    cell for cell, at the lower edge of every bucket (a draw in it): the
+    outer ``batch_policy_step`` over every (action, state including the
+    terminals, transition bucket), and the aligned ``batch_step`` over every
+    (action, state, transition bucket, observation bucket) as flat rows."""
+    edges = [np.concatenate(([0.0], table.buckets[0]))
+             for table in (model._laws[_MODE_INDEX[mode]], model._sensor)]
+    b1, b2 = (np.arange(len(e)) for e in edges)
+    assert np.array_equal(buckets_of(model, edges[0], np.zeros(len(b1)), mode)[0], b1)
+    assert np.array_equal(buckets_of(model, np.zeros(len(b2)), edges[1], mode)[1], b2)
+    states = np.arange(model.n_states)
+    s2, r = model.batch_policy_step(states, b1, mode)
+    assert s2.shape == r.shape == (model.n_actions, model.n_states, len(b1))
+    for a, s, b in itertools.product(range(model.n_actions), states.tolist(), b1.tolist()):
+        step = deterministic_step(model, s, a, (edges[0][b], 0.0), mode)
+        assert (s2[a, s, b], r[a, s, b]) == (step[0], step[2])
+    a, s, i, j = np.indices((model.n_actions, model.n_states, len(b1), len(b2))).reshape(4, -1)
+    s2, z, r = model.batch_step(s, a, i, j, mode)
+    for cell, out in enumerate(zip(s2.tolist(), z.tolist(), r.tolist())):
+        phi = (edges[0][i[cell]], edges[1][j[cell]])
+        assert out == deterministic_step(model, int(s[cell]), int(a[cell]), phi, mode)
+
+
 def bound_tables(model, config, starts, streams) -> np.ndarray:
     """The ``(2, D+1, S, K)`` lower and upper bound tables that a search
     from ``starts`` over ``streams`` fills (``despot._fill_bounds``)."""

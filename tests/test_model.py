@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalplan.learning import _inverse_cdf
+from causalplan.learning import _inverse_cdf, assemble_model, fit, generate_dataset
 from causalplan.model import (
     _MODE_INDEX,
     Belief,
@@ -26,11 +26,13 @@ from causalplan.scm import (
 )
 
 from helpers import (
+    assert_kernels_equal_scalar_step,
     assert_mechanism_rows_fold,
     assert_transition_rows_fold,
     buckets_of,
     dist_prob,
     fold_loop,
+    noisy_sensor_model,
     sample_reactive_action,
     reward_table,
     state_index,
@@ -255,6 +257,16 @@ class TestReactiveAction:
 
 
 class TestDeterministicStep:
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    @pytest.mark.parametrize("which", ["truth", "learned", "noisy sensor"])
+    def test_kernels_equal_scalar_step_in_every_bucket(self, truth, which, mode):
+        model = {
+            "truth": lambda: truth,
+            "learned": lambda: assemble_model(truth, fit(generate_dataset(truth, 20_000, 1))),
+            "noisy sensor": noisy_sensor_model,
+        }[which]()
+        assert_kernels_equal_scalar_step(model, mode)
+
     def test_phi_zero_selects_first_successor(self, truth):
         s = state_index(truth, (0, 2))
         first = int(np.flatnonzero(transition_matrix(truth, INT)[UP, s])[0])

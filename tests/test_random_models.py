@@ -23,6 +23,7 @@ from causalplan.model import (
 from causalplan.scm import CategoricalTable, exact_query
 
 from helpers import (
+    assert_kernels_equal_scalar_step,
     assert_mechanism_rows_fold,
     assert_transition_rows_fold,
     bound_tables,
@@ -144,14 +145,22 @@ def test_batch_kernels_equal_the_scalar_step(model, seed, mode):
     phi1, phi2 = unit_draws(model, rng, 64), unit_draws(model, rng, 64)
     b1, b2 = buckets_of(model, phi1, phi2, mode)
     s2, z, r = model.batch_step(states, actions, b1, b2, mode)
-    policy_s2, policy_r = model.batch_policy_step(states, actions, b1, mode)
+    # the outer contract: (action, state i, bucket j); its (a_i, i, i) cells
+    # are the aligned steps
+    policy_s2, policy_r = model.batch_policy_step(states, b1, mode)
     shared = model.batch_step(states, 1, b1, b2, mode)
     for i in range(64):
         s, u = int(states[i]), (phi1[i], phi2[i])
         assert (s2[i], z[i], r[i]) == deterministic_step(model, s, int(actions[i]),
                                                          u, mode)
-        assert (policy_s2[i], policy_r[i]) == (s2[i], r[i])
+        assert (policy_s2[actions[i], i, i], policy_r[actions[i], i, i]) == (s2[i], r[i])
         assert tuple(x[i] for x in shared) == deterministic_step(model, s, 1, u, mode)
+
+
+@given(model=small_models(), mode=MODES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_both_access_patterns_equal_the_scalar_step_in_every_bucket(model, mode):
+    assert_kernels_equal_scalar_step(model, mode)
 
 
 @given(model=small_models(), seed=SEEDS, mode=MODES,

@@ -250,14 +250,13 @@ def eval_kl_full_transition(learned: UcPomdpModel, truth: UcPomdpModel) -> float
         raise UsageError("models disagree on states or successors")
     if (learned.n_actions, learned.n_confounder) != (truth.n_actions, truth.n_confounder):
         raise UsageError("models disagree on the actions or the confounder")
-    # one KL per (s, a, u) context, added in that order: each context keeps
-    # its own np.sum grouping, so the mean does not move in its last bits
-    k = truth.mechanism_rows.shape[-1]
-    truth_rows = truth.mechanism_rows.reshape(-1, k)
+    # one KL per (s, a, u) context, added left to right in that order, so
+    # the mean does not move in its last bits
+    kl = kl_divergence(truth.mechanism_rows, learned.mechanism_rows)
     total = 0.0
-    for t, l in zip(truth_rows, learned.mechanism_rows.reshape(-1, k)):
-        total += kl_divergence(t, l)
-    return total / len(truth_rows)
+    for value in kl.ravel().tolist():
+        total += value
+    return total / kl.size
 
 
 def max_abs_table_error(
@@ -265,8 +264,11 @@ def max_abs_table_error(
 ) -> float:
     """Largest absolute deviation across the confounded-region relative
     transition table (action x outcome), the quantity the learning method is
-    judged on."""
-    return float(np.abs(truth.region_rows(mode) - learned.region_rows(mode)).max())
+    judged on.  Models whose tables differ in shape are a usage error."""
+    t, l = truth.region_rows(mode), learned.region_rows(mode)
+    if t.shape != l.shape:
+        raise UsageError(f"models disagree on the region rows' shape: {l.shape} vs {t.shape}")
+    return float(np.abs(t - l).max())
 
 
 # -- file formats ----------------------------------------------------------------

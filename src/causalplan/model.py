@@ -239,21 +239,19 @@ class UcPomdpModel:
                 (ds_var, ("A",), self.p_0),
             ],
         )
-        # Relative-outcome rows per (mode, action) for both regions.  Outside
-        # the confounded region the action carries no information about the
-        # confounder, so one interventional query serves both modes.
+        # Relative-outcome rows per (mode, action) for both regions, one
+        # query per family with a row per action.  Outside the confounded
+        # region the action carries no information about the confounder, so
+        # one interventional query serves both modes.
         n, n_a = self.n_states, self.n_actions
-        m_int = _MODE_INDEX[TransitionMode.INTERVENTIONAL]
-        m_obs = _MODE_INDEX[TransitionMode.OBSERVATIONAL]
-        region, free = self._spec_region, self._spec_free
+        region, acts = self._spec_region, {"A": np.arange(n_a)}
         self._rel_region = np.empty((2, n_a, self.n_ds))
-        self._rel_free = np.empty((n_a, self.n_ds))
-        for a in range(n_a):
-            act = {"A": a}
-            self._rel_region[m_int, a] = exact_query(region, "DS", intervention=act)
-            self._rel_region[m_obs, a] = exact_query(region, "DS", evidence=act)
-            self._rel_free[a] = exact_query(free, "DS", intervention=act)
+        self._rel_region[_MODE_INDEX[TransitionMode.INTERVENTIONAL]] = exact_query(
+            region, "DS", intervention=acts)
+        self._rel_region[_MODE_INDEX[TransitionMode.OBSERVATIONAL]] = exact_query(
+            region, "DS", evidence=acts)
         self._rel_region.setflags(write=False)
+        self._rel_free = exact_query(self._spec_free, "DS", intervention=acts)
 
         # rel[m, a, s]: the region's row inside it, the free row outside
         in_region = np.isin(np.arange(n - 2), list(self.confounded_states))[:, None]

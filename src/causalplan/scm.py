@@ -372,13 +372,16 @@ def sample_worlds(spec: ScmSpec, n: int, rng: np.random.Generator) -> dict[str, 
 
 def _evaluate(spec: ScmSpec, world: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Every variable's value per world, gathering through the rule tables
-    from ``world``'s exogenous index arrays; each value is broadcast to their
-    common shape, so even a constant has one entry per world."""
+    from ``world``'s exogenous index arrays; an endogenous variable given in
+    ``world`` keeps its given values in place of its rule.  Each value is
+    broadcast to their common shape, so even a constant has one entry per
+    world."""
     shape = np.broadcast_shapes(*(v.shape for v in world.values()))
     world = {name: np.broadcast_to(v, shape) for name, v in world.items()}
     for var, parents, rule in spec.endogenous:
-        world[var.name] = np.broadcast_to(
-            rule.table[tuple(world[p] for p in parents)], shape)
+        if var.name not in world:
+            world[var.name] = np.broadcast_to(
+                rule.table[tuple(world[p] for p in parents)], shape)
     return world
 
 
@@ -430,32 +433,65 @@ def exact_query(
     Mutilates by the intervention, sums prior weight over every exogenous
     assignment consistent with the evidence, and normalizes.  The worlds are
     broadcast index arrays, each weight is the prior product taken left to
-    right, and the sum runs in ``itertools.product`` order.  Time and memory
-    are O(worlds), the product of exogenous arities, which
-    ``enumeration_limit`` bounds.
+    right, and the sum runs in ``itertools.product`` order.
+
+    One variable of ``evidence`` or ``intervention`` may take a 1-D sequence
+    of values instead of one value.  The result is then one row per value,
+    each the query with that value bit for bit, from one enumeration keyed
+    by (value, target) in one ``bincount``; an intervened variable's
+    distinct values are an extra outermost axis of the worlds.  Each row
+    sums the same weights in the same order and divides by its own total.
+
+    Time and memory are O(rows x worlds), where worlds is the product of
+    exogenous arities; ``enumeration_limit`` bounds that product.
     """
+    evidence, intervention = dict(evidence or {}), dict(intervention or {})
+    batched = [(given, name) for given in (evidence, intervention)
+               for name, value in given.items() if np.ndim(value) == 1]
+    if len(batched) > 1:
+        raise UsageError("only one variable may take a sequence of values")
+    name, values = None, None
+    if batched:
+        given, name = batched[0]
+        role = "evidence" if given is evidence else "intervention"
+        values = np.array([int(v) for v in given[name]], dtype=np.intp)
+        if not len(values):
+            raise UsageError(f"{role} on {name!r} lists no values")
+        for value in values[1:]:
+            _check_assignment(spec, {name: value}, role)
+        given[name] = values[0]  # checked, and mutilated by, as any one value
     m, evidence = _query_setup(spec, target, evidence, intervention)
     arities = tuple(var.arity for var, _ in m.exogenous)
-    size = math.prod(arities)
+    size = (1 if values is None else len(values)) * math.prod(arities)
     if size > enumeration_limit:
         raise CapacityError(
-            f"enumeration over {size} exogenous worlds exceeds limit "
+            f"enumeration over {size} rows x exogenous worlds exceeds limit "
             f"{enumeration_limit}"
         )
     index = np.indices(arities, sparse=True)
     weight = np.ones(())
     for idx, (_, prior) in zip(index, m.exogenous):
         weight = weight * prior.values[0][idx]
-    world = _evaluate(m, {var.name: idx for idx, (var, _) in zip(index, m.exogenous)})
-    acc = _target_mass(m, world, target, evidence, weight)
-    total = float(acc.sum())
-    if total <= 0.0:
+    world = {var.name: idx for idx, (var, _) in zip(index, m.exogenous)}
+    if name in intervention:
+        world[name] = np.unique(values).reshape((-1,) + (1,) * len(arities))
+    world = _evaluate(m, world)
+    row, n_rows = 0, 1
+    if name is not None:
+        row, n_rows = world[name], m.arity(name)
+        evidence.pop(name, None)
+    acc = _target_mass(m, world, target, evidence, weight, row, n_rows)
+    if name is not None:
+        acc = acc[values]
+    total = acc.sum(axis=1, keepdims=True)
+    if (total <= 0.0).any():
+        at = "" if name is None else f" at {name}={values[np.argmax(total <= 0.0)]}"
         raise ZeroProbabilityEvidenceError(
-            f"evidence {evidence} has zero probability under the model"
+            f"evidence {evidence} has zero probability under the model{at}"
         )
     probs = acc / total
     probs.setflags(write=False)
-    return probs
+    return probs[0] if name is None else probs
 
 
 def importance_query(
@@ -478,7 +514,7 @@ def importance_query(
     if n_particles < 1:
         raise UsageError("n_particles must be >= 1")
     m, evidence = _query_setup(spec, target, evidence, intervention)
-    counts = _target_mass(m, sample_worlds(m, n_particles, rng), target, evidence)
+    counts = _target_mass(m, sample_worlds(m, n_particles, rng), target, evidence)[0]
     accepted = int(counts.sum())
     if accepted == 0:
         raise DegenerateEvidenceError(
@@ -489,20 +525,30 @@ def importance_query(
     return probs
 
 
-def _target_mass(spec: ScmSpec, world, target: str, evidence, weights=None) -> np.ndarray:
-    """Per category of ``target``, the summed ``weights`` (or the count) of
-    the worlds that agree with ``evidence``, added in the worlds' C order."""
+def _target_mass(spec: ScmSpec, world, target: str, evidence, weights=None,
+                 row=0, n_rows: int = 1) -> np.ndarray:
+    """Per (row, category of ``target``), the summed ``weights`` (or the
+    count) of the worlds that agree with ``evidence``, added in the worlds'
+    C order; ``row`` holds each world's row in ``[0, n_rows)`` and is
+    broadcast against the worlds, as ``weights`` is."""
     keep = np.ones(world[target].shape, dtype=bool)
     for name, value in evidence.items():
         keep &= world[name] == value
-    return np.bincount(world[target][keep], None if weights is None else weights[keep],
-                       minlength=spec.arity(target))
+    arity = spec.arity(target)
+    key = world[target] + row * arity
+    if weights is not None:
+        weights = np.broadcast_to(weights, key.shape)[keep]
+    return np.bincount(key[keep], weights,
+                       minlength=n_rows * arity).reshape(n_rows, arity)
 
 
-def kl_divergence(p, q) -> float:
-    """KL(p || q) in nats over two arrays of one shape, with 0*ln(0/q) = 0;
-    +inf where p > 0 but q = 0.  A term whose ratio p/q overflows or
-    underflows to 0 takes ln p - ln q instead, which is finite unless q = 0."""
+def kl_divergence(p, q):
+    """KL(p || q) in nats over the last axis of two arrays of one shape: a
+    float for vectors, else an array of one value per row.  0*ln(0/q) = 0,
+    and a row is +inf where p > 0 but q = 0.  A term whose ratio p/q
+    overflows or underflows to 0 takes ln p - ln q instead, which is finite
+    unless q = 0.  Each row's terms are added as NumPy sums a vector, left
+    to right from 0.0 in rows under 8 entries."""
     a = np.asarray(p, dtype=float)
     b = np.asarray(q, dtype=float)
     if a.shape != b.shape:
@@ -514,4 +560,7 @@ def kl_divergence(p, q) -> float:
         bad = np.isinf(logs)
         if bad.any():
             logs[bad] = np.log(a[bad]) - np.log(b[bad])
-    return float(np.sum(a * logs))
+    terms = np.zeros(mask.shape)
+    terms[mask] = a * logs
+    kl = terms.sum(axis=-1) if terms.ndim else terms
+    return float(kl) if kl.ndim == 0 else kl

@@ -10,8 +10,11 @@ bits of some bounds and no action, state, observation or reward.  The ``learn``
 digests were recorded before dataset generation inverted its CDFs column by
 column and exact queries enumerated worlds as arrays, so they hold both to
 the old loops.  The ``tables`` digests were recorded while queries still
-returned a wrapper object around their probability arrays.  A change that
-alters any of them changes behaviour and must say so.
+returned a wrapper object around their probability arrays.  The ``learn``
+and ``tables`` digests also hold across batched queries, which build a
+model's region and free rows with one enumeration per query family, a row
+per action, and across the KL score taken over all contexts' rows in one
+call.  A change that alters any of them changes behaviour and must say so.
 """
 
 import hashlib

@@ -248,6 +248,22 @@ class TestAssembleModel:
         with pytest.raises(UsageError, match="successors"):
             eval_kl_full_transition(other, model)
 
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    def test_table_error_rejects_models_of_other_shapes(self, truth, mode):
+        # (4, 4) against (2, 2) rows, and (1, 2) rows that would broadcast
+        # against (2, 2) ones
+        two_state = two_state_model()
+        rows = [[0.7, 0.3]]
+        one_action = UcPomdpModel(**{
+            **two_state_inputs(), "actions": ("hold",),
+            "reactive_policy": CategoricalTable((1,), [[1.0]]),
+            "p_uc": CategoricalTable((1, 1), rows), "p_0": CategoricalTable((1,), rows),
+            "rewards": two_state_inputs()["rewards"][:1]})
+        assert max_abs_table_error(two_state, two_state, mode) == 0.0
+        for learned, model in ((two_state, truth), (one_action, two_state)):
+            with pytest.raises(UsageError, match="shape"):
+                max_abs_table_error(learned, model, mode)
+
     def test_arity_mismatch_rejected(self, truth):
         from causalplan.learning import LearnedParams, FitMeta
         from causalplan.scm import CategoricalTable

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causalplan import gridworld, model as model_module
 from causalplan.learning import _inverse_cdf, assemble_model, fit, generate_dataset
 from causalplan.model import (
     _MODE_INDEX,
@@ -78,6 +79,21 @@ class TestConstruction:
         assert np.array_equal(copy.rollout_policy, model.rollout_policy)
         assert np.array_equal(copy.initial_belief.probs, model.initial_belief.probs)
         assert copy._rewards.flags.c_contiguous
+
+    def test_one_enumeration_per_query_family(self, grid, monkeypatch):
+        # region do, region given and free do, each with a row per action
+        calls = []
+        query = model_module.exact_query
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return query(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "exact_query", counted)
+        truth = gridworld.build_model(grid)
+        assert len(calls) == 3
+        truth.with_tables(truth.confounder_prior, truth.p_uc, truth.p_0)
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("build", [
         lambda p: CategoricalTable((), p),

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from causalplan.scm import (
     CapacityError,
@@ -160,6 +160,25 @@ def small_queries(draw):
     return spec, target.name, evidence, intervention
 
 
+@st.composite
+def batched_queries(draw, role):
+    """A :func:`small_queries` case in which one variable other than the
+    target takes 1-4 values, possibly repeated, as ``role`` ("evidence" or
+    "intervention"), in place of its drawn role; returns the case and the
+    variable's name."""
+    spec, target, evidence, intervention = draw(small_queries())
+    names = [name for name in spec.variables if name != target
+             and (role == "evidence" or not spec.is_exogenous(name))]
+    assume(names)
+    name = draw(st.sampled_from(names))
+    evidence.pop(name, None)
+    intervention.pop(name, None)
+    given = evidence if role == "evidence" else intervention
+    given[name] = draw(st.lists(st.integers(0, spec.arity(name) - 1),
+                                min_size=1, max_size=4))
+    return (spec, target, evidence, intervention), name
+
+
 class TestExactQuery:
     def test_confounded_cell_do_up(self, confounded_fragment):
         do_tables, _ = hand_confounded_tables()
@@ -196,6 +215,46 @@ class TestExactQuery:
             return
         dist = exact_query(spec, target, evidence, intervention)
         assert np.array_equal(dist, acc / float(acc.sum()))
+
+    @pytest.mark.parametrize("role", ["evidence", "intervention"])
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_batched_rows_equal_single_queries(self, role, data):
+        (spec, target, evidence, intervention), name = data.draw(batched_queries(role))
+        values = (evidence if role == "evidence" else intervention)[name]
+        singles = []
+        for value in values:
+            one = {"evidence": dict(evidence), "intervention": dict(intervention)}
+            one[role][name] = value
+            acc = exact_query_loop(spec, target, **one)
+            if acc.sum() <= 0.0:
+                with pytest.raises(ZeroProbabilityEvidenceError):
+                    exact_query(spec, target, evidence, intervention)
+                return
+            singles.append((exact_query(spec, target, **one), acc / float(acc.sum())))
+        rows = exact_query(spec, target, evidence, intervention)
+        assert rows.shape == (len(values), spec.arity(target))
+        assert not rows.flags.writeable
+        for row, (single, loop) in zip(rows, singles):
+            assert np.array_equal(row, single)
+            assert np.array_equal(row, loop)
+
+    def test_batched_query_checks_every_value(self, confounded_fragment):
+        with pytest.raises(UsageError, match="out of range"):
+            exact_query(confounded_fragment, "DS", intervention={"A": [0, 4]})
+        with pytest.raises(UsageError, match="lists no values"):
+            exact_query(confounded_fragment, "DS", evidence={"A": []})
+        with pytest.raises(UsageError, match="one variable"):
+            exact_query(confounded_fragment, "DS", evidence={"U": [0, 1]},
+                        intervention={"A": [0, 1]})
+
+    def test_enumeration_limit_counts_rows(self, confounded_fragment):
+        # 3 confounder values x 7 action buckets x 5 outcome buckets: 105
+        # worlds a row
+        exact_query(confounded_fragment, "DS", evidence={"A": [0, 1]}, enumeration_limit=210)
+        with pytest.raises(CapacityError):
+            exact_query(confounded_fragment, "DS", evidence={"A": [0, 1, 2]},
+                        enumeration_limit=210)
 
     def test_result_is_read_only(self, confounded_fragment):
         dist = exact_query(confounded_fragment, "DS", intervention={"A": 1})
@@ -311,6 +370,40 @@ class TestKlDivergence:
         expected = 0.5 * math.log(0.5) + 0.5 * (math.log(0.5) - math.log(1e-320))
         assert math.isfinite(got)
         assert got == pytest.approx(expected, rel=1e-9)
+
+
+    def test_rows_give_an_array_of_one_value_each(self, rng):
+        p = rng.dirichlet(np.ones(4), size=(2, 3))
+        q = rng.dirichlet(np.ones(4), size=(2, 3))
+        kl = kl_divergence(p, q)
+        assert kl.shape == (2, 3)
+        assert all(kl[i, j] == kl_divergence(p[i, j], q[i, j])
+                   for i, j in itertools.product(range(2), range(3)))
+        assert isinstance(kl_divergence(p[0, 0], q[0, 0]), float)
+
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_rows_equal_the_one_row_loop(self, width, rng):
+        # zeros in p and q, a subnormal q whose ratio overflows, and a
+        # subnormal p whose ratio underflows to 0
+        pool = np.array([0.0, 5e-324, 1e-320, 0.05, 0.25, 0.5, 0.9, 1.0])
+        p = rng.choice(pool, size=(400, width))
+        q = rng.choice(pool, size=(400, width))
+        want = np.array([_kl_one_row(a, b) for a, b in zip(p, q)])
+        assert np.isinf(want).any() and np.isfinite(want).any()
+        assert np.array_equal(kl_divergence(p, q), want)
+
+
+def _kl_one_row(p, q) -> float:
+    """KL(p || q) of one row as the one-row-at-a-time function computed it:
+    the terms at p > 0, summed as one vector."""
+    mask = p > 0
+    a, b = p[mask], q[mask]
+    with np.errstate(divide="ignore", over="ignore"):
+        logs = np.log(a / b)
+        bad = np.isinf(logs)
+        if bad.any():
+            logs[bad] = np.log(a[bad]) - np.log(b[bad])
+    return float(np.sum(a * logs))
 
 
 class TestSpecValidation:

@@ -123,9 +123,45 @@ class ActionEdge:
 
 
 # Per planning model, kept as long as the model lives: the bound tables of
-# finished searches, one spare per shape, and the reach rows of the fills,
-# by (mode, depth, start states).
+# finished searches, one spare per shape; the reach rows of the fills, by
+# (mode, depth, start states); and per mode the tail tables, entry j the
+# (2, S, B**j) lower and upper bounds of every state j steps before the
+# horizon over every suffix of j transition bucket ids (_tail_tables).
 _MODEL_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _tail_tables(model: UcPomdpModel, mode: TransitionMode, depth: int,
+                 tails: dict) -> list[np.ndarray]:
+    """The tail tables of ``mode`` through ``depth`` steps before the
+    horizon, extending the model's kept list if it is shorter.  Entry ``j``
+    is ``(2, S, B**j)``: column ``b * B**(j-1) + t`` holds the bounds after
+    bucket id ``b`` followed by the suffix of column ``t`` of entry
+    ``j - 1``; entry 0 is the zero horizon.  One
+    :meth:`~causalplan.model.UcPomdpModel.batch_policy_step` steps every
+    state at every bucket id, and each entry applies the fill's operations,
+    ``q = prev[s2]; q *= gamma; q += r`` and the max over axis 0, to the
+    same operands, so each cell equals the lane fill's bit for bit."""
+    have = tails.get(mode) or [np.zeros((2, model.n_states, 1))]
+    if len(have) > depth:
+        return have
+    n, gamma = model.n_states, model.discount
+    s2, r = model.batch_policy_step(np.arange(n), np.arange(model.n_buckets(mode)), mode)
+    policy = (model.rollout_policy, np.arange(n))
+    s2_pi, r_pi = s2[policy], r[policy]
+    # stored complete, so a concurrent search never sees a part
+    out = list(have)
+    for _ in range(len(have), depth + 1):
+        lower, upper = out[-1]
+        q = upper.take(s2, axis=0)
+        q *= gamma
+        q += r[..., None]
+        low = lower.take(s2_pi, axis=0)
+        low *= gamma
+        low += r_pi[..., None]
+        out.append(np.stack([low.reshape(n, -1),
+                             np.maximum.reduce(q, axis=0).reshape(n, -1)]))
+    tails[mode] = out
+    return out
 
 
 def _fill_bounds(model: UcPomdpModel, config: PlannerConfig, buckets: np.ndarray,
@@ -140,48 +176,65 @@ def _fill_bounds(model: UcPomdpModel, config: PlannerConfig, buckets: np.ndarray
     (:meth:`~causalplan.model.UcPomdpModel.bucket_ids`), depth-major,
     ``(D, 2, K)``; ``starts`` their start states.
 
-    Both tables are filled from the horizon back, one
-    :meth:`~causalplan.model.UcPomdpModel.batch_policy_step` per depth, the
-    outer product of every action and reachable ordinary state with the
-    scenarios' bucket ids: ``lower[d] = r_pi + gamma * lower[d + 1][s2_pi,
-    k]`` and ``upper[d] = max_a (r_a + gamma * upper[d + 1][s2_a, k])``, the same
-    arithmetic as a scalar :func:`~causalplan.model.deterministic_step`
-    recursion, so every filled entry equals it bit for bit.  A node at depth
-    ``d`` only holds states reachable in ``d`` steps from ``starts``
+    Both tables are filled from the horizon back: ``lower[d] = r_pi + gamma
+    * lower[d + 1][s2_pi, k]`` and ``upper[d] = max_a (r_a + gamma *
+    upper[d + 1][s2_a, k])``, the same arithmetic as a scalar
+    :func:`~causalplan.model.deterministic_step` recursion, so every filled
+    entry equals it bit for bit.  A node at depth ``d`` only holds states
+    reachable in ``d`` steps from ``starts``
     (:meth:`~causalplan.model.UcPomdpModel.successor_mask`), so only
     those rows of ``d`` are filled and read.
-    Scenarios are the innermost axis, so each operation of the fill runs
-    along ``K`` contiguous lanes.
+
+    At depth ``D - j`` a scenario's bounds depend only on the state and its
+    last ``j`` transition bucket ids, of which there are ``B**j``.  The last
+    ``J`` depths, ``J`` the largest ``j <= D`` with ``B**j <= K``, are
+    therefore taken from the model's tail tables (:func:`_tail_tables`) at
+    each scenario's suffix id, one ``take`` a depth.  The depths before
+    them take one :meth:`~causalplan.model.UcPomdpModel.batch_policy_step`
+    each, the outer product of every action and reachable ordinary state
+    with the scenarios' bucket ids.  Scenarios are the innermost axis, so
+    each operation of the fill runs along ``K`` contiguous lanes.
 
     The array is the spare of a finished :func:`search` on the same model
     when there is one: no search writes row ``D`` or a terminal row, so
     they stay zero, and the other cells it does not fill hold earlier
     searches' values, which it never reads.
     """
-    k, n, gamma = buckets.shape[2], model.n_states, model.discount
-    spare, reach = _MODEL_CACHES.setdefault(model, ({}, {}))
-    shape = (2, config.depth + 1, n, k)
+    k, n, gamma, depth = buckets.shape[2], model.n_states, model.discount, config.depth
+    spare, reach, tails = _MODEL_CACHES.setdefault(model, ({}, {}, {}))
+    shape = (2, depth + 1, n, k)
     tables = spare.pop(shape, None)
     if tables is None:
         tables = np.zeros(shape)
     lower, upper = tables
     live = np.zeros(n, dtype=bool)
     live[starts] = True
-    key = (config.mode, config.depth, live.tobytes())
+    key = (config.mode, depth, live.tobytes())
     rows = reach.get(key)
     if rows is None:
         # per depth: the reachable ordinary states and the rows of the
         # fill's (A * m, K) step results that the default policy takes;
         # stored complete, so a concurrent search never sees a part
         rows = []
-        for _ in range(config.depth):
+        for _ in range(depth):
             states = np.flatnonzero(live[:n - 2])
             m = len(states)
             rows.append((states, model.rollout_policy[states] * m + np.arange(m)))
             live = model.successor_mask(live, config.mode)
         reach[key] = rows
+    b, tail = model.n_buckets(config.mode), 0
+    while tail < depth and b ** (tail + 1) <= k:
+        tail += 1
+    if tail:
+        by_suffix = _tail_tables(model, config.mode, tail, tails)
+        sid = 0   # each scenario's id of its last j bucket ids
+        for j in range(1, tail + 1):
+            d = depth - j
+            sid = buckets[d, 0] * b ** (j - 1) + sid
+            states = rows[d][0]
+            tables[:, d, states] = by_suffix[j].take(states, axis=1).take(sid, axis=2)
     lanes = np.arange(k)
-    for d in range(config.depth - 1, -1, -1):
+    for d in range(depth - tail - 1, -1, -1):
         states, policy = rows[d]
         # (action, state, scenario) triples; the step's fresh outputs
         # become the next-row cells s2 * k + lane and the bounds in place
@@ -273,7 +326,8 @@ class DespotTree:
         s2, z, r = model.batch_step(node.states, actions, b1, b2, config.mode)
         key = (actions * model.n_observations + z).astype(self._key_type).ravel()
         order = np.argsort(key, kind="stable")
-        key, s2, ids = key.take(order), s2.take(order), node.scenario_ids.take(order % m)
+        ids = np.concatenate((node.scenario_ids,) * model.n_actions).take(order)
+        key, s2 = key.take(order), s2.take(order)
         # row 0 the lower, row 1 the upper table at each child's cells
         lu = self.tables[:, d + 1].reshape(2, -1).take(s2 * k + ids, axis=1)
         edges = [ActionEdge(total / m) for total in np.add.reduce(r, axis=1).tolist()]
@@ -386,7 +440,7 @@ def search(
         if not expanded and (tree.root.lower, tree.root.upper) == before:
             break
     result = tree.best_action(), tree.bounds()
-    spare, _ = _MODEL_CACHES[model]
+    spare = _MODEL_CACHES[model][0]
     spare[tree.tables.shape] = tree.tables
     return result
 

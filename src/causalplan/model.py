@@ -287,6 +287,11 @@ class UcPomdpModel:
         confounded region, before folding into states."""
         return self._rel_region[_MODE_INDEX[mode]]
 
+    def n_buckets(self, mode: TransitionMode) -> int:
+        """The number of transition bucket ids of ``mode``
+        (:meth:`bucket_ids`)."""
+        return self._succ[_MODE_INDEX[mode]].shape[2]
+
     def successor_mask(self, live: np.ndarray, mode: TransitionMode) -> np.ndarray:
         """The states that some action moves a state of the boolean mask
         ``live`` to with nonzero probability under ``mode``."""

@@ -11,6 +11,7 @@ which preserves the joint distribution.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -352,10 +353,18 @@ class ScmSpec:
 
 
 def _check_assignment(spec: ScmSpec, assignment: Mapping[str, int], role: str):
+    """Each value must be an integer category of its variable: anything
+    ``operator.index`` rejects (a float, even an integral one, NaN, a
+    string) or a value outside ``[0, arity)`` is a ``UsageError``."""
     for name, value in assignment.items():
         if name not in spec.variables:
             raise UsageError(f"{role} on unknown variable {name!r}")
-        if not 0 <= int(value) < spec.arity(name):
+        try:
+            index = operator.index(value)
+        except TypeError:
+            raise UsageError(
+                f"{role} value {value!r} for {name!r} is not an integer") from None
+        if not 0 <= index < spec.arity(name):
             raise UsageError(
                 f"{role} value {value} out of range for {name!r} "
                 f"(arity {spec.arity(name)})"
@@ -454,11 +463,11 @@ def exact_query(
     if batched:
         given, name = batched[0]
         role = "evidence" if given is evidence else "intervention"
-        values = np.array([int(v) for v in given[name]], dtype=np.intp)
+        for value in given[name]:
+            _check_assignment(spec, {name: value}, role)
+        values = np.array(given[name], dtype=np.intp)
         if not len(values):
             raise UsageError(f"{role} on {name!r} lists no values")
-        for value in values[1:]:
-            _check_assignment(spec, {name: value}, role)
         given[name] = values[0]  # checked, and mutilated by, as any one value
     m, evidence = _query_setup(spec, target, evidence, intervention)
     arities = tuple(var.arity for var, _ in m.exogenous)

@@ -185,19 +185,47 @@ class TestDefaultValueTable:
         assert np.flatnonzero(reach[0]).tolist() == [state]
         assert upper[0][state].any() == (where != "goal")
 
-    def test_one_policy_step_per_depth(self, truth, monkeypatch):
+    # on the shipped map's 17 interventional buckets, J is the largest
+    # j <= D with 17**j <= K
+    @pytest.mark.parametrize("k, tail", [(16, 0), (17, 1), (288, 1), (289, 2), (500, 2)])
+    def test_one_policy_step_per_depth(self, grid, monkeypatch, k, tail):
+        model = gridworld.build_model(grid)
+        assert model.n_buckets(INT) == 17
         calls = []
-        step = type(truth).batch_policy_step
+        step = type(model).batch_policy_step
 
         def counted(self, *args):
             calls.append(1)
             return step(self, *args)
 
-        monkeypatch.setattr(type(truth), "batch_policy_step", counted)
-        config = PlannerConfig(scenarios=20, depth=15, seed=0)
-        starts, streams = sample_scenarios(truth.initial_belief, 20, seed=0, depth=15)
-        bound_tables(truth, config, starts, streams)
-        assert len(calls) == config.depth
+        monkeypatch.setattr(type(model), "batch_policy_step", counted)
+        config = PlannerConfig(scenarios=k, depth=15, seed=0)
+        starts, streams = sample_scenarios(model.initial_belief, k, seed=0, depth=15)
+        counts = []
+        for _ in range(2):
+            bound_tables(model, config, starts, streams)
+            counts.append(len(calls))
+            calls.clear()
+        # the last J depths read the tail tables, which the model's first
+        # fill builds with one more step
+        assert counts == [config.depth - tail + (tail > 0), config.depth - tail]
+
+    def test_tail_tables_go_with_their_model(self, grid):
+        model = gridworld.build_model(grid)
+        config = PlannerConfig(scenarios=300, depth=5, budget_trials=5)
+        search(model.initial_belief, model, config)
+        tails = despot._MODEL_CACHES[model][2][INT]
+        n = model.n_states
+        assert [t.shape for t in tails] == [(2, n, 1), (2, n, 17), (2, n, 289)]
+        # a copy with the same tables builds its own, equal tail tables
+        other = model.with_tables(model.confounder_prior, model.p_uc, model.p_0)
+        search(other.initial_belief, other, config)
+        own = despot._MODEL_CACHES[other][2][INT]
+        assert all(a is not b and np.array_equal(a, b) for a, b in zip(own, tails, strict=True))
+        refs = [weakref.ref(t) for t in tails]
+        del model, tails
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 3
 
 
 class TestSearchCounters:
@@ -308,7 +336,7 @@ class TestNoisySensor:
         assert any(probs.max() < 0.9 for probs in beliefs)
         # one reach entry per (mode, depth, start states): 13 for the 174
         # searches of these 40 episodes
-        _, reach = despot._MODEL_CACHES[model]
+        _, reach, _ = despot._MODEL_CACHES[model]
         assert len(reach) <= 16
 
 

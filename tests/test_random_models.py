@@ -164,7 +164,7 @@ def test_both_access_patterns_equal_the_scalar_step_in_every_bucket(model, mode)
 
 
 @given(model=small_models(), seed=SEEDS, mode=MODES,
-       k=st.integers(1, 4), depth=st.integers(1, 4))
+       k=st.integers(1, 64), depth=st.integers(1, 6))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_bound_tables_equal_the_scalar_recursion(model, seed, mode, k, depth):
     rng = np.random.default_rng(seed)

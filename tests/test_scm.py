@@ -248,6 +248,24 @@ class TestExactQuery:
             exact_query(confounded_fragment, "DS", evidence={"U": [0, 1]},
                         intervention={"A": [0, 1]})
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, np.float64(1.0), float("nan"), "x",
+                                       None, [0, 1.5], [0, "x"], np.array([0.0, 1.0])])
+    @pytest.mark.parametrize("role", ["evidence", "intervention"])
+    def test_only_integer_values_are_categories(self, confounded_fragment, role, value):
+        # int() truncated 1.5 to 1, so do(A=1.5) was do(A=1) and A=1.5 as
+        # evidence matched no world
+        with pytest.raises(UsageError, match="not an integer"):
+            exact_query(confounded_fragment, "DS", **{role: {"A": value}})
+
+    @pytest.mark.parametrize("value", [1, np.int64(1), np.uint8(1), np.array(1)])
+    def test_integer_types_are_categories(self, confounded_fragment, value):
+        for role in ("evidence", "intervention"):
+            single = exact_query(confounded_fragment, "DS", **{role: {"A": 1}})
+            assert np.array_equal(
+                exact_query(confounded_fragment, "DS", **{role: {"A": value}}), single)
+            rows = exact_query(confounded_fragment, "DS", **{role: {"A": [0, value]}})
+            assert np.array_equal(rows[1], single)
+
     def test_enumeration_limit_counts_rows(self, confounded_fragment):
         # 3 confounder values x 7 action buckets x 5 outcome buckets: 105
         # worlds a row

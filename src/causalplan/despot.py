@@ -56,8 +56,8 @@ class PlannerConfig:
             raise UsageError("depth must be >= 1")
         if not 0 < self.xi < 1:
             raise UsageError("xi must lie in (0, 1)")
-        if not self.regularization >= 0:
-            raise UsageError("regularization must be >= 0")
+        if not 0 <= self.regularization < np.inf:
+            raise UsageError("regularization must be finite and >= 0")
         if self.budget_trials is not None and self.budget_trials < 0:
             raise UsageError("budget_trials must be >= 0")
         if self.budget_ms is not None and not self.budget_ms >= 0:
@@ -130,36 +130,52 @@ class ActionEdge:
 _MODEL_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _step_rows(prev, cells: np.ndarray, r: np.ndarray,
+               policy: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """One Bellman step of both bounds: the lower and upper ``(m, C)`` rows
+    one step before ``prev``, the next depth's ``(S, C)`` lower and upper
+    bounds.  ``cells`` and ``r`` are the ``(A, m, C)`` successor cells
+    ``s2 * C + column`` and rewards of every action; ``policy`` the rows of
+    their ``(A * m, C)`` views that the default policy takes.
+
+    The upper row is ``max_a (r_a + gamma * upper[s2_a])``, the scenario's
+    clairvoyant optimum, and the lower row ``r_pi + gamma * lower[s2_pi]``,
+    the default policy's return (Ye et al., 2017).  Each cell gets
+    ``q = prev[s2]; q *= gamma; q += r``, the two IEEE operations of a
+    scalar :func:`~causalplan.model.deterministic_step` recursion on the
+    same operands, and the max compares the same values, so every entry
+    equals that recursion bit for bit."""
+    lower, upper = prev
+    q = upper.reshape(-1).take(cells)
+    q *= gamma
+    q += r
+    c = cells.shape[-1]
+    low = lower.reshape(-1).take(cells.reshape(-1, c).take(policy, axis=0))
+    low *= gamma
+    low += r.reshape(-1, c).take(policy, axis=0)
+    return low, np.maximum.reduce(q, axis=0)
+
+
 def _tail_tables(model: UcPomdpModel, mode: TransitionMode, depth: int,
                  tails: dict) -> list[np.ndarray]:
     """The tail tables of ``mode`` through ``depth`` steps before the
-    horizon, extending the model's kept list if it is shorter.  Entry ``j``
-    is ``(2, S, B**j)``: column ``b * B**(j-1) + t`` holds the bounds after
-    bucket id ``b`` followed by the suffix of column ``t`` of entry
-    ``j - 1``; entry 0 is the zero horizon.  One
-    :meth:`~causalplan.model.UcPomdpModel.batch_policy_step` steps every
-    state at every bucket id, and each entry applies the fill's operations,
-    ``q = prev[s2]; q *= gamma; q += r`` and the max over axis 0, to the
-    same operands, so each cell equals the lane fill's bit for bit."""
+    horizon, extending the model's kept list.  Entry ``j`` is ``(2, S,
+    B**j)``, column ``b * B**(j-1) + t`` the bounds after bucket id ``b``
+    and then column ``t``'s suffix; entry 0 is the horizon.  Each entry is
+    one :func:`_step_rows` of every state at every bucket id."""
     have = tails.get(mode) or [np.zeros((2, model.n_states, 1))]
     if len(have) > depth:
         return have
-    n, gamma = model.n_states, model.discount
+    n = model.n_states
     s2, r = model.batch_policy_step(np.arange(n), np.arange(model.n_buckets(mode)), mode)
-    policy = (model.rollout_policy, np.arange(n))
-    s2_pi, r_pi = s2[policy], r[policy]
+    policy = model.rollout_policy * n + np.arange(n)
     # stored complete, so a concurrent search never sees a part
     out = list(have)
     for _ in range(len(have), depth + 1):
-        lower, upper = out[-1]
-        q = upper.take(s2, axis=0)
-        q *= gamma
-        q += r[..., None]
-        low = lower.take(s2_pi, axis=0)
-        low *= gamma
-        low += r_pi[..., None]
-        out.append(np.stack([low.reshape(n, -1),
-                             np.maximum.reduce(q, axis=0).reshape(n, -1)]))
+        c = out[-1].shape[2]
+        cells = (s2[..., None] * c + np.arange(c)).reshape(*s2.shape[:2], -1)
+        out.append(np.stack(_step_rows(out[-1], cells, r.repeat(c, axis=2), policy,
+                                       model.discount)))
     tails[mode] = out
     return out
 
@@ -167,40 +183,23 @@ def _tail_tables(model: UcPomdpModel, mode: TransitionMode, depth: int,
 def _fill_bounds(model: UcPomdpModel, config: PlannerConfig, buckets: np.ndarray,
                  starts: np.ndarray) -> np.ndarray:
     """The per-scenario bounds of one search as one ``(2, D+1, S, K)``
-    array: ``lower[d][s, k]``, the first half, is the discounted return of
-    the default policy from state ``s`` at depth ``d`` to the horizon along
-    scenario ``k``'s stream, and ``upper[d][s, k]`` the best return any
-    action sequence earns there, the scenario's clairvoyant optimum (Ye et
-    al., 2017).  Both are zero at the terminals and at the horizon.
-    ``buckets`` are the scenarios' bucket ids
-    (:meth:`~causalplan.model.UcPomdpModel.bucket_ids`), depth-major,
-    ``(D, 2, K)``; ``starts`` their start states.
+    array, filled from the horizon back by :func:`_step_rows`: the default
+    policy's return (the first half) and the clairvoyant optimum from each
+    state at each depth along each scenario's stream, zero at the terminals
+    and at the horizon.  ``buckets`` are the scenarios' depth-major ``(D,
+    2, K)`` bucket ids; ``starts`` their start states.  Only the rows of
+    states reachable in ``d`` steps from ``starts`` are filled and read.
 
-    Both tables are filled from the horizon back: ``lower[d] = r_pi + gamma
-    * lower[d + 1][s2_pi, k]`` and ``upper[d] = max_a (r_a + gamma *
-    upper[d + 1][s2_a, k])``, the same arithmetic as a scalar
-    :func:`~causalplan.model.deterministic_step` recursion, so every filled
-    entry equals it bit for bit.  A node at depth ``d`` only holds states
-    reachable in ``d`` steps from ``starts``
-    (:meth:`~causalplan.model.UcPomdpModel.successor_mask`), so only
-    those rows of ``d`` are filled and read.
-
-    At depth ``D - j`` a scenario's bounds depend only on the state and its
-    last ``j`` transition bucket ids, of which there are ``B**j``.  The last
-    ``J`` depths, ``J`` the largest ``j <= D`` with ``B**j <= K``, are
-    therefore taken from the model's tail tables (:func:`_tail_tables`) at
-    each scenario's suffix id, one ``take`` a depth.  The depths before
-    them take one :meth:`~causalplan.model.UcPomdpModel.batch_policy_step`
-    each, the outer product of every action and reachable ordinary state
-    with the scenarios' bucket ids.  Scenarios are the innermost axis, so
-    each operation of the fill runs along ``K`` contiguous lanes.
-
-    The array is the spare of a finished :func:`search` on the same model
-    when there is one: no search writes row ``D`` or a terminal row, so
-    they stay zero, and the other cells it does not fill hold earlier
-    searches' values, which it never reads.
+    The last ``J`` depths, ``J`` the largest ``j <= D`` with ``B**j <= K``,
+    are one ``take`` of the tail tables (:func:`_tail_tables`) at each
+    scenario's suffix id; each earlier depth is one
+    :meth:`~causalplan.model.UcPomdpModel.batch_policy_step` over the K
+    scenario lanes, the innermost axis.  The array is the spare of a
+    finished :func:`search` on the same model when there is one: no search
+    writes row ``D`` or a terminal row, and no search reads a cell it did
+    not fill.
     """
-    k, n, gamma, depth = buckets.shape[2], model.n_states, model.discount, config.depth
+    k, n, depth = buckets.shape[2], model.n_states, config.depth
     spare, reach, tails = _MODEL_CACHES.setdefault(model, ({}, {}, {}))
     shape = (2, depth + 1, n, k)
     tables = spare.pop(shape, None)
@@ -236,19 +235,12 @@ def _fill_bounds(model: UcPomdpModel, config: PlannerConfig, buckets: np.ndarray
     lanes = np.arange(k)
     for d in range(depth - tail - 1, -1, -1):
         states, policy = rows[d]
-        # (action, state, scenario) triples; the step's fresh outputs
-        # become the next-row cells s2 * k + lane and the bounds in place
+        # the step's fresh successors become the cells s2 * k + lane in place
         s2, r = model.batch_policy_step(states, buckets[d, 0], config.mode)
         s2 *= k
         s2 += lanes
-        q = upper[d + 1].reshape(-1).take(s2)
-        q *= gamma
-        q += r
-        upper[d][states] = np.maximum.reduce(q, axis=0)
-        low = lower[d + 1].reshape(-1).take(s2.reshape(-1, k).take(policy, axis=0))
-        low *= gamma
-        low += r.reshape(-1, k).take(policy, axis=0)
-        lower[d][states] = low
+        lower[d][states], upper[d][states] = _step_rows(
+            (lower[d + 1], upper[d + 1]), s2, r, policy, model.discount)
     return tables
 
 

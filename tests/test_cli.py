@@ -343,6 +343,15 @@ class TestUsageErrors:
             capsys, ["eval", "--config", str(cfg_path), "--out", str(tmp_path)],
             "gamma=1000", "out of range")
 
+    def test_config_infinite_lambda(self, tmp_path, capsys):
+        # Python's json reads the non-standard literal Infinity as a float
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"lambda": Infinity}')
+        self.expect_usage_error(capsys, [
+            "simulate", "--config", str(cfg_path), "--steps", "1", "--out", str(tmp_path),
+        ], "regularization")
+        assert not (tmp_path / "trace.csv").exists()
+
     @pytest.mark.parametrize("key", ["map", "replay", "out"])
     def test_path_with_a_nul_character(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "config.json"
@@ -368,6 +377,7 @@ class TestUsageErrors:
         (["learn", "--smoothing", "inf", "--dataset-n", "10"], "smoothing"),
         (["learn", "--smoothing", "1e308", "--dataset-n", "10"], "smoothing"),
         (["eval", "--lambda", "nan"], "regularization"),
+        (["eval", "--lambda", "inf"], "regularization"),
         (["eval", "--budget-ms", "nan"], "budget_ms"),
     ])
     def test_number_out_of_range(self, tmp_path, capsys, args, fragment):

@@ -43,6 +43,8 @@ class TestPlannerConfig:
             PlannerConfig(xi=0.0)
         with pytest.raises(UsageError):
             PlannerConfig(regularization=-0.1)
+        with pytest.raises(UsageError, match="finite"):
+            PlannerConfig(regularization=np.inf)
         with pytest.raises(UsageError):
             PlannerConfig(budget_ms=-5.0)
 
@@ -421,6 +423,42 @@ class TestSearch:
         config = PlannerConfig(scenarios=50, depth=15, budget_trials=0, seed=0)
         action, _ = search(truth.initial_belief, truth, config)
         assert action == UP  # greedy default from the start cell
+
+
+class TestBestAction:
+    """The returned action against the rules of ``best_action``, checked
+    without a digest: the regularized edge bounds against the root's default
+    value, and the default action at the root's most common start state."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_regularization_can_keep_the_default_action(self, truth, lam):
+        config = PlannerConfig(scenarios=20, depth=3, regularization=lam, seed=0)
+        tree = DespotTree(truth, config, truth.initial_belief)
+        assert tree.run_trial() and tree.root.children is not None
+        best = (tree.default_action + 1) % truth.n_actions
+        for a, edge in enumerate(tree.root.children):
+            edge.q_lower = 1.0 if a == best else -10.0
+        tree.root.default_value = 0.8   # q_lower - 0.5 < 0.8 < q_lower
+        assert tree.best_action() == (best if lam == 0 else tree.default_action)
+
+    def test_default_action_is_the_most_common_starts(self, truth):
+        policy = truth.rollout_policy
+        rare = 0
+        common = next(s for s in range(truth.n_states - 2) if policy[s] != policy[rare])
+        probs = np.zeros(truth.n_states)
+        probs[[rare, common]] = 0.3, 0.7
+        belief = Belief(probs)
+        k, depth = 20, 5
+
+        def starts(seed):
+            return sample_scenarios(belief, k, seed, depth)[0]
+
+        # a seed whose first start is the less likely state
+        seed = next(s for s in range(100) if starts(s)[0] == rare
+                    and np.bincount(starts(s)).argmax() == common)
+        config = PlannerConfig(scenarios=k, depth=depth, budget_trials=0, seed=seed)
+        action, _ = search(belief, truth, config)
+        assert action == policy[common] != policy[rare]
 
 
 class TestBoundTableReuse:

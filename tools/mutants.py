@@ -1,0 +1,141 @@
+"""Planted rule changes in the planner, and the tests that catch each one.
+
+Each mutant is a one-line edit given as (file, old text, new text).  For
+each, the script copies the repository into a scratch directory, plants the
+edit there, runs the quick suite without the digest and counter pins, and
+prints which tests failed::
+
+    python3 tools/mutants.py                   # every mutant
+    python3 tools/mutants.py --only best_action_lambda default_action_first
+
+The digests (``tests/test_golden.py``) and the search counter pins
+(``TestSearchCounters``) are left out because they catch any change to the
+search's output; a mutant counts as caught only by a test that checks the
+rule it breaks.  ``tests/test_mutants.py`` is left out too: it checks that
+each old text is in the code, which no mutated copy passes.  A run takes about a minute a mutant on two cores.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DESPOT = "src/causalplan/despot.py"
+
+# name -> (file, old text, new text); each old text occurs once in its file
+MUTANTS = {
+    "descend_by_q_lower": (
+        DESPOT,
+        "if edge.q_upper > best_q:\n                    best_edge, best_q = edge, edge.q_upper",
+        "if edge.q_lower > best_q:\n                    best_edge, best_q = edge, edge.q_lower",
+    ),
+    "new_node_lambda_twice": (
+        DESPOT,
+        "sums[0] -= self.config.regularization",
+        "sums[0] -= 2 * self.config.regularization",
+    ),
+    "backup_lambda_dropped": (
+        DESPOT,
+        "max(node.default_value, best_low - self.config.regularization)",
+        "max(node.default_value, best_low)",
+    ),
+    "excess_unweighted": (
+        DESPOT,
+        "weu = child.weight * (child.upper - child.lower - target)",
+        "weu = child.upper - child.lower - target",
+    ),
+    "gap_scale_one_short": (
+        DESPOT,
+        "config.xi * model.discount ** (-(d + 1))",
+        "config.xi * model.discount ** (-d)",
+    ),
+    "stop_target_doubled": (
+        DESPOT,
+        "target = (1.0 - config.xi) * gap0",
+        "target = 2 * (1.0 - config.xi) * gap0",
+    ),
+    "best_action_lambda": (
+        DESPOT,
+        "q = edge.q_lower - self.config.regularization",
+        "q = edge.q_lower",
+    ),
+    "default_action_first": (
+        DESPOT,
+        "model.rollout_policy[int(np.argmax(counts))]",
+        "model.rollout_policy[int(starts[0])]",
+    ),
+    "step_lower_undiscounted": (
+        DESPOT,
+        "    low *= gamma\n",
+        "    low *= 1.0\n",
+    ),
+    "step_first_action": (
+        DESPOT,
+        "return low, np.maximum.reduce(q, axis=0)",
+        "return low, q[0]",
+    ),
+    "step_policy_shifted": (
+        DESPOT,
+        "c = cells.shape[-1]",
+        "c, policy = cells.shape[-1], policy - 1",
+    ),
+}
+
+DESELECT = ["tests/test_golden.py", "tests/test_despot.py::TestSearchCounters",
+            "tests/test_mutants.py"]
+
+
+def plant(root: Path, file: str, old: str, new: str) -> None:
+    path = root / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        raise ValueError(f"{file}: the old text occurs {text.count(old)} times, not once")
+    path.write_text(text.replace(old, new))
+
+
+def failed_tests(output: str) -> list[str]:
+    """The node ids of the ``FAILED`` and ``ERROR`` lines of ``pytest -rfE``."""
+    out = []
+    for line in output.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                out.append(line[len(tag):].split(" - ")[0])
+    return out
+
+
+def run_mutant(repo: Path, name: str, scratch: Path) -> list[str]:
+    copy = scratch / name
+    shutil.copytree(repo, copy, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+    plant(copy, *MUTANTS[name])
+    cmd = [sys.executable, "-m", "pytest", "-q", "-m", "not slow", "-rfE",
+           "-p", "no:cacheprovider", *(f"--deselect={d}" for d in DESELECT)]
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
+    shutil.rmtree(copy)
+    return failed_tests(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repo", type=Path, default=ROOT,
+                        help="the checkout to copy and mutate (default: this one)")
+    parser.add_argument("--only", nargs="+", choices=sorted(MUTANTS), default=list(MUTANTS))
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        for name in args.only:
+            caught = run_mutant(args.repo, name, Path(scratch))
+            print(f"{name}: {len(caught)} caught" + "".join(f"\n    {t}" for t in caught),
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

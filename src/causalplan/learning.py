@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TransitionMode, UcPomdpModel
-from .scm import CapacityError, CategoricalTable, UsageError, kl_divergence
+from .scm import CapacityError, CategoricalTable, SpecificationError, UsageError, kl_divergence
 
 
 # records per block of dataset generation and fitting: a block's float
@@ -227,19 +227,13 @@ def fit(dataset: Dataset, smoothing: float = 1.0) -> LearnedParams:
 
 
 def assemble_model(structure: UcPomdpModel, params: LearnedParams) -> UcPomdpModel:
-    """The structural model with the three learned tables swapped in."""
-    if params.p_u.n_categories != structure.n_confounder:
-        raise UsageError("learned P(U) arity does not match the structure")
-    if params.p_uc.parent_arities != (structure.n_actions, structure.n_confounder):
-        raise UsageError("learned P_UC parents do not match the structure")
-    if params.p_0.parent_arities != (structure.n_actions,):
-        raise UsageError("learned P_0 parents do not match the structure")
-    if (params.p_uc.n_categories != structure.n_ds
-            or params.p_0.n_categories != structure.n_ds):
-        raise UsageError("learned outcome arity does not match the structure")
-    return structure.with_tables(
-        params.p_u, params.p_uc, params.p_0, name=f"{structure.name}+learned"
-    )
+    """The structural model with the three learned tables swapped in; tables
+    whose shapes do not fit the structure are a ``UsageError``."""
+    try:
+        return structure.with_tables(params.p_u, params.p_uc, params.p_0,
+                                     name=f"{structure.name}+learned")
+    except SpecificationError as exc:
+        raise UsageError(f"learned tables do not match the structure: {exc}") from None
 
 
 def eval_kl_full_transition(learned: UcPomdpModel, truth: UcPomdpModel) -> float:

@@ -375,17 +375,23 @@ def sample_worlds(spec: ScmSpec, n: int, rng: np.random.Generator) -> dict[str, 
     """Vectorized forward sampling; returns one integer array per variable."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    return _evaluate(spec, {var.name: cdf_index(prior.cdf[0], rng.random(n))
-                            for var, prior in spec.exogenous})
+    return _evaluate(spec, _draw_exogenous(spec, n, rng))
+
+
+def _draw_exogenous(spec: ScmSpec, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """``n`` prior draws of each exogenous variable, one ``rng.random(n)`` each in order."""
+    return {var.name: cdf_index(prior.cdf[0], rng.random(n))
+            for var, prior in spec.exogenous}
 
 
 def _evaluate(spec: ScmSpec, world: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Every variable's value per world, gathering through the rule tables
     from ``world``'s exogenous index arrays; an endogenous variable given in
-    ``world`` keeps its given values in place of its rule.  Each value is
-    broadcast to their common shape, so even a constant has one entry per
-    world."""
-    shape = np.broadcast_shapes(*(v.shape for v in world.values()))
+    ``world`` keeps its given values in place of its rule, which is do() on
+    it: its parents no longer matter, and every exogenous noise term stays.
+    Each value is broadcast to their common shape, so even a constant has
+    one entry per world."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in world.values()))
     world = {name: np.broadcast_to(v, shape) for name, v in world.items()}
     for var, parents, rule in spec.endogenous:
         if var.name not in world:
@@ -394,24 +400,9 @@ def _evaluate(spec: ScmSpec, world: dict[str, np.ndarray]) -> dict[str, np.ndarr
     return world
 
 
-def mutilate(spec: ScmSpec, intervention: Intervention) -> ScmSpec:
-    """Apply do(X=x): replace each intervened rule by a constant, cut its edges."""
-    _check_assignment(spec, intervention, "intervention")
-    for name in intervention:
-        if spec.is_exogenous(name):
-            raise UsageError(f"cannot intervene on exogenous variable {name!r}")
-    endo = []
-    for var, parents, rule in spec.endogenous:
-        if var.name in intervention:
-            endo.append(
-                (var, (), DeterministicRule(np.int64(intervention[var.name])))
-            )
-        else:
-            endo.append((var, parents, rule))
-    return ScmSpec(spec.exogenous, endo)
-
-
 def _query_setup(spec, target, evidence, intervention):
+    """A query's checked evidence and interventions, as new dicts; each
+    intervention an ``np.intp`` category of an endogenous variable."""
     evidence = dict(evidence or {})
     intervention = dict(intervention or {})
     if target not in spec.variables:
@@ -424,8 +415,11 @@ def _query_setup(spec, target, evidence, intervention):
             f"variables {sorted(overlap)} appear as both evidence and intervention"
         )
     _check_assignment(spec, evidence, "evidence")
-    mutated = mutilate(spec, intervention) if intervention else spec
-    return mutated, evidence
+    _check_assignment(spec, intervention, "intervention")
+    for name in intervention:
+        if spec.is_exogenous(name):
+            raise UsageError(f"cannot intervene on exogenous variable {name!r}")
+    return evidence, {name: np.intp(value) for name, value in intervention.items()}
 
 
 def exact_query(
@@ -439,10 +433,11 @@ def exact_query(
     """Posterior of ``target`` by exhaustive enumeration of exogenous worlds,
     as a read-only probability array indexed by category.
 
-    Mutilates by the intervention, sums prior weight over every exogenous
-    assignment consistent with the evidence, and normalizes.  The worlds are
-    broadcast index arrays, each weight is the prior product taken left to
-    right, and the sum runs in ``itertools.product`` order.
+    Fixes each intervened variable's value in every world (:func:`_evaluate`),
+    sums prior weight over every exogenous assignment consistent with the
+    evidence, and normalizes.  The worlds are broadcast index arrays, each
+    weight is the prior product taken left to right, and the sum runs in
+    ``itertools.product`` order.
 
     One variable of ``evidence`` or ``intervention`` may take a 1-D sequence
     of values instead of one value.  The result is then one row per value,
@@ -468,9 +463,9 @@ def exact_query(
         values = np.array(given[name], dtype=np.intp)
         if not len(values):
             raise UsageError(f"{role} on {name!r} lists no values")
-        given[name] = values[0]  # checked, and mutilated by, as any one value
-    m, evidence = _query_setup(spec, target, evidence, intervention)
-    arities = tuple(var.arity for var, _ in m.exogenous)
+        given[name] = values[0]  # checked as any one value
+    evidence, intervention = _query_setup(spec, target, evidence, intervention)
+    arities = tuple(var.arity for var, _ in spec.exogenous)
     size = (1 if values is None else len(values)) * math.prod(arities)
     if size > enumeration_limit:
         raise CapacityError(
@@ -479,17 +474,18 @@ def exact_query(
         )
     index = np.indices(arities, sparse=True)
     weight = np.ones(())
-    for idx, (_, prior) in zip(index, m.exogenous):
+    for idx, (_, prior) in zip(index, spec.exogenous):
         weight = weight * prior.values[0][idx]
-    world = {var.name: idx for idx, (var, _) in zip(index, m.exogenous)}
+    world = {var.name: idx for idx, (var, _) in zip(index, spec.exogenous)}
     if name in intervention:
-        world[name] = np.unique(values).reshape((-1,) + (1,) * len(arities))
-    world = _evaluate(m, world)
+        intervention[name] = np.unique(values).reshape((-1,) + (1,) * len(arities))
+    world.update(intervention)
+    world = _evaluate(spec, world)
     row, n_rows = 0, 1
     if name is not None:
-        row, n_rows = world[name], m.arity(name)
+        row, n_rows = world[name], spec.arity(name)
         evidence.pop(name, None)
-    acc = _target_mass(m, world, target, evidence, weight, row, n_rows)
+    acc = _target_mass(spec, world, target, evidence, weight, row, n_rows)
     if name is not None:
         acc = acc[values]
     total = acc.sum(axis=1, keepdims=True)
@@ -515,15 +511,18 @@ def importance_query(
     """Self-normalized importance estimate of the same posterior, also a
     read-only array indexed by category.
 
-    The proposal is the mutilated prior (likelihood weighting); with fully
-    deterministic assignments the evidence likelihood is a 0/1 indicator, so
-    the estimate is the empirical target distribution over accepted particles.
-    Converges to :func:`exact_query` as ``n_particles`` grows.
+    The proposal is the prior with the intervened values fixed in every
+    particle (likelihood weighting); with fully deterministic assignments the
+    evidence likelihood is a 0/1 indicator, so the estimate is the empirical
+    target distribution over accepted particles.  The particles are
+    :func:`sample_worlds`'s draws.  Converges to :func:`exact_query` as
+    ``n_particles`` grows.
     """
     if n_particles < 1:
         raise UsageError("n_particles must be >= 1")
-    m, evidence = _query_setup(spec, target, evidence, intervention)
-    counts = _target_mass(m, sample_worlds(m, n_particles, rng), target, evidence)[0]
+    evidence, intervention = _query_setup(spec, target, evidence, intervention)
+    world = _evaluate(spec, {**_draw_exogenous(spec, n_particles, rng), **intervention})
+    counts = _target_mass(spec, world, target, evidence)[0]
     accepted = int(counts.sum())
     if accepted == 0:
         raise DegenerateEvidenceError(

@@ -14,7 +14,7 @@ import numpy as np
 from causalplan import despot, gridworld
 from causalplan.learning import Dataset, DatasetMeta
 from causalplan.model import _MODE_INDEX, TransitionMode, UcPomdpModel, deterministic_step
-from causalplan.scm import CategoricalTable, _query_setup, cdf_index
+from causalplan.scm import CategoricalTable, DeterministicRule, ScmSpec, cdf_index
 
 PRIOR = {-90: 0.10, 0: 0.80, 90: 0.10}
 REACTIVE = {
@@ -381,6 +381,79 @@ def tree_nodes(tree):
                     stack.append(child)
 
 
+def watch_trials(monkeypatch, before=None, after=None) -> list:
+    """Wrap ``DespotTree.run_trial`` for the rest of a test.  Each trial
+    appends ``(root bounds before, root bounds after, expanded)`` to the
+    returned list; ``before(tree)`` runs ahead of it and ``after(tree,
+    expanded, what before returned)`` behind it."""
+    log, run = [], despot.DespotTree.run_trial
+
+    def watched(tree):
+        seen, bounds = before(tree) if before else None, tree.bounds()
+        expanded = run(tree)
+        log.append((bounds, tree.bounds(), expanded))
+        if after:
+            after(tree, expanded, seen)
+        return expanded
+
+    monkeypatch.setattr(despot.DespotTree, "run_trial", watched)
+    return log
+
+
+def assert_stop_rule(log, config, bounds):
+    """One search's trials, a :func:`watch_trials` log, against the stop
+    rule: a trial ran only while the root gap was above ``(1 - xi) * gap0 +
+    1e-12`` and the trial budget lasted, and the search stopped at that
+    target, at the budget, or after a trial that expanded nothing and left
+    the root bounds unchanged.  ``bounds`` are the returned root bounds."""
+    lower, upper = log[0][0] if log else bounds
+    target = (1.0 - config.xi) * (upper - lower) + 1e-12
+    stalled = False
+    for before, after, expanded in log:
+        assert not stalled and before[1] - before[0] > target
+        stalled = not expanded and after == before
+    assert config.budget_trials is None or len(log) <= config.budget_trials
+    last = log[-1][1] if log else bounds
+    assert bounds == last
+    assert stalled or last[1] - last[0] <= target or len(log) == config.budget_trials
+
+
+def assert_backups_hold(tree):
+    """Every expanded node's bounds equal the backup rule, recomputed from
+    its children within 1e-12: ``lower = max(default value, max_a (r_a +
+    discount * sum_c n_c * l_c / n) - regularization)`` and ``upper = max_a
+    (r_a + discount * sum_c n_c * u_c / n)``, ``r_a`` the edge's mean
+    reward and ``n`` the node's scenario count."""
+    gamma, lam = tree.model.discount, tree.config.regularization
+    for node in tree_nodes(tree):
+        if node.children is not None:
+            q = np.array([[e.avg_reward + gamma * sum(c.count * getattr(c, side)
+                                                      for _, c in e.children) / node.count
+                           for side in ("lower", "upper")] for e in node.children])
+            assert abs(node.lower - max(node.default_value, q[:, 0].max() - lam)) <= 1e-12
+            assert abs(node.upper - q[:, 1].max()) <= 1e-12
+
+
+def descent_target(tree):
+    """The node the next trial expands, walked from the root by the
+    descent rule: the edge of largest upper Q bound, then its child of
+    largest weighted excess uncertainty ``(n_c / K) * (u_c - l_c - xi *
+    discount ** -(d + 1) * root gap)`` at depth ``d + 1``, stopping at a
+    frontier node, at depth D, or where that excess is <= 0.  None where the
+    trial expands nothing."""
+    config, root = tree.config, tree.root
+    node = root
+    while node.children is not None and node.depth < config.depth:
+        edge = max(node.children, key=lambda e: e.q_upper)
+        gap = config.xi * tree.model.discount ** (-(node.depth + 1)) * (root.upper - root.lower)
+        excess, child = max(((c.count / config.scenarios * (c.upper - c.lower - gap), c)
+                             for _, c in edge.children), key=lambda pair: pair[0])
+        if excess <= 0:
+            break
+        node = child
+    return node if node.children is None and node.depth < config.depth else None
+
+
 def dist_prob(row, label) -> float:
     """Probability of the relative outcome ``label`` in a row over
     ``gridworld.DS_LABELS``."""
@@ -452,11 +525,22 @@ def serialize_map(grid) -> str:
                    for y in range(grid.height - 1, -1, -1))
 
 
+def mutilate(spec, intervention) -> ScmSpec:
+    """do(X=x) by graph surgery: each intervened rule becomes the constant
+    ``x`` and loses its parents.  The reference for the queries of ``scm``,
+    which fix the intervened values in the worlds instead."""
+    assert set(intervention) <= {var.name for var, _, _ in spec.endogenous}
+    endo = [(var, (), DeterministicRule(np.int64(intervention[var.name])))
+            if var.name in intervention else (var, parents, rule)
+            for var, parents, rule in spec.endogenous]
+    return ScmSpec(spec.exogenous, endo)
+
+
 def exact_query_loop(spec, target, evidence=None, intervention=None) -> np.ndarray:
     """Unnormalized posterior mass of ``target``: one exogenous world at a
-    time in ``itertools.product`` order, the reference for the array form of
-    ``scm.exact_query``."""
-    m, evidence = _query_setup(spec, target, evidence, intervention)
+    time in ``itertools.product`` order, on the :func:`mutilate`-d spec; the
+    reference for the array form of ``scm.exact_query``."""
+    m, evidence = mutilate(spec, dict(intervention or {})), dict(evidence or {})
     priors = [prior.values[0] for _, prior in m.exogenous]
     exo_names = [var.name for var, _ in m.exogenous]
     acc = np.zeros(m.arity(target))

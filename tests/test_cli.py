@@ -420,6 +420,14 @@ class TestUsageErrors:
             "[p_uc a=0 u=3]", "0.25 0.25 0.25 0.25"])
         self.expect_usage_error(capsys, args, str(path), "[p_uc a=0 u=3]")
 
+    def test_params_with_fewer_actions_than_the_map(self, tmp_path, capsys, small_params):
+        def drop_last_action(lines):
+            heads = [i for i, line in enumerate(lines) if "a=3" in line]
+            return [line for i, line in enumerate(lines)
+                    if not any(h <= i < h + 3 for h in heads)]
+        _, args = self._params(tmp_path, small_params, drop_last_action)
+        self.expect_usage_error(capsys, args, "learned tables do not match the structure")
+
     def test_params_huge_action_index(self, tmp_path, capsys):
         # naming every section up to a=4000000000 would take hundreds of GB
         path = tmp_path / "huge.txt"

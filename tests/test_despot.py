@@ -21,13 +21,17 @@ from causalplan.model import Belief, TransitionMode, deterministic_step
 from causalplan.scm import CategoricalTable, UsageError
 
 from helpers import (
+    assert_backups_hold,
+    assert_stop_rule,
     bound_tables,
+    descent_target,
     free_roam_model,
     noisy_sensor_model,
     reach_mask,
     scalar_bounds,
     state_index,
     two_state_model,
+    watch_trials,
 )
 
 INT = TransitionMode.INTERVENTIONAL
@@ -459,6 +463,61 @@ class TestBestAction:
         config = PlannerConfig(scenarios=k, depth=depth, budget_trials=0, seed=seed)
         action, _ = search(belief, truth, config)
         assert action == policy[common] != policy[rare]
+
+
+class TestSearchRules:
+    """The descent, the backup and the stop rule of a search, each against
+    its oracle in ``tests/helpers.py`` rather than a digest: the searches of
+    ``TestSearchCounters`` and searches on a noisy sensor, whose nodes have
+    several observation children."""
+
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        return noisy_sensor_model()
+
+    def searches(self, model, mode, lam=0.01, seeds=range(20), scenarios=500):
+        for seed in seeds:
+            config = PlannerConfig(scenarios=scenarios, regularization=lam, mode=mode,
+                                   seed=seed)
+            yield config, search(model.initial_belief, model, config)
+
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    @pytest.mark.parametrize("which", ["truth", "noisy"])
+    def test_each_trial_expands_the_descent_rules_node(self, request, monkeypatch,
+                                                       which, mode):
+        def expanded_it(tree, expanded, node):
+            assert expanded == (node is not None)
+            assert node is None or node.children is not None
+
+        log = watch_trials(monkeypatch, descent_target, expanded_it)
+        seeds = range(20) if which == "truth" else range(6)
+        for _ in self.searches(request.getfixturevalue(which), mode, seeds=seeds):
+            pass
+        assert sum(expanded for _, _, expanded in log) > len(seeds)
+
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    @pytest.mark.parametrize("lam", [0.01, 0.5])
+    def test_every_trial_leaves_each_node_backed_up(self, truth, noisy, monkeypatch,
+                                                    lam, mode):
+        watch_trials(monkeypatch, after=lambda tree, *_: assert_backups_hold(tree))
+        for model in (truth, noisy):
+            for _ in self.searches(model, mode, lam, seeds=range(3), scenarios=100):
+                pass
+
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    @pytest.mark.parametrize("lam", [0.01, 0.5])
+    def test_searches_stop_by_the_stop_rule(self, truth, noisy, monkeypatch, lam, mode):
+        log = watch_trials(monkeypatch)
+        for model in (truth, noisy):
+            for config, (_, bounds) in self.searches(model, mode, lam, seeds=range(10)):
+                assert_stop_rule(log, config, bounds)
+                log.clear()
+            config = PlannerConfig(scenarios=50, regularization=lam, mode=mode,
+                                   budget_trials=3)
+            _, bounds = search(model.initial_belief, model, config)
+            assert_stop_rule(log, config, bounds)
+            assert len(log) == 3
+            log.clear()
 
 
 class TestBoundTableReuse:

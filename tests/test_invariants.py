@@ -28,13 +28,13 @@ from causalplan.scm import (
     VariableId,
     exact_query,
     importance_query,
-    mutilate,
     sample_worlds,
 )
 from causalplan import gridworld
 
 from helpers import (
     brute_force_optimum,
+    mutilate,
     permuted,
     slice_mean,
     specs_equal,

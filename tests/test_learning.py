@@ -264,17 +264,19 @@ class TestAssembleModel:
             with pytest.raises(UsageError, match="shape"):
                 max_abs_table_error(learned, model, mode)
 
-    def test_arity_mismatch_rejected(self, truth):
+    @pytest.mark.parametrize("field, table", [
+        ("p_u", CategoricalTable((), [0.5, 0.5])),               # arity 2, model has 3
+        ("p_uc", CategoricalTable((4, 2), np.full((8, 4), 0.25))),  # parents (A, 2)
+        ("p_0", CategoricalTable((3,), np.full((3, 4), 0.25))),     # parents (3,)
+        ("p_0", CategoricalTable((4,), np.full((4, 3), 1 / 3))),    # outcome arity 3
+    ])
+    def test_arity_mismatch_rejected(self, truth, field, table):
         from causalplan.learning import LearnedParams, FitMeta
-        from causalplan.scm import CategoricalTable
 
-        bad = LearnedParams(
-            p_u=CategoricalTable((), [0.5, 0.5]),  # arity 2, model has 3
-            p_uc=truth.p_uc,
-            p_0=truth.p_0,
-            meta=FitMeta(1, 1.0, np.zeros(2), np.zeros(12), np.zeros(4)),
-        )
-        with pytest.raises(UsageError):
+        tables = {"p_u": truth.confounder_prior, "p_uc": truth.p_uc, "p_0": truth.p_0}
+        bad = LearnedParams(**{**tables, field: table},
+                            meta=FitMeta(1, 1.0, np.zeros(2), np.zeros(12), np.zeros(4)))
+        with pytest.raises(UsageError, match="learned tables do not match"):
             assemble_model(truth, bad)
 
 

@@ -1,4 +1,4 @@
-"""Causal-engine unit tests: sampling, mutilation, inference, divergence."""
+"""Causal-engine unit tests: sampling, interventions, inference, divergence."""
 
 import itertools
 import math
@@ -20,11 +20,16 @@ from causalplan.scm import (
     exact_query,
     importance_query,
     kl_divergence,
-    mutilate,
     sample_worlds,
 )
 
-from helpers import exact_query_loop, hand_confounded_tables, specs_equal, total_variation
+from helpers import (
+    exact_query_loop,
+    hand_confounded_tables,
+    mutilate,
+    specs_equal,
+    total_variation,
+)
 
 
 def single_prior_spec():
@@ -85,6 +90,8 @@ class TestSampleWorld:
 
 
 class TestMutilate:
+    """``helpers.mutilate``, the graph-surgery oracle of the queries' do()."""
+
     def test_removes_incoming_edges(self, confounded_fragment):
         cut = mutilate(confounded_fragment, {"A": 1})
         (_, a_parents, a_rule) = next(
@@ -106,13 +113,15 @@ class TestMutilate:
         ba = mutilate(mutilate(confounded_fragment, {"DS": 3}), {"A": 0})
         assert specs_equal(ab, ba)
 
-    def test_rejects_exogenous_target(self, confounded_fragment):
-        with pytest.raises(UsageError):
-            mutilate(confounded_fragment, {"U": 0})
-
-    def test_rejects_out_of_range_value(self, confounded_fragment):
-        with pytest.raises(UsageError):
-            mutilate(confounded_fragment, {"A": 7})
+    @pytest.mark.parametrize("do, match", [({"U": 0}, "exogenous"), ({"A": 7}, "out of range"),
+                                           ({"A": [0, 7]}, "out of range")])
+    def test_queries_reject_an_invalid_intervention(self, confounded_fragment, rng, do, match):
+        with pytest.raises(UsageError, match=match):
+            exact_query(confounded_fragment, "DS", intervention=do)
+        if np.ndim(do.get("A")) == 0:
+            with pytest.raises(UsageError, match=match):
+                importance_query(confounded_fragment, "DS", intervention=do,
+                                 n_particles=10, rng=rng)
 
 
 @st.composite
@@ -349,6 +358,73 @@ class TestImportanceQuery:
         )
         with pytest.raises(DegenerateEvidenceError):
             importance_query(spec, "U", evidence={"V": 1}, n_particles=500, rng=rng)
+
+
+def outcome(query, spec, target, evidence, intervention, **kwargs):
+    """A query's array, or the type of the zero-mass error it raised."""
+    try:
+        return query(spec, target, evidence, intervention, **kwargs)
+    except (ZeroProbabilityEvidenceError, DegenerateEvidenceError) as err:
+        return type(err)
+
+
+def assert_do_views_agree(spec, target, evidence, do):
+    """A query's do() on ``spec`` and the same query on ``mutilate(spec,
+    do)`` give equal arrays bit for bit, or fail alike: ``exact_query``,
+    and ``importance_query`` with equal seeds.  A family of values is
+    compared row by row with one mutilated spec per value."""
+    family = next((name for name, value in do.items() if np.ndim(value) == 1), None)
+    ones = [do] if family is None else [{**do, family: v} for v in do[family]]
+    got = outcome(exact_query, spec, target, evidence, do)
+    want = [outcome(exact_query, mutilate(spec, one), target, evidence, {}) for one in ones]
+    if isinstance(got, type):
+        assert any(one is got for one in want)
+    else:
+        assert np.array_equal(np.reshape(got, (len(ones), -1)), np.stack(want))
+    if family is None:
+        got, want = (outcome(importance_query, m, target, evidence, one, n_particles=300,
+                             rng=np.random.default_rng(5))
+                     for m, one in ((spec, do), (mutilate(spec, do), {})))
+        assert got is want if isinstance(got, type) else np.array_equal(got, want)
+
+
+@st.composite
+def do_queries(draw):
+    """A :func:`small_queries` case re-aimed so that its intervention can
+    matter: the target is an endogenous variable, and a variable among its
+    endogenous parents takes 1-3 values; the case's other interventions and
+    evidence stay.  Returns the case and the parent's name.  (In 300
+    ``small_queries`` cases no intervention changes the result.)"""
+    spec, _, evidence, intervention = draw(small_queries())
+    edges = [(var.name, parent) for var, parents, _ in spec.endogenous
+             for parent in parents if not spec.is_exogenous(parent)]
+    assume(edges)
+    target, name = draw(st.sampled_from(edges))
+    evidence = {k: v for k, v in evidence.items() if k not in (target, name)}
+    intervention = {k: v for k, v in intervention.items() if k != target}
+    intervention[name] = draw(st.lists(st.integers(0, spec.arity(name) - 1),
+                                       min_size=1, max_size=3))
+    return (spec, target, evidence, intervention), name
+
+
+class TestDoViews:
+    """The queries' do(), which fixes the intervened values in the worlds,
+    against graph surgery (``helpers.mutilate``): equal arrays, bit for bit."""
+
+    @given(do_queries())
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_random_specs_with_an_intervened_parent(self, drawn):
+        (spec, target, evidence, intervention), name = drawn
+        assert_do_views_agree(spec, target, evidence, intervention)
+        for value in intervention[name]:
+            assert_do_views_agree(spec, target, evidence, {**intervention, name: value})
+
+    @pytest.mark.parametrize("which", ["_spec_region", "_spec_free"])
+    @pytest.mark.parametrize("evidence", [{}, {"U": 0}, {"U": 2}])
+    def test_shipped_model_specs(self, truth, which, evidence):
+        spec = getattr(truth, which)
+        for do in [{"A": a} for a in range(truth.n_actions)] + [{"A": [3, 0, 1, 1]}]:
+            assert_do_views_agree(spec, "DS", evidence, do)
 
 
 class TestKlDivergence:

@@ -1,9 +1,10 @@
-"""Planted rule changes in the planner, and the tests that catch each one.
+"""Planted rule changes, and the tests that catch each one.
 
-Each mutant is a one-line edit given as (file, old text, new text).  For
-each, the script copies the repository into a scratch directory, plants the
-edit there, runs the quick suite without the digest and counter pins, and
-prints which tests failed::
+Each mutant is a one-line edit to a rule of the planner or the causal
+engine, given as (file, old text, new text).  For each, the script copies
+the repository into a scratch directory, plants the edit there, runs the
+quick suite without the digest and counter pins, and prints which tests
+failed::
 
     python3 tools/mutants.py                   # every mutant
     python3 tools/mutants.py --only best_action_lambda default_action_first
@@ -28,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DESPOT = "src/causalplan/despot.py"
+SCM = "src/causalplan/scm.py"
 
 # name -> (file, old text, new text); each old text occurs once in its file
 MUTANTS = {
@@ -85,6 +87,16 @@ MUTANTS = {
         DESPOT,
         "c = cells.shape[-1]",
         "c, policy = cells.shape[-1], policy - 1",
+    ),
+    "do_override_dropped": (
+        SCM,
+        "    world.update(intervention)\n",
+        "",
+    ),
+    "exogenous_do_allowed": (
+        SCM,
+        "if spec.is_exogenous(name):",
+        "if False:",
     ),
 }
 

@@ -414,11 +414,12 @@ def search(
     shrinks to ``(1 - xi)`` of its initial value; returns the chosen action
     and the final root bounds.  The tree's bound tables then become the
     spare of the next search on ``model`` (see :func:`_fill_bounds`), so a
-    search does not allocate and page in fresh ones."""
+    search does not allocate and page in fresh ones.  ``budget_ms`` counts
+    from entry: a set-up that spends it leaves no trial."""
+    start = time.perf_counter()
     tree = DespotTree(model, config, belief)
     gap0 = tree.root.upper - tree.root.lower
     target = (1.0 - config.xi) * gap0
-    start = time.perf_counter()
     while True:
         if tree.root.upper - tree.root.lower <= target + 1e-12:
             break

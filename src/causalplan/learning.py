@@ -308,8 +308,9 @@ _SECTION = re.compile(r"\[(p_u|p_uc a=(\d+) u=(\d+)|p_0 a=(\d+))\]")
 
 
 def load_params(path) -> LearnedParams:
-    """Read a parameter file; malformed input raises :class:`UsageError`
-    naming the file and the line, or the section that is missing."""
+    """Read a parameter file; malformed input, such as a repeated section
+    or a section with two rows of values, raises :class:`UsageError` naming
+    the file and the line, or the section that is missing."""
     n_records, smoothing, n_a = 0, 1.0, 1
     sections: dict[str, np.ndarray] = {}
     counts: dict[str, np.ndarray] = {}
@@ -336,6 +337,8 @@ def load_params(path) -> LearnedParams:
                     match = _SECTION.fullmatch(line)
                     if match is None:
                         raise ValueError(f"unknown section {line}")
+                    if line in sections:
+                        raise ValueError(f"repeated section {line}")
                     current = line
                     action = match.group(2) or match.group(4)
                     if action is not None:
@@ -343,6 +346,8 @@ def load_params(path) -> LearnedParams:
                     continue
                 if current is None:
                     raise ValueError("values before the first [section]")
+                if current in sections:
+                    raise ValueError(f"a second row of values in {current}")
                 sections[current] = np.array([float(v) for v in line.split()])
         where = f"end of file after {where}"
         if "[p_u]" not in sections:

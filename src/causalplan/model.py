@@ -168,7 +168,6 @@ class UcPomdpModel:
         term_row[self.terminal_observation] = 1.0
         self._sensor = CategoricalTable((self.n_states,), np.vstack(
             [observation_table.values, term_row, term_row]))
-        _, self._obs_buckets = self._sensor.buckets
 
         self.initial_belief = Belief(self._pad(initial_belief, float, "initial belief"))
         self.rollout_policy = self._pad(rollout_policy, np.int64, "rollout policy")
@@ -259,17 +258,15 @@ class UcPomdpModel:
         trans[:, :, :-2] = self._fold(np.where(
             in_region, self._rel_region[:, :, None], self._rel_free[:, None]))
         trans[:, :, -2:, 0] = 1.0
-        # per mode, the law over (action, state) rows; the kernels' successor
-        # and reward per (action, state, bucket), buckets innermost; each
-        # slot's state where some action gives it mass, else S
+        # per mode, the law over (action, state) rows and the kernels'
+        # successor and reward per (action, state, bucket), buckets innermost
         self._laws = tuple(CategoricalTable((n_a, n), t.reshape(n_a * n, -1)) for t in trans)
-        self._succ, self._rew, self._reach = [], [], []
+        self._succ, self._rew = [], []
         states = np.arange(n)[:, None]
-        for law, t in zip(self._laws, trans):
+        for law in self._laws:
             slot = np.ascontiguousarray(law.buckets[1].reshape(-1, n_a, n).transpose(1, 2, 0))
             self._succ.append(self._slots[states, slot])
             self._rew.append(self._rewards[np.arange(n_a)[:, None, None], states, slot])
-            self._reach.append(np.where((t > 0).any(axis=0), self._slots, n))
 
         # P(S' | s, a, u) under the mechanism tables, (ordinary state, A, U, slot)
         p_uc = self.p_uc.values.reshape(n_a, self.n_confounder, 1, self.n_ds)
@@ -294,10 +291,11 @@ class UcPomdpModel:
 
     def successor_mask(self, live: np.ndarray, mode: TransitionMode) -> np.ndarray:
         """The states that some action moves a state of the boolean mask
-        ``live`` to with nonzero probability under ``mode``."""
-        out = np.zeros(self.n_states + 1, dtype=bool)
-        out[self._reach[_MODE_INDEX[mode]][live]] = True
-        return out[:-1]
+        ``live`` to with nonzero probability under ``mode``: the live columns
+        of the kernels' successor table, where each slot with mass has a bucket."""
+        out = np.zeros(self.n_states, dtype=bool)
+        out[self._succ[_MODE_INDEX[mode]].compress(live, axis=1)] = True
+        return out
 
     def _fold(self, rel: np.ndarray) -> np.ndarray:
         """Rows over successor slots, shaped as ``rel``, from a stack of
@@ -358,7 +356,7 @@ class UcPomdpModel:
         m = _MODE_INDEX[mode]
         at = (actions * self.n_states + states) * self._succ[m].shape[2] + b1
         s2 = self._succ[m].take(at)
-        return s2, self._obs_buckets.take(b2 * self.n_states + s2), self._rew[m].take(at)
+        return s2, self._sensor.buckets[1].take(b2 * self.n_states + s2), self._rew[m].take(at)
 
     def batch_policy_step(self, states, b1, mode: TransitionMode):
         """The transition half of :func:`deterministic_step` for every

@@ -10,6 +10,7 @@ which preserves the joint distribution.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 ROW_SUM_TOLERANCE = 1e-9
-DEFAULT_ENUMERATION_LIMIT = 10_000_000
+ENUMERATION_LIMIT = 10_000_000  # rows x exogenous worlds in one exact_query
 
 
 class ScmError(Exception):
@@ -67,8 +68,6 @@ class CategoricalTable:
     an unconditional prior.
     """
 
-    __slots__ = ("parent_arities", "values", "_cdf", "_buckets", "_grid")
-
     def __init__(self, parent_arities: Sequence[int], values):
         self.parent_arities = tuple(int(a) for a in parent_arities)
         if any(a < 1 for a in self.parent_arities):
@@ -97,9 +96,6 @@ class CategoricalTable:
             )
         vals.setflags(write=False)
         self.values = vals
-        self._cdf = None
-        self._buckets = None
-        self._grid = None
 
     @classmethod
     def uniform(cls, parent_arities: Sequence[int], n_categories: int) -> "CategoricalTable":
@@ -110,17 +106,15 @@ class CategoricalTable:
     def n_categories(self) -> int:
         return self.values.shape[1]
 
-    @property
+    @functools.cached_property
     def cdf(self) -> np.ndarray:
         """Row-wise cumulative distribution with the last column pinned to 1."""
-        if self._cdf is None:
-            c = np.cumsum(self.values, axis=1)
-            c /= c[:, -1:]
-            c.setflags(write=False)
-            self._cdf = c
-        return self._cdf
+        c = np.cumsum(self.values, axis=1)
+        c /= c[:, -1:]
+        c.setflags(write=False)
+        return c
 
-    @property
+    @functools.cached_property
     def buckets(self) -> tuple[np.ndarray, np.ndarray]:
         """``(breaks, table)``: the sorted distinct CDF values below 1 at
         nonzero entries, which cut [0, 1) into buckets at edges
@@ -129,15 +123,17 @@ class CategoricalTable:
         breaks ``<= u``; no CDF value lies between a bucket's lower edge and
         any draw in it, so every draw there selects the category
         :func:`cdf_index` returns at that edge, which the table holds."""
-        if self._buckets is None:
-            cdf = self.cdf
-            breaks = np.unique(cdf[(self.values > 0) & (cdf < 1.0)])
-            edges = np.concatenate(([0.0], breaks))[:, None, None]
-            table = np.minimum((cdf <= edges).sum(axis=-1), self.n_categories - 1)
-            breaks.setflags(write=False)
-            table.setflags(write=False)
-            self._buckets = breaks, table
-        return self._buckets
+        cdf = self.cdf
+        breaks = np.unique(cdf[(self.values > 0) & (cdf < 1.0)])
+        edges = np.concatenate(([0.0], breaks))[:, None, None]
+        table = np.minimum((cdf <= edges).sum(axis=-1), self.n_categories - 1)
+        breaks.setflags(write=False)
+        table.setflags(write=False)
+        return breaks, table
+
+    @functools.cached_property
+    def _grid(self) -> np.ndarray:
+        return _bucket_grid(self.buckets[0])
 
     def bucket_index(self, u) -> np.ndarray:
         """Each draw's bucket (:attr:`buckets`) for a vector ``u`` of draws
@@ -150,10 +146,7 @@ class CategoricalTable:
         # min and max are NaN if any draw is, and both tests then fail
         if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
             raise UsageError("bucket draws must lie in [0, 1)")
-        breaks, _ = self.buckets
-        if self._grid is None:
-            self._grid = _bucket_grid(breaks)
-        return _grid_lookup(self._grid, breaks, u)
+        return _grid_lookup(self._grid, self.buckets[0], u)
 
     def __repr__(self) -> str:
         return (
@@ -427,8 +420,6 @@ def exact_query(
     target: str,
     evidence: Evidence | None = None,
     intervention: Intervention | None = None,
-    *,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> np.ndarray:
     """Posterior of ``target`` by exhaustive enumeration of exogenous worlds,
     as a read-only probability array indexed by category.
@@ -447,7 +438,7 @@ def exact_query(
     sums the same weights in the same order and divides by its own total.
 
     Time and memory are O(rows x worlds), where worlds is the product of
-    exogenous arities; ``enumeration_limit`` bounds that product.
+    exogenous arities; the module's ``ENUMERATION_LIMIT`` bounds that product.
     """
     evidence, intervention = dict(evidence or {}), dict(intervention or {})
     batched = [(given, name) for given in (evidence, intervention)
@@ -467,10 +458,10 @@ def exact_query(
     evidence, intervention = _query_setup(spec, target, evidence, intervention)
     arities = tuple(var.arity for var, _ in spec.exogenous)
     size = (1 if values is None else len(values)) * math.prod(arities)
-    if size > enumeration_limit:
+    if size > ENUMERATION_LIMIT:
         raise CapacityError(
             f"enumeration over {size} rows x exogenous worlds exceeds limit "
-            f"{enumeration_limit}"
+            f"{ENUMERATION_LIMIT}"
         )
     index = np.indices(arities, sparse=True)
     weight = np.ones(())

@@ -228,6 +228,17 @@ def reach_mask(model, starts, horizon, mode) -> np.ndarray:
     return mask
 
 
+def assert_successor_masks_equal_reach(model):
+    """``model.successor_mask`` of every one-state mask, in both modes,
+    against one step of :func:`reach_mask`."""
+    for mode in TransitionMode:
+        for s in range(model.n_states):
+            live = np.zeros(model.n_states, dtype=bool)
+            live[s] = True
+            assert np.array_equal(model.successor_mask(live, mode),
+                                  reach_mask(model, [s], 1, mode)[1])
+
+
 def dense_row(model, s, row):
     """``row[..., j]``, over the successor slots of state ``s``, written out
     over all states: each distinct slot's entry at its state, and zero at

@@ -420,6 +420,26 @@ class TestUsageErrors:
             "[p_uc a=0 u=3]", "0.25 0.25 0.25 0.25"])
         self.expect_usage_error(capsys, args, str(path), "[p_uc a=0 u=3]")
 
+    @pytest.mark.parametrize("repeat", ["row", "section"])
+    @pytest.mark.parametrize("command", [
+        ["tables"], ["eval", "--plan-model", "learned", "--episodes", "1", "--steps", "1"],
+    ])
+    def test_params_repeated_section(self, tmp_path, capsys, small_params, command, repeat):
+        # the last of the two used to be read in silence
+        at = []
+
+        def edit(lines):
+            head = lines.index("[p_0 a=0]")
+            if repeat == "row":
+                at.append(head + 4)
+                return lines[:head + 3] + ["0.25 0.25 0.25 0.25"] + lines[head + 3:]
+            at.append(len(lines) + 1)
+            return lines + lines[head:head + 3]
+        path, _ = self._params(tmp_path, small_params, edit)
+        self.expect_usage_error(capsys, [*command, "--params", str(path), "--out",
+                                         str(tmp_path)], str(path), f"line {at[0]}:",
+                                "[p_0 a=0]")
+
     def test_params_with_fewer_actions_than_the_map(self, tmp_path, capsys, small_params):
         def drop_last_action(lines):
             heads = [i for i, line in enumerate(lines) if "a=3" in line]

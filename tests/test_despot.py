@@ -4,6 +4,7 @@ import gc
 import hashlib
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -427,6 +428,34 @@ class TestSearch:
         config = PlannerConfig(scenarios=50, depth=15, budget_trials=0, seed=0)
         action, _ = search(truth.initial_belief, truth, config)
         assert action == UP  # greedy default from the start cell
+
+
+class TestMsBudget:
+    """``budget_ms`` counts from entry to :func:`search`, set-up included;
+    the clock is a fake one that only the set-up moves."""
+
+    @pytest.mark.parametrize("mode", list(TransitionMode))
+    @pytest.mark.parametrize("budget_ms, trials", [(1.0, False), (3.0, True)])
+    def test_a_set_up_that_spends_the_budget_leaves_no_trial(self, truth, monkeypatch,
+                                                             mode, budget_ms, trials):
+        now, trees = [0.0], []
+
+        class SlowSetUp(DespotTree):
+            def __init__(self, *args):
+                super().__init__(*args)
+                now[0] += 2e-3
+                self.first = self.bounds()
+                trees.append(self)
+
+        monkeypatch.setattr(despot, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(despot, "DespotTree", SlowSetUp)
+        config = PlannerConfig(scenarios=50, depth=5, mode=mode, budget_ms=budget_ms,
+                               budget_trials=20)
+        action, bounds = search(truth.initial_belief, truth, config)
+        (tree,) = trees
+        assert (tree.n_trials > 0) == trials
+        if not trials:
+            assert (action, bounds) == (tree.default_action, tree.first)
 
 
 class TestBestAction:

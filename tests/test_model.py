@@ -29,6 +29,7 @@ from causalplan.scm import (
 from helpers import (
     assert_kernels_equal_scalar_step,
     assert_mechanism_rows_fold,
+    assert_successor_masks_equal_reach,
     assert_transition_rows_fold,
     buckets_of,
     dist_prob,
@@ -283,6 +284,10 @@ class TestDeterministicStep:
         }[which]()
         assert_kernels_equal_scalar_step(model, mode)
 
+    @pytest.mark.parametrize("which", ["truth", "noisy sensor"])
+    def test_successor_masks_are_one_step_of_reach(self, truth, which):
+        assert_successor_masks_equal_reach(truth if which == "truth" else noisy_sensor_model())
+
     def test_phi_zero_selects_first_successor(self, truth):
         s = state_index(truth, (0, 2))
         first = int(np.flatnonzero(transition_matrix(truth, INT)[UP, s])[0])
@@ -452,10 +457,9 @@ class TestBucketGrid:
 
     def test_a_table_builds_its_grid_once(self):
         table = CategoricalTable((2,), [[0.3, 0.7], [0.5, 0.5]])
-        assert table._grid is None
+        assert "_grid" not in vars(table)
         first = table.bucket_index([0.1, 0.4, 0.6])
-        grid = table._grid
-        assert grid is not None
+        grid = vars(table)["_grid"]
         assert np.array_equal(table.bucket_index([0.1, 0.4, 0.6]), first)
         assert table._grid is grid
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from causalplan import scm
 from causalplan.scm import (
     CapacityError,
     CategoricalTable,
@@ -188,6 +189,33 @@ def batched_queries(draw, role):
     return (spec, target, evidence, intervention), name
 
 
+@st.composite
+def do_queries(draw):
+    """A :func:`small_queries` case re-aimed so that its intervention can
+    matter: the target is an endogenous variable, and a variable among its
+    endogenous parents takes 1-3 values; the case's other interventions and
+    evidence stay.  Returns the case and the parent's name.  (In 300
+    ``small_queries`` cases no intervention changes the result.)"""
+    spec, _, evidence, intervention = draw(small_queries())
+    edges = [(var.name, parent) for var, parents, _ in spec.endogenous
+             for parent in parents if not spec.is_exogenous(parent)]
+    assume(edges)
+    target, name = draw(st.sampled_from(edges))
+    evidence = {k: v for k, v in evidence.items() if k not in (target, name)}
+    intervention = {k: v for k, v in intervention.items() if k != target}
+    intervention[name] = draw(st.lists(st.integers(0, spec.arity(name) - 1),
+                                       min_size=1, max_size=3))
+    return (spec, target, evidence, intervention), name
+
+
+@st.composite
+def one_do_queries(draw):
+    """A :func:`do_queries` case with one of the parent's values."""
+    (spec, target, evidence, intervention), name = draw(do_queries())
+    intervention[name] = draw(st.sampled_from(intervention[name]))
+    return spec, target, evidence, intervention
+
+
 class TestExactQuery:
     def test_confounded_cell_do_up(self, confounded_fragment):
         do_tables, _ = hand_confounded_tables()
@@ -213,7 +241,7 @@ class TestExactQuery:
         with pytest.raises(ZeroProbabilityEvidenceError):
             exact_query(spec, "U", evidence={"V": 1})
 
-    @given(small_queries())
+    @given(st.one_of(small_queries(), one_do_queries()))
     @settings(derandomize=True, max_examples=300, deadline=None)
     def test_matches_world_by_world_loop(self, case):
         spec, target, evidence, intervention = case
@@ -275,22 +303,23 @@ class TestExactQuery:
             rows = exact_query(confounded_fragment, "DS", **{role: {"A": [0, value]}})
             assert np.array_equal(rows[1], single)
 
-    def test_enumeration_limit_counts_rows(self, confounded_fragment):
+    def test_enumeration_limit_counts_rows(self, confounded_fragment, monkeypatch):
         # 3 confounder values x 7 action buckets x 5 outcome buckets: 105
         # worlds a row
-        exact_query(confounded_fragment, "DS", evidence={"A": [0, 1]}, enumeration_limit=210)
+        monkeypatch.setattr(scm, "ENUMERATION_LIMIT", 210)
+        exact_query(confounded_fragment, "DS", evidence={"A": [0, 1]})
         with pytest.raises(CapacityError):
-            exact_query(confounded_fragment, "DS", evidence={"A": [0, 1, 2]},
-                        enumeration_limit=210)
+            exact_query(confounded_fragment, "DS", evidence={"A": [0, 1, 2]})
 
     def test_result_is_read_only(self, confounded_fragment):
         dist = exact_query(confounded_fragment, "DS", intervention={"A": 1})
         with pytest.raises(ValueError):
             dist[0] = 1.0
 
-    def test_enumeration_limit(self, confounded_fragment):
+    def test_enumeration_limit(self, confounded_fragment, monkeypatch):
+        monkeypatch.setattr(scm, "ENUMERATION_LIMIT", 2)
         with pytest.raises(CapacityError):
-            exact_query(confounded_fragment, "DS", enumeration_limit=2)
+            exact_query(confounded_fragment, "DS")
 
     def test_target_must_not_be_intervened(self, confounded_fragment):
         with pytest.raises(UsageError):
@@ -386,25 +415,6 @@ def assert_do_views_agree(spec, target, evidence, do):
                              rng=np.random.default_rng(5))
                      for m, one in ((spec, do), (mutilate(spec, do), {})))
         assert got is want if isinstance(got, type) else np.array_equal(got, want)
-
-
-@st.composite
-def do_queries(draw):
-    """A :func:`small_queries` case re-aimed so that its intervention can
-    matter: the target is an endogenous variable, and a variable among its
-    endogenous parents takes 1-3 values; the case's other interventions and
-    evidence stay.  Returns the case and the parent's name.  (In 300
-    ``small_queries`` cases no intervention changes the result.)"""
-    spec, _, evidence, intervention = draw(small_queries())
-    edges = [(var.name, parent) for var, parents, _ in spec.endogenous
-             for parent in parents if not spec.is_exogenous(parent)]
-    assume(edges)
-    target, name = draw(st.sampled_from(edges))
-    evidence = {k: v for k, v in evidence.items() if k not in (target, name)}
-    intervention = {k: v for k, v in intervention.items() if k != target}
-    intervention[name] = draw(st.lists(st.integers(0, spec.arity(name) - 1),
-                                       min_size=1, max_size=3))
-    return (spec, target, evidence, intervention), name
 
 
 class TestDoViews:

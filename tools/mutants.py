@@ -1,7 +1,7 @@
 """Planted rule changes, and the tests that catch each one.
 
-Each mutant is a one-line edit to a rule of the planner or the causal
-engine, given as (file, old text, new text).  For each, the script copies
+Each mutant is a small edit to a rule of the planner, the model or the
+causal engine, given as (file, old text, new text).  For each, the script copies
 the repository into a scratch directory, plants the edit there, runs the
 quick suite without the digest and counter pins, and prints which tests
 failed::
@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DESPOT = "src/causalplan/despot.py"
 SCM = "src/causalplan/scm.py"
+MODEL = "src/causalplan/model.py"
 
 # name -> (file, old text, new text); each old text occurs once in its file
 MUTANTS = {
@@ -97,6 +98,16 @@ MUTANTS = {
         SCM,
         "if spec.is_exogenous(name):",
         "if False:",
+    ),
+    "reach_one_action": (
+        MODEL,
+        "self._succ[_MODE_INDEX[mode]].compress(live, axis=1)",
+        "self._succ[_MODE_INDEX[mode]][:1].compress(live, axis=1)",
+    ),
+    "budget_clock_after_setup": (
+        DESPOT,
+        "    start = time.perf_counter()\n    tree = DespotTree(model, config, belief)\n",
+        "    tree = DespotTree(model, config, belief)\n    start = time.perf_counter()\n",
     ),
 }
 

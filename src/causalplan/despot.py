@@ -273,25 +273,23 @@ class DespotTree:
                 self._gap_scale.append(np.inf)
         self.n_expansions = 0
         self.n_trials = 0
-        k = config.scenarios
-        ids = np.arange(k)
-        self.root, = self._nodes(0, ids, starts, self.tables[:, 0].reshape(2, -1)
-                                 .take(starts * k + ids, axis=1), [0])
+        self.root, = self._nodes(0, np.arange(config.scenarios), starts, [0])
         # the default policy's action at the root's most common state
         counts = np.bincount(starts, minlength=model.n_states)
         self.default_action = int(model.rollout_policy[int(np.argmax(counts))])
 
     def _nodes(self, depth: int, scenario_ids: np.ndarray, states: np.ndarray,
-               cells: np.ndarray, starts) -> list[DespotNode]:
+               starts) -> list[DespotNode]:
         """New nodes with their first bounds, one per slice of the scenarios
-        that begins at an entry of ``starts``, from ``cells``, the
-        scenarios' ``(2, count)`` lower and upper table entries: the mean
+        that begins at an entry of ``starts``, from each scenario's lower and
+        upper table entries at ``depth`` and its state in ``states``: the mean
         default-policy return less the regularization is a node's default
         value and lower bound, the mean clairvoyant return its upper bound.
         One ``np.add.reduceat`` sums every slice, ``x[0] + pairwise(x[1:])``
         (``np.mean`` sums ``0.0 + pairwise(x)``), and one division per row
         takes the means."""
         total = self.config.scenarios
+        cells = self.tables[:, depth].reshape(2, -1).take(states * total + scenario_ids, axis=1)
         ends = [*starts[1:], len(scenario_ids)]
         sums = np.add.reduceat(cells, starts, axis=1)
         sums /= np.subtract(ends, starts)
@@ -312,7 +310,7 @@ class DespotTree:
         observation) with one stable sort, so that each child holds a
         contiguous slice in scenario order."""
         model, config = self.model, self.config
-        d, m, k = node.depth, node.count, config.scenarios
+        d, m = node.depth, node.count
         b1, b2 = self.buckets[d].take(node.scenario_ids, axis=1)
         actions = np.arange(model.n_actions)[:, None]
         s2, z, r = model.batch_step(node.states, actions, b1, b2, config.mode)
@@ -320,11 +318,9 @@ class DespotTree:
         order = np.argsort(key, kind="stable")
         ids = np.concatenate((node.scenario_ids,) * model.n_actions).take(order)
         key, s2 = key.take(order), s2.take(order)
-        # row 0 the lower, row 1 the upper table at each child's cells
-        lu = self.tables[:, d + 1].reshape(2, -1).take(s2 * k + ids, axis=1)
         edges = [ActionEdge(total / m) for total in np.add.reduce(r, axis=1).tolist()]
         starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
-        children = self._nodes(d + 1, ids, s2, lu, starts)
+        children = self._nodes(d + 1, ids, s2, starts)
         for ak, child in zip(key[starts].tolist(), children):
             a, obs = divmod(ak, model.n_observations)
             edges[a].children.append((obs, child))

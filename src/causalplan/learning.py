@@ -305,15 +305,20 @@ def _section_names(n_a: int, n_u: int):
 
 
 _SECTION = re.compile(r"\[(p_u|p_uc a=(\d+) u=(\d+)|p_0 a=(\d+))\]")
+# each field of a parameter file's comments, with its parser
+_FIELDS = {"n_records": int, "smoothing": float,
+           "count": lambda v: np.array([float(c) for c in v.split(",")])}
 
 
 def load_params(path) -> LearnedParams:
-    """Read a parameter file; malformed input, such as a repeated section
-    or a section with two rows of values, raises :class:`UsageError` naming
-    the file and the line, or the section that is missing."""
-    n_records, smoothing, n_a = 0, 1.0, 1
+    """Read a parameter file; malformed input, such as a repeated section,
+    a section with two rows of values or a field given twice, raises
+    :class:`UsageError` naming the file and the line, or the section that
+    is missing."""
+    n_a = 1
     sections: dict[str, np.ndarray] = {}
-    counts: dict[str, np.ndarray] = {}
+    # n_records and smoothing under their names, each count under its section
+    fields: dict[str, object] = {}
     current, where = None, "line 0"
     try:
         with open(path) as fh:
@@ -324,14 +329,13 @@ def load_params(path) -> LearnedParams:
                     continue
                 if line.startswith("#"):
                     for token in line[1:].split():
-                        if token.startswith("n_records="):
-                            n_records = int(token.split("=", 1)[1])
-                        elif token.startswith("smoothing="):
-                            smoothing = float(token.split("=", 1)[1])
-                        elif token.startswith("count=") and current is not None:
-                            counts[current] = np.array(
-                                [float(v) for v in token.split("=", 1)[1].split(",")]
-                            )
+                        field, eq, value = token.partition("=")
+                        key = current if field == "count" else field
+                        if eq and field in _FIELDS and key is not None:
+                            if key in fields:
+                                raise ValueError(f"a second {field}= in "
+                                                 f"{current if field == 'count' else 'the file'}")
+                            fields[key] = _FIELDS[field](value)
                     continue
                 if line.startswith("["):
                     match = _SECTION.fullmatch(line)
@@ -370,11 +374,11 @@ def load_params(path) -> LearnedParams:
     except ValueError as exc:
         raise UsageError(f"{path}, {where}: {exc}") from None
     meta = FitMeta(
-        n_records=n_records,
-        smoothing=smoothing,
-        u_count=counts.get("[p_u]", np.zeros(n_u)),
-        uc_row_counts=np.array([float(counts.get(k, [0.0])[0]) for k in uc_keys]),
-        free_row_counts=np.array([float(counts.get(k, [0.0])[0]) for k in free_keys]),
+        n_records=fields.get("n_records", 0),
+        smoothing=fields.get("smoothing", 1.0),
+        u_count=fields.get("[p_u]", np.zeros(n_u)),
+        uc_row_counts=np.array([float(fields.get(k, [0.0])[0]) for k in uc_keys]),
+        free_row_counts=np.array([float(fields.get(k, [0.0])[0]) for k in free_keys]),
     )
     return LearnedParams(
         p_u=CategoricalTable((), p_u),

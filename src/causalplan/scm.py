@@ -228,8 +228,12 @@ def _desugar(table: CategoricalTable,
 class ScmSpec:
     """A structural causal model over categorical variables.
 
-    Construction validates the DAG, desugars stochastic assignment tables,
-    and freezes everything; instances are immutable and safe to share.
+    Construction desugars each stochastic assignment table into a noise
+    prior and a lookup (:func:`_desugar`), keeps one name table over the
+    exogenous, noise and endogenous variables, checks every prior once, and
+    orders the endogenous variables: each pass places, in declaration
+    order, every declaration whose parents are placed, and checks its
+    rule's shape and values.  Instances are immutable and safe to share.
     """
 
     def __init__(
@@ -237,102 +241,67 @@ class ScmSpec:
         exogenous: Sequence[tuple[VariableId, CategoricalTable]],
         endogenous: Sequence[tuple[VariableId, Sequence[str], AssignmentRule]],
     ):
-        exo: list[tuple[VariableId, CategoricalTable]] = []
-        endo: list[tuple[VariableId, tuple[str, ...], DeterministicRule]] = []
-        names: set[str] = set()
-
-        for var, prior in exogenous:
-            if var.name in names:
-                raise SpecificationError(f"duplicate variable name {var.name!r}")
-            names.add(var.name)
-            if prior.parent_arities != ():
-                raise SpecificationError(
-                    f"exogenous {var.name!r} must have a parentless prior"
-                )
-            if prior.n_categories != var.arity:
-                raise SpecificationError(
-                    f"prior for {var.name!r} has {prior.n_categories} categories, "
-                    f"expected {var.arity}"
-                )
-            exo.append((var, prior))
-
+        exo = [(var, prior) for var, prior in exogenous]
         pending = []
         for var, parents, rule in endogenous:
-            if var.name in names:
-                raise SpecificationError(f"duplicate variable name {var.name!r}")
-            names.add(var.name)
-            pending.append((var, tuple(parents), rule))
-
-        for var, parents, rule in pending:
+            parents = tuple(parents)
             if isinstance(rule, CategoricalTable):
                 if rule.n_categories != var.arity:
                     raise SpecificationError(
                         f"table for {var.name!r} has {rule.n_categories} "
                         f"categories, expected {var.arity}"
                     )
-                noise_name = f"{var.name}~u"
-                if noise_name in names:
-                    raise SpecificationError(
-                        f"noise name {noise_name!r} collides with an existing variable"
-                    )
-                names.add(noise_name)
-                noise, prior, det = _desugar(rule, noise_name)
+                noise, prior, rule = _desugar(rule, f"{var.name}~u")
                 exo.append((noise, prior))
-                endo.append((var, parents + (noise_name,), det))
-            elif isinstance(rule, DeterministicRule):
-                endo.append((var, parents, rule))
-            else:
+                parents += (noise.name,)
+            elif not isinstance(rule, DeterministicRule):
                 raise SpecificationError(
                     f"assignment rule for {var.name!r} must be a "
                     "DeterministicRule or CategoricalTable"
                 )
+            pending.append((var, parents, rule))
 
+        self._vars: dict[str, VariableId] = {}
+        for var in [var for var, _ in exo] + [var for var, _, _ in pending]:
+            if var.name in self._vars:
+                raise SpecificationError(f"duplicate variable name {var.name!r}")
+            self._vars[var.name] = var
+        for var, prior in exo:
+            if prior.parent_arities != () or prior.n_categories != var.arity:
+                raise SpecificationError(
+                    f"prior for {var.name!r} must be parentless with {var.arity} "
+                    f"categories, not {prior!r}"
+                )
         self.exogenous = tuple(exo)
-        self.endogenous = tuple(self._topo_sort(exo, endo))
-        self._vars = {v.name: v for v, _ in self.exogenous}
-        self._vars.update({v.name: v for v, _, _ in self.endogenous})
-        self._exo_names = frozenset(v.name for v, _ in self.exogenous)
-        self._validate_rules()
+        self._exo_names = frozenset(var.name for var, _ in exo)
 
-    @staticmethod
-    def _topo_sort(exo, endo):
-        known = {v.name for v, _ in exo}
-        remaining = list(endo)
-        ordered = []
-        while remaining:
-            progressed = False
+        placed, endo = set(self._exo_names), []
+        while pending:
             rest = []
-            for item in remaining:
-                var, parents, _ = item
-                if all(p in known for p in parents):
-                    ordered.append(item)
-                    known.add(var.name)
-                    progressed = True
-                else:
-                    rest.append(item)
-            if not progressed:
-                bad = ", ".join(v.name for v, _, _ in rest)
+            for var, parents, rule in pending:
+                if not placed.issuperset(parents):
+                    rest.append((var, parents, rule))
+                    continue
+                shape = tuple(self._vars[p].arity for p in parents)
+                if rule.table.shape != shape:
+                    raise SpecificationError(
+                        f"rule table for {var.name!r} has shape {rule.table.shape}, "
+                        f"expected {shape}"
+                    )
+                if rule.table.min() < 0 or rule.table.max() >= var.arity:
+                    raise SpecificationError(
+                        f"rule table for {var.name!r} assigns values outside "
+                        f"[0, {var.arity})"
+                    )
+                endo.append((var, parents, rule))
+                placed.add(var.name)
+            if len(rest) == len(pending):
                 raise SpecificationError(
-                    f"cyclic or dangling parent references involving: {bad}"
+                    "cyclic or dangling parent references involving: "
+                    + ", ".join(var.name for var, _, _ in rest)
                 )
-            remaining = rest
-        return ordered
-
-    def _validate_rules(self):
-        for var, parents, rule in self.endogenous:
-            expected = tuple(self._vars[p].arity for p in parents)
-            if rule.table.shape != expected:
-                raise SpecificationError(
-                    f"rule table for {var.name!r} has shape {rule.table.shape}, "
-                    f"expected {expected}"
-                )
-            if rule.table.size and (
-                rule.table.min() < 0 or rule.table.max() >= var.arity
-            ):
-                raise SpecificationError(
-                    f"rule table for {var.name!r} assigns values outside "
-                    f"[0, {var.arity})"
-                )
+            pending = rest
+        self.endogenous = tuple(endo)
 
     @property
     def variables(self) -> Mapping[str, VariableId]:

@@ -440,6 +440,21 @@ class TestUsageErrors:
                                          str(tmp_path)], str(path), f"line {at[0]}:",
                                 "[p_0 a=0]")
 
+    @pytest.mark.parametrize("field, where", [
+        ("count=1.0", "[p_0 a=0]"), ("n_records=5", "the file"), ("smoothing=9.0", "the file"),
+    ])
+    def test_params_repeated_field(self, tmp_path, capsys, small_params, field, where):
+        # the last of the two used to be read in silence
+        at = []
+
+        def edit(lines):
+            # below the section's own count comment, or below the file's header
+            at.append(lines.index(where) + 2 if where.startswith("[") else 1)
+            return lines[:at[0]] + [f"# {field}"] + lines[at[0]:]
+        path, args = self._params(tmp_path, small_params, edit)
+        self.expect_usage_error(capsys, args, str(path), f"line {at[0] + 1}:",
+                                f"a second {field.split('=')[0]}= in {where}")
+
     def test_params_with_fewer_actions_than_the_map(self, tmp_path, capsys, small_params):
         def drop_last_action(lines):
             heads = [i for i, line in enumerate(lines) if "a=3" in line]

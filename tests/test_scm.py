@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -510,7 +511,85 @@ def _kl_one_row(p, q) -> float:
     return float(np.sum(a * logs))
 
 
+@st.composite
+def shuffled_dags(draw):
+    """A random DAG of 1-5 ``DeterministicRule`` variables over 1-2
+    exogenous roots with drawn priors, each over up to three earlier
+    variables; returns the exogenous declarations and the endogenous ones
+    in topological order and in a drawn order."""
+    known, exogenous, endogenous = [], [], []
+    for i in range(draw(st.integers(1, 2))):
+        var = VariableId(f"E{i}", draw(st.integers(1, 3)))
+        weights = np.array(draw(st.lists(st.integers(1, 4), min_size=var.arity,
+                                         max_size=var.arity)), dtype=float)
+        exogenous.append((var, CategoricalTable((), weights / weights.sum())))
+        known.append(var)
+    for i in range(draw(st.integers(1, 5))):
+        var = VariableId(f"V{i}", draw(st.integers(1, 3)))
+        parents = draw(st.lists(st.sampled_from(known), max_size=3, unique=True))
+        arities = tuple(p.arity for p in parents)
+        n_rows = math.prod(arities)
+        table = np.array(draw(st.lists(st.integers(0, var.arity - 1),
+                                       min_size=n_rows, max_size=n_rows)))
+        endogenous.append((var, tuple(p.name for p in parents),
+                           DeterministicRule(table.reshape(arities))))
+        known.append(var)
+    return exogenous, endogenous, draw(st.permutations(endogenous))
+
+
 class TestSpecValidation:
+    U = (VariableId("U", 2), CategoricalTable((), [0.5, 0.5]))
+
+    @pytest.mark.parametrize("exogenous, endogenous, name", [
+        pytest.param([], [(VariableId("X", 2), ("W",), DeterministicRule([0, 1]))], "X",
+                     id="dangling-parent"),
+        pytest.param([], [(VariableId("A", 2), (), CategoricalTable((), [0.5, 0.5])),
+                          (VariableId("A~u", 1), (), DeterministicRule(0))], "A~u",
+                     id="noise-name-declared-after"),
+        pytest.param([], [(VariableId("A~u", 1), (), DeterministicRule(0)),
+                          (VariableId("A", 2), (), CategoricalTable((), [0.5, 0.5]))], "A~u",
+                     id="noise-name-declared-before"),
+        pytest.param([U], [(VariableId("U", 2), (), DeterministicRule(0))], "U",
+                     id="exogenous-and-endogenous-name"),
+        pytest.param([(VariableId("U", 2), CategoricalTable((2,), [[0.5, 0.5]] * 2))], [], "U",
+                     id="prior-with-a-parent"),
+        pytest.param([(VariableId("U", 3), CategoricalTable((), [0.5, 0.5]))], [], "U",
+                     id="prior-arity"),
+        pytest.param([U], [(VariableId("X", 3), ("U",),
+                            CategoricalTable((2,), [[0.5, 0.5]] * 2))], "X",
+                     id="table-width"),
+        pytest.param([U], [(VariableId("X", 2), ("U",), DeterministicRule([0, 1, 1]))], "X",
+                     id="rule-shape"),
+        pytest.param([U], [(VariableId("X", 2), ("U",), DeterministicRule([0, 2]))], "X",
+                     id="rule-value-above"),
+        pytest.param([U], [(VariableId("X", 2), ("U",), DeterministicRule([-1, 0]))], "X",
+                     id="rule-value-below"),
+        pytest.param([U], [(VariableId("X", 2), ("U",), [0, 1])], "X",
+                     id="rule-of-neither-type"),
+    ])
+    def test_rejection_names_the_variable(self, exogenous, endogenous, name):
+        with pytest.raises(SpecificationError, match=rf"(?<![\w~]){re.escape(name)}(?![\w~])"):
+            ScmSpec(exogenous, endogenous)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(shuffled_dags(), st.integers(0, 2**32 - 1), st.data())
+    def test_declaration_order_does_not_matter(self, dag, seed, data):
+        exogenous, ordered, shuffled = dag
+        spec, reference = ScmSpec(exogenous, shuffled), ScmSpec(exogenous, ordered)
+        placed = {var.name for var, _ in spec.exogenous}
+        for var, parents, _ in spec.endogenous:
+            assert placed.issuperset(parents)
+            placed.add(var.name)
+        assert placed == set(reference.variables)
+        worlds = sample_worlds(spec, 20, np.random.default_rng(seed))
+        expected = sample_worlds(reference, 20, np.random.default_rng(seed))
+        assert worlds.keys() == expected.keys()
+        for name, values in expected.items():
+            assert np.array_equal(worlds[name], values)
+        target = data.draw(st.sampled_from(sorted(placed)))
+        assert np.array_equal(exact_query(spec, target), exact_query(reference, target))
+        assert specs_equal(ScmSpec(spec.exogenous, spec.endogenous), spec)
+
     def test_cycle_detection(self):
         with pytest.raises(SpecificationError):
             ScmSpec(

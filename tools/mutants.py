@@ -99,6 +99,21 @@ MUTANTS = {
         "if spec.is_exogenous(name):",
         "if False:",
     ),
+    "rule_range_unchecked": (
+        SCM,
+        "if rule.table.min() < 0 or rule.table.max() >= var.arity:",
+        "if False:",
+    ),
+    "prior_arity_unchecked": (
+        SCM,
+        "if prior.parent_arities != () or prior.n_categories != var.arity:",
+        "if prior.parent_arities != ():",
+    ),
+    "placement_ignores_last_parent": (
+        SCM,
+        "if not placed.issuperset(parents):",
+        "if not placed.issuperset(parents[:-1]):",
+    ),
     "reach_one_action": (
         MODEL,
         "self._succ[_MODE_INDEX[mode]].compress(live, axis=1)",

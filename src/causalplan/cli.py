@@ -8,6 +8,7 @@ timestamps, so reruns with identical flags are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,6 +60,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache   # a pure function of FLAGS and COMMANDS
 def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: README's spellings are the only ones accepted
     parser = _Parser(
@@ -153,6 +155,15 @@ def _load_map(options) -> gridworld.GridMap:
     return gridworld.default_map()
 
 
+@functools.lru_cache(maxsize=1)
+def _truth_model(grid: gridworld.GridMap, gamma: float) -> UcPomdpModel:
+    """The ground-truth model of ``eval`` and ``simulate``, kept for the
+    next call of the process on the same map and ``--gamma``, so the model's
+    derived tables are built once.  It builds through the module attribute,
+    so a wrapped ``gridworld.build_model`` sees every build."""
+    return gridworld.build_model(grid, gamma)
+
+
 def _planner_config(options) -> despot.PlannerConfig:
     return despot.PlannerConfig(
         scenarios=options["scenarios"],
@@ -245,8 +256,7 @@ def _cmd_tables(options) -> int:
 def _cmd_eval(options) -> int:
     if options["episodes"] < 1:
         raise UsageError("--episodes must be >= 1")
-    grid = _load_map(options)
-    truth = gridworld.build_model(grid, options["gamma"])
+    truth = _truth_model(_load_map(options), options["gamma"])
     plan = _plan_model(options, truth)
     config = _planner_config(options)
     out = _out_dir(options)
@@ -304,8 +314,7 @@ def _trace_lines(model: UcPomdpModel, trace: despot.EpisodeTrace) -> list[str]:
 
 
 def _cmd_simulate(options) -> int:
-    grid = _load_map(options)
-    truth = gridworld.build_model(grid, options["gamma"])
+    truth = _truth_model(_load_map(options), options["gamma"])
     plan = _plan_model(options, truth)
     config = _planner_config(options)
     out = _out_dir(options)

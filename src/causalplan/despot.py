@@ -122,11 +122,10 @@ class ActionEdge:
         self.children: list[tuple[int, DespotNode]] = []  # ascending observation
 
 
-# Per planning model, kept as long as the model lives: the bound tables of
-# finished searches, one spare per shape; the reach rows of the fills, by
-# (mode, depth, start states); and per mode the tail tables, entry j the
-# (2, S, B**j) lower and upper bounds of every state j steps before the
-# horizon over every suffix of j transition bucket ids (_tail_tables).
+# Per planning model, kept as long as the model lives: the reach rows of the
+# fills, by (mode, depth, start states); and per mode the tail tables, entry
+# j the (2, S, B**j) lower and upper bounds of every state j steps before
+# the horizon over every suffix of j transition bucket ids (_tail_tables).
 _MODEL_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -194,17 +193,15 @@ def _fill_bounds(model: UcPomdpModel, config: PlannerConfig, buckets: np.ndarray
     are one ``take`` of the tail tables (:func:`_tail_tables`) at each
     scenario's suffix id; each earlier depth is one
     :meth:`~causalplan.model.UcPomdpModel.batch_policy_step` over the K
-    scenario lanes, the innermost axis.  The array is the spare of a
-    finished :func:`search` on the same model when there is one: no search
-    writes row ``D`` or a terminal row, and no search reads a cell it did
-    not fill.
+    scenario lanes, the innermost axis.  The array is fresh and only row
+    ``D`` and the two terminal rows are zeroed: no search reads a cell it
+    did not fill.
     """
     k, n, depth = buckets.shape[2], model.n_states, config.depth
-    spare, reach, tails = _MODEL_CACHES.setdefault(model, ({}, {}, {}))
-    shape = (2, depth + 1, n, k)
-    tables = spare.pop(shape, None)
-    if tables is None:
-        tables = np.zeros(shape)
+    reach, tails = _MODEL_CACHES.setdefault(model, ({}, {}))
+    tables = np.empty((2, depth + 1, n, k))
+    tables[:, depth] = 0
+    tables[:, :, n - 2:] = 0
     lower, upper = tables
     live = np.zeros(n, dtype=bool)
     live[starts] = True
@@ -408,10 +405,8 @@ def search(
 ) -> tuple[int, tuple[float, float]]:
     """Build a tree and run trials until the budget is spent or the root gap
     shrinks to ``(1 - xi)`` of its initial value; returns the chosen action
-    and the final root bounds.  The tree's bound tables then become the
-    spare of the next search on ``model`` (see :func:`_fill_bounds`), so a
-    search does not allocate and page in fresh ones.  ``budget_ms`` counts
-    from entry: a set-up that spends it leaves no trial."""
+    and the final root bounds.  ``budget_ms`` counts from entry: a set-up
+    that spends it leaves no trial."""
     start = time.perf_counter()
     tree = DespotTree(model, config, belief)
     gap0 = tree.root.upper - tree.root.lower
@@ -428,10 +423,7 @@ def search(
         expanded = tree.run_trial()
         if not expanded and (tree.root.lower, tree.root.upper) == before:
             break
-    result = tree.best_action(), tree.bounds()
-    spare = _MODEL_CACHES[model][0]
-    spare[tree.tables.shape] = tree.tables
-    return result
+    return tree.best_action(), tree.bounds()
 
 
 @dataclass

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from causalplan import cli, despot
+from causalplan import cli, despot, gridworld
 
 from helpers import load_dataset_csv
 
@@ -174,6 +174,57 @@ class TestEvalCommand:
         assert (tmp_path / "i" / "episodes.csv").read_bytes() == (
             tmp_path / "o" / "episodes.csv"
         ).read_bytes()
+
+
+class TestTruthModelReuse:
+    """``eval`` and ``simulate`` keep the last truth model of the process,
+    keyed by the parsed map and ``--gamma``; a kept model writes the bytes
+    that a fresh one does."""
+
+    TINY = ["--scenarios", "20", "--depth", "3", "--budget-trials", "5", "--steps", "2"]
+
+    def test_a_map_and_gamma_build_once(self, tmp_path, monkeypatch):
+        map_path = tmp_path / "free.map"
+        map_path.write_text(FREE_MAP)
+        builds = []
+        build = gridworld.build_model
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(gridworld, "build_model", counted)
+        cli._truth_model.cache_clear()
+        counts = []
+        for extra in ([], [], ["--gamma", "0.9"], ["--gamma", "0.9"],
+                      ["--gamma", "0.9", "--map", str(map_path)], []):
+            assert run(["eval", "--episodes", "1", *self.TINY, *extra,
+                        "--out", str(tmp_path / "out")]) == 0
+            counts.append(len(builds))
+        assert counts == [1, 1, 2, 2, 3, 4]
+
+    def test_kept_models_write_a_fresh_models_bytes(self, tmp_path):
+        map_path = tmp_path / "free.map"
+        map_path.write_text(FREE_MAP)
+        planning = ["--scenarios", "50", "--budget-trials", "50", "--steps", "8",
+                    "--seed", "4"]
+        commands = [
+            ["eval", "--mode", "interventional", "--episodes", "2"],
+            ["simulate", "--mode", "observational"],
+            ["eval", "--gamma", "0.9", "--episodes", "2"],
+            ["eval", "--map", str(map_path), "--episodes", "2"],
+            ["eval", "--mode", "interventional", "--episodes", "2"],
+        ]
+
+        def outputs(command, out):
+            assert run([*command, *planning, "--out", str(out)]) == 0
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        cli._truth_model.cache_clear()
+        kept = [outputs(command, tmp_path / f"kept{i}") for i, command in enumerate(commands)]
+        for i, command in enumerate(commands):
+            cli._truth_model.cache_clear()
+            assert outputs(command, tmp_path / f"fresh{i}") == kept[i]
 
 
 class TestSimulateCommand:

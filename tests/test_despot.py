@@ -31,6 +31,7 @@ from helpers import (
     reach_mask,
     scalar_bounds,
     state_index,
+    tree_nodes,
     two_state_model,
     watch_trials,
 )
@@ -221,13 +222,13 @@ class TestDefaultValueTable:
         model = gridworld.build_model(grid)
         config = PlannerConfig(scenarios=300, depth=5, budget_trials=5)
         search(model.initial_belief, model, config)
-        tails = despot._MODEL_CACHES[model][2][INT]
+        tails = despot._MODEL_CACHES[model][1][INT]
         n = model.n_states
         assert [t.shape for t in tails] == [(2, n, 1), (2, n, 17), (2, n, 289)]
         # a copy with the same tables builds its own, equal tail tables
         other = model.with_tables(model.confounder_prior, model.p_uc, model.p_0)
         search(other.initial_belief, other, config)
-        own = despot._MODEL_CACHES[other][2][INT]
+        own = despot._MODEL_CACHES[other][1][INT]
         assert all(a is not b and np.array_equal(a, b) for a, b in zip(own, tails, strict=True))
         refs = [weakref.ref(t) for t in tails]
         del model, tails
@@ -343,7 +344,7 @@ class TestNoisySensor:
         assert any(probs.max() < 0.9 for probs in beliefs)
         # one reach entry per (mode, depth, start states): 13 for the 174
         # searches of these 40 episodes
-        _, reach, _ = despot._MODEL_CACHES[model]
+        reach, _ = despot._MODEL_CACHES[model]
         assert len(reach) <= 16
 
 
@@ -549,10 +550,68 @@ class TestSearchRules:
             log.clear()
 
 
+class _FilledEmpty:
+    """numpy as ``despot`` looks it up, but ``empty`` returns arrays filled
+    with ``value``: the bound tables are the module's only ``np.empty``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape):
+        return np.full(shape, self.value)
+
+
+class TestFreshBoundTables:
+    """Each search fills fresh ``np.empty`` bound tables, of which
+    ``_fill_bounds`` zeroes only row ``D`` and the terminal rows, so no
+    search may read a cell it did not fill: tables that start as NaN must
+    search as zeroed ones do."""
+
+    @staticmethod
+    def searched(monkeypatch, fill, model, belief, config):
+        """``repr`` of a search's result, whose fresh tables start as
+        ``fill``, and the depth and bounds of every node of its tree."""
+        trees = []
+
+        class Kept(DespotTree):
+            def __init__(self, *args):
+                super().__init__(*args)
+                trees.append(self)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(despot, "np", _FilledEmpty(fill))
+            patched.setattr(despot, "DespotTree", Kept)
+            result = search(belief, model, config)
+        tree, = trees
+        nodes = [(n.depth, n.lower, n.upper, n.default_value) for n in tree_nodes(tree)]
+        return repr(result), nodes
+
+    # the default config, and a horizon one fill step before the tail's J = 2
+    # depths (17**2 and 18**2 <= K), whose searches reach depth-D nodes
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    @pytest.mark.parametrize("k, depth", [(500, 15), (400, 3)])
+    def test_poisoned_tables_search_as_zeroed_ones(self, truth, monkeypatch, mode, k,
+                                                   depth):
+        config = PlannerConfig(scenarios=k, depth=depth, mode=mode)
+        assert truth.n_buckets(mode) ** 2 <= k < truth.n_buckets(mode) ** 3
+        deepest = 0
+        for state in range(truth.n_states - 2):
+            belief = Belief.point_mass(truth.n_states, state)
+            poisoned = self.searched(monkeypatch, np.nan, truth, belief, config)
+            assert poisoned == self.searched(monkeypatch, 0.0, truth, belief, config)
+            assert not np.isnan([bounds for _, *bounds in poisoned[1]]).any()
+            deepest = max(deepest, *(d for d, *_ in poisoned[1]))
+        # the short horizon's searches reach depth-D nodes, which read row D
+        assert depth == 15 or deepest == depth
+
+
 class TestBoundTableReuse:
-    """A finished search hands its bound tables to the next search on the
-    same model, which reads them with an earlier search's values in the
-    cells it does not fill."""
+    """Searches on one model share what the model keeps, its reach rows,
+    tail tables and bucket grids, and nothing else: interleaved searches
+    equal searches on fresh models, and a tree's tables are its own."""
 
     @staticmethod
     def config(mode, seed, depth=10):
@@ -604,7 +663,8 @@ class TestBoundTableReuse:
                 search(start, model, self.config(mode, seed))
                 search(belief, model, self.config(mode, seed))
         assert tree.tables is tables
-        assert np.array_equal(tables, kept)
+        # bit for bit: the cells no search fills hold whatever np.empty gave
+        assert tables.tobytes() == kept.tobytes()
         fresh = DespotTree(gridworld.build_model(grid), self.config(INT, 3), belief)
         for t in (tree, fresh):
             while t.run_trial():

@@ -1,7 +1,7 @@
 """Planted rule changes, and the tests that catch each one.
 
-Each mutant is a small edit to a rule of the planner, the model or the
-causal engine, given as (file, old text, new text).  For each, the script copies
+Each mutant is a small edit to a rule of the planner, the model, the
+causal engine or the command line, given as (file, old text, new text).  For each, the script copies
 the repository into a scratch directory, plants the edit there, runs the
 quick suite without the digest and counter pins, and prints which tests
 failed::
@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DESPOT = "src/causalplan/despot.py"
 SCM = "src/causalplan/scm.py"
 MODEL = "src/causalplan/model.py"
+CLI = "src/causalplan/cli.py"
 
 # name -> (file, old text, new text); each old text occurs once in its file
 MUTANTS = {
@@ -123,6 +124,29 @@ MUTANTS = {
         DESPOT,
         "    start = time.perf_counter()\n    tree = DespotTree(model, config, belief)\n",
         "    tree = DespotTree(model, config, belief)\n    start = time.perf_counter()\n",
+    ),
+    "horizon_row_unzeroed": (
+        DESPOT,
+        "    tables[:, depth] = 0\n",
+        "",
+    ),
+    "terminal_rows_unzeroed": (
+        DESPOT,
+        "    tables[:, :, n - 2:] = 0\n",
+        "",
+    ),
+    "truth_cache_ignores_gamma": (
+        CLI,
+        "@functools.lru_cache(maxsize=1)\n"
+        "def _truth_model(grid: gridworld.GridMap, gamma: float) -> UcPomdpModel:\n",
+        "@functools.lru_cache(maxsize=1)\n"
+        "def _truth_of_map(grid):\n"
+        "    return gridworld.build_model(grid, _truth_of_map.gamma)\n\n\n"
+        "def _truth_model(grid, gamma):\n"
+        "    _truth_of_map.gamma = gamma\n"
+        "    return _truth_of_map(grid)\n\n\n"
+        "_truth_model.cache_clear = _truth_of_map.cache_clear\n\n\n"
+        "def _unused(grid: gridworld.GridMap, gamma: float) -> UcPomdpModel:\n",
     ),
 }
 

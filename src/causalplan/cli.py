@@ -157,8 +157,8 @@ def _load_map(options) -> gridworld.GridMap:
 
 @functools.lru_cache(maxsize=1)
 def _truth_model(grid: gridworld.GridMap, gamma: float) -> UcPomdpModel:
-    """The ground-truth model of ``eval`` and ``simulate``, kept for the
-    next call of the process on the same map and ``--gamma``, so the model's
+    """The ground-truth model of every command, kept for the next call of
+    the process on the same map and ``--gamma``, so the model and its
     derived tables are built once.  It builds through the module attribute,
     so a wrapped ``gridworld.build_model`` sees every build."""
     return gridworld.build_model(grid, gamma)
@@ -177,13 +177,19 @@ def _planner_config(options) -> despot.PlannerConfig:
     )
 
 
-def _plan_model(options, truth: UcPomdpModel) -> UcPomdpModel:
-    if options["plan_model"] == "truth":
-        return truth
+def _learned_model(options, truth: UcPomdpModel) -> UcPomdpModel:
+    """The model of the ``--params`` file's tables over ``truth``."""
     if options["params"] is None:
         raise UsageError("--plan-model learned requires --params")
-    params = learning.load_params(options["params"])
-    return learning.assemble_model(truth, params)
+    return learning.assemble_model(truth, learning.load_params(options["params"]))
+
+
+def _planning_setup(options):
+    """``eval``'s and ``simulate``'s truth model, plan model, planner config
+    and output directory, made in the order in which their inputs are checked."""
+    truth = _truth_model(_load_map(options), options["gamma"])
+    plan = truth if options["plan_model"] == "truth" else _learned_model(options, truth)
+    return truth, plan, _planner_config(options), _out_dir(options)
 
 
 def _episode_seed(master: int, index: int) -> int:
@@ -203,7 +209,7 @@ def _fmt(x: float) -> str:
 
 def _cmd_learn(options) -> int:
     grid = _load_map(options)
-    truth = gridworld.build_model(grid, options["gamma"])
+    truth = _truth_model(grid, options["gamma"])
     out = _out_dir(options)
 
     dataset = learning.generate_dataset(truth, options["dataset_n"], options["seed"])
@@ -235,12 +241,10 @@ def _cmd_learn(options) -> int:
 
 
 def _cmd_tables(options) -> int:
-    grid = _load_map(options)
-    truth = gridworld.build_model(grid, options["gamma"])
+    truth = _truth_model(_load_map(options), options["gamma"])
     sources = [("truth", truth)]
     if options["params"] is not None:
-        params = learning.load_params(options["params"])
-        sources.append(("learned", learning.assemble_model(truth, params)))
+        sources.append(("learned", _learned_model(options, truth)))
     out = _out_dir(options)
     lines = ["source,mode,action," + ",".join(truth.ds_labels)]
     for source, model in sources:
@@ -256,10 +260,7 @@ def _cmd_tables(options) -> int:
 def _cmd_eval(options) -> int:
     if options["episodes"] < 1:
         raise UsageError("--episodes must be >= 1")
-    truth = _truth_model(_load_map(options), options["gamma"])
-    plan = _plan_model(options, truth)
-    config = _planner_config(options)
-    out = _out_dir(options)
+    truth, plan, config, out = _planning_setup(options)
 
     rows = ["episode,seed,reward,outcome,steps,actions"]
     rewards = []
@@ -314,10 +315,7 @@ def _trace_lines(model: UcPomdpModel, trace: despot.EpisodeTrace) -> list[str]:
 
 
 def _cmd_simulate(options) -> int:
-    truth = _truth_model(_load_map(options), options["gamma"])
-    plan = _plan_model(options, truth)
-    config = _planner_config(options)
-    out = _out_dir(options)
+    truth, plan, config, out = _planning_setup(options)
 
     trace = despot.run_episode(plan, truth, config, options["steps"], options["seed"])
     lines = _trace_lines(plan, trace)

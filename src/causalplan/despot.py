@@ -302,15 +302,15 @@ class DespotTree:
     # -- trial machinery --------------------------------------------------------
 
     def _expand(self, node: DespotNode):
-        """Step every action from every scenario in one broadcast kernel
-        call, then group the (action, scenario) results by (action,
-        observation) with one stable sort, so that each child holds a
-        contiguous slice in scenario order."""
+        """Step every action from every scenario in one kernel call, then
+        group the (action, scenario) results by (action, observation) with
+        one stable sort, so that each child holds a contiguous slice in
+        scenario order."""
         model, config = self.model, self.config
         d, m = node.depth, node.count
         b1, b2 = self.buckets[d].take(node.scenario_ids, axis=1)
         actions = np.arange(model.n_actions)[:, None]
-        s2, z, r = model.batch_step(node.states, actions, b1, b2, config.mode)
+        s2, z, r = model.batch_step(node.states, b1, b2, config.mode)
         key = (actions * model.n_observations + z).astype(self._key_type).ravel()
         order = np.argsort(key, kind="stable")
         ids = np.concatenate((node.scenario_ids,) * model.n_actions).take(order)

@@ -348,15 +348,16 @@ class UcPomdpModel:
             ids[:, half] = table.bucket_index(u)
         return ids.reshape(draws.shape)
 
-    def batch_step(self, states, actions, b1, b2, mode: TransitionMode):
-        """Vectorized :func:`deterministic_step` at transition bucket ids
-        ``b1`` and observation bucket ids ``b2`` (:meth:`bucket_ids`):
-        successor states, observations and rewards, shaped as the inputs
-        broadcast together; one ``take`` per table at ``(a * S + s) * B + b``."""
+    def batch_step(self, states, b1, b2, mode: TransitionMode):
+        """Vectorized :func:`deterministic_step` of every action from each of
+        the m ``states`` at its transition and observation bucket ids ``b1``,
+        ``b2`` (:meth:`bucket_ids`), all vectors: ``(A, m)`` successors,
+        observations and rewards, the ``(A, S * B)`` rows taken at ``s * B + b1``."""
         m = _MODE_INDEX[mode]
-        at = (actions * self.n_states + states) * self._succ[m].shape[2] + b1
-        s2 = self._succ[m].take(at)
-        return s2, self._sensor.buckets[1].take(b2 * self.n_states + s2), self._rew[m].take(at)
+        at = states * self._succ[m].shape[2] + b1
+        s2 = self._succ[m].reshape(self.n_actions, -1).take(at, axis=1)
+        return (s2, self._sensor.buckets[1].take(b2 * self.n_states + s2),
+                self._rew[m].reshape(self.n_actions, -1).take(at, axis=1))
 
     def batch_policy_step(self, states, b1, mode: TransitionMode):
         """The transition half of :func:`deterministic_step` for every

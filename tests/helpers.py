@@ -313,8 +313,8 @@ def assert_kernels_equal_scalar_step(model, mode):
     """Both batched access patterns equal :func:`deterministic_step` exactly,
     cell for cell, at the lower edge of every bucket (a draw in it): the
     outer ``batch_policy_step`` over every (action, state including the
-    terminals, transition bucket), and the aligned ``batch_step`` over every
-    (action, state, transition bucket, observation bucket) as flat rows."""
+    terminals, transition bucket), and ``batch_step``'s ``(A, N)`` rows over
+    every (action, state, transition bucket, observation bucket)."""
     edges = [np.concatenate(([0.0], table.buckets[0]))
              for table in (model._laws[_MODE_INDEX[mode]], model._sensor)]
     b1, b2 = (np.arange(len(e)) for e in edges)
@@ -326,11 +326,14 @@ def assert_kernels_equal_scalar_step(model, mode):
     for a, s, b in itertools.product(range(model.n_actions), states.tolist(), b1.tolist()):
         step = deterministic_step(model, s, a, (edges[0][b], 0.0), mode)
         assert (s2[a, s, b], r[a, s, b]) == (step[0], step[2])
-    a, s, i, j = np.indices((model.n_actions, model.n_states, len(b1), len(b2))).reshape(4, -1)
-    s2, z, r = model.batch_step(s, a, i, j, mode)
-    for cell, out in enumerate(zip(s2.tolist(), z.tolist(), r.tolist())):
+    s, i, j = np.indices((model.n_states, len(b1), len(b2))).reshape(3, -1)
+    rows = model.batch_step(s, i, j, mode)
+    assert [x.shape for x in rows] == [(model.n_actions, len(s))] * 3
+    s2, z, r = (x.tolist() for x in rows)
+    for a, cell in itertools.product(range(model.n_actions), range(len(s))):
         phi = (edges[0][i[cell]], edges[1][j[cell]])
-        assert out == deterministic_step(model, int(s[cell]), int(a[cell]), phi, mode)
+        step = deterministic_step(model, int(s[cell]), a, phi, mode)
+        assert (s2[a][cell], z[a][cell], r[a][cell]) == step
 
 
 def bound_tables(model, config, starts, streams) -> np.ndarray:

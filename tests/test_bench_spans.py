@@ -68,6 +68,8 @@ def test_tiny_eval_and_learn_call_every_span(monkeypatch, tmp_path):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counted)
+    # a bench set-up imports the package afresh, so its first call builds
+    cli._truth_model.cache_clear()
     assert cli.main(["eval", "--episodes", "1", "--steps", "2", "--scenarios", "20",
                      "--depth", "3", "--budget-trials", "5",
                      "--out", str(tmp_path / "eval")]) == 0

@@ -177,9 +177,9 @@ class TestEvalCommand:
 
 
 class TestTruthModelReuse:
-    """``eval`` and ``simulate`` keep the last truth model of the process,
-    keyed by the parsed map and ``--gamma``; a kept model writes the bytes
-    that a fresh one does."""
+    """Every command takes the last truth model of the process, keyed by the
+    parsed map and ``--gamma``; a kept model writes the bytes that a fresh
+    one does."""
 
     TINY = ["--scenarios", "20", "--depth", "3", "--budget-trials", "5", "--steps", "2"]
 
@@ -195,29 +195,40 @@ class TestTruthModelReuse:
 
         monkeypatch.setattr(gridworld, "build_model", counted)
         cli._truth_model.cache_clear()
+        evaluate = ["eval", "--episodes", "1", *self.TINY]
+        learn = ["learn", "--dataset-n", "100"]
+        other = ["--gamma", "0.9"]
+        small = [*other, "--map", str(map_path)]
+        # (command, the number of builds after it)
+        runs = [(evaluate, 1), (learn, 1), (["tables"], 1), (["simulate", *self.TINY], 1),
+                ([*learn, *other], 2), ([*evaluate, *other], 2), ([*evaluate, *small], 3),
+                (["tables", *small], 3), (evaluate, 4)]
         counts = []
-        for extra in ([], [], ["--gamma", "0.9"], ["--gamma", "0.9"],
-                      ["--gamma", "0.9", "--map", str(map_path)], []):
-            assert run(["eval", "--episodes", "1", *self.TINY, *extra,
-                        "--out", str(tmp_path / "out")]) == 0
+        for command, _ in runs:
+            assert run([*command, "--out", str(tmp_path / "out")]) == 0
             counts.append(len(builds))
-        assert counts == [1, 1, 2, 2, 3, 4]
+        assert counts == [n for _, n in runs]
 
     def test_kept_models_write_a_fresh_models_bytes(self, tmp_path):
         map_path = tmp_path / "free.map"
         map_path.write_text(FREE_MAP)
         planning = ["--scenarios", "50", "--budget-trials", "50", "--steps", "8",
                     "--seed", "4"]
+        params = tmp_path / "kept1" / "params.txt"
         commands = [
-            ["eval", "--mode", "interventional", "--episodes", "2"],
-            ["simulate", "--mode", "observational"],
-            ["eval", "--gamma", "0.9", "--episodes", "2"],
-            ["eval", "--map", str(map_path), "--episodes", "2"],
-            ["eval", "--mode", "interventional", "--episodes", "2"],
+            ["eval", "--mode", "interventional", "--episodes", "2", *planning],
+            ["learn", "--dataset-n", "2000", "--seed", "4"],
+            ["tables", "--params", str(params)],
+            ["simulate", "--mode", "observational", *planning],
+            ["learn", "--gamma", "0.9", "--dataset-n", "2000"],
+            ["eval", "--gamma", "0.9", "--episodes", "2", *planning],
+            ["eval", "--map", str(map_path), "--episodes", "2", *planning],
+            ["tables", "--map", str(map_path), "--params", str(params)],
+            ["eval", "--mode", "interventional", "--episodes", "2", *planning],
         ]
 
         def outputs(command, out):
-            assert run([*command, *planning, "--out", str(out)]) == 0
+            assert run([*command, "--out", str(out)]) == 0
             return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
         cli._truth_model.cache_clear()

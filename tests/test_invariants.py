@@ -167,7 +167,8 @@ class TestModelInvariants:
         model = two_state_model()
         n = 1_000_000
         b = model.bucket_ids(rng.random((n, 2)), INT)
-        s2, z, _ = model.batch_step(np.zeros(n, dtype=int), 1, b[:, 0], b[:, 1], INT)
+        rows = model.batch_step(np.zeros(n, dtype=int), b[:, 0], b[:, 1], INT)
+        s2, z, _ = (x[1] for x in rows)
         joint = np.zeros((model.n_states, model.n_observations))
         np.add.at(joint, (s2, z), 1.0 / n)
         expected = (
@@ -254,8 +255,9 @@ class TestPlannerInvariants:
                 ids, n = node.scenario_ids, len(node.scenario_ids)
                 b1, b2 = tree.buckets[node.depth][:, ids]
                 assert len(node.children) == model.n_actions
+                rows = model.batch_step(node.states, b1, b2, mode)
                 for a, edge in enumerate(node.children):
-                    s2, z, r = model.batch_step(node.states, a, b1, b2, mode)
+                    s2, z, r = (x[a] for x in rows)
                     assert edge.avg_reward == float(np.mean(r))
                     assert [obs for obs, _ in edge.children] == np.unique(z).tolist()
                     low = up = 0.0

@@ -297,7 +297,7 @@ class TestDeterministicStep:
     def test_empirical_marginal_matches_transition_dist(self, truth, rng):
         s = state_index(truth, (0, 2))
         b1, b2 = buckets_of(truth, rng.random(1_000_000), rng.random(1_000_000), INT)
-        s2, _, _ = truth.batch_step(np.full(1_000_000, s), UP, b1, b2, INT)
+        s2 = truth.batch_step(np.full(1_000_000, s), b1, b2, INT)[0][UP]
         freq = np.bincount(s2, minlength=truth.n_states) / len(s2)
         assert np.abs(freq - transition_matrix(truth, INT)[UP, s]).max() <= 0.005
 
@@ -316,8 +316,8 @@ class TestDeterministicStep:
         for a in range(truth.n_actions):
             phi1 = rng.random(200)
             phi2 = rng.random(200)
-            s2, z, r = truth.batch_step(states, a, *buckets_of(truth, phi1, phi2, INT),
-                                        INT)
+            s2, z, r = (x[a] for x in truth.batch_step(
+                states, *buckets_of(truth, phi1, phi2, INT), INT))
             for i in range(200):
                 if truth.is_terminal(int(states[i])):
                     continue  # batch rows use identity transitions at terminals
@@ -335,8 +335,8 @@ class TestDeterministicStep:
         for s in range(truth.n_states - 2):
             for a in range(truth.n_actions):
                 n = len(ties)
-                s2, z, r = truth.batch_step(np.full(n, s), a,
-                                            *buckets_of(truth, ties, ties, mode), mode)
+                s2, z, r = (x[a] for x in truth.batch_step(
+                    np.full(n, s), *buckets_of(truth, ties, ties, mode), mode))
                 for i, phi in enumerate(ties):
                     expect = deterministic_step(truth, s, a, (phi, phi), mode)
                     assert (int(s2[i]), int(z[i]), float(r[i])) == expect

@@ -146,17 +146,15 @@ def test_batch_kernels_equal_the_scalar_step(model, seed, mode):
     actions = rng.integers(0, model.n_actions, 64)
     phi1, phi2 = unit_draws(model, rng, 64), unit_draws(model, rng, 64)
     b1, b2 = buckets_of(model, phi1, phi2, mode)
-    s2, z, r = model.batch_step(states, actions, b1, b2, mode)
+    s2, z, r = model.batch_step(states, b1, b2, mode)
     # the outer contract: (action, state i, bucket j); its (a_i, i, i) cells
     # are the aligned steps
     policy_s2, policy_r = model.batch_policy_step(states, b1, mode)
-    shared = model.batch_step(states, 1, b1, b2, mode)
     for i in range(64):
-        s, u = int(states[i]), (phi1[i], phi2[i])
-        assert (s2[i], z[i], r[i]) == deterministic_step(model, s, int(actions[i]),
-                                                         u, mode)
-        assert (policy_s2[actions[i], i, i], policy_r[actions[i], i, i]) == (s2[i], r[i])
-        assert tuple(x[i] for x in shared) == deterministic_step(model, s, 1, u, mode)
+        s, a, u = int(states[i]), int(actions[i]), (phi1[i], phi2[i])
+        assert (s2[a, i], z[a, i], r[a, i]) == deterministic_step(model, s, a, u, mode)
+        assert (policy_s2[a, i, i], policy_r[a, i, i]) == (s2[a, i], r[a, i])
+        assert (s2[1, i], z[1, i], r[1, i]) == deterministic_step(model, s, 1, u, mode)
 
 
 @given(model=small_models(), mode=MODES)

@@ -120,6 +120,11 @@ MUTANTS = {
         "self._succ[_MODE_INDEX[mode]].compress(live, axis=1)",
         "self._succ[_MODE_INDEX[mode]][:1].compress(live, axis=1)",
     ),
+    "step_cell_stride_short": (
+        MODEL,
+        "at = states * self._succ[m].shape[2] + b1",
+        "at = states * (self._succ[m].shape[2] - 1) + b1",
+    ),
     "budget_clock_after_setup": (
         DESPOT,
         "    start = time.perf_counter()\n    tree = DespotTree(model, config, belief)\n",
@@ -147,6 +152,11 @@ MUTANTS = {
         "    return _truth_of_map(grid)\n\n\n"
         "_truth_model.cache_clear = _truth_of_map.cache_clear\n\n\n"
         "def _unused(grid: gridworld.GridMap, gamma: float) -> UcPomdpModel:\n",
+    ),
+    "learn_builds_own_truth": (
+        CLI,
+        'truth = _truth_model(grid, options["gamma"])',
+        'truth = gridworld.build_model(grid, options["gamma"])',
     ),
 }
 

@@ -13,6 +13,7 @@ causally-informed planner.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 import weakref
@@ -91,19 +92,18 @@ def sample_scenarios(
 
 
 class DespotNode:
-    """A belief node holding the ``count`` scenarios that reached it."""
+    """A belief node holding the ``count`` scenarios that reached it as cells
+    ``state * K + scenario``, their entries in the bound tables' (S, K) rows."""
 
     __slots__ = (
-        "depth", "scenario_ids", "states", "count", "weight",
+        "depth", "cells", "count", "weight",
         "lower", "upper", "default_value", "children",
     )
 
-    def __init__(self, depth: int, scenario_ids: np.ndarray, states: np.ndarray,
-                 total_scenarios: int):
+    def __init__(self, depth: int, cells: np.ndarray, total_scenarios: int):
         self.depth = depth
-        self.scenario_ids = scenario_ids
-        self.states = states
-        self.count = len(scenario_ids)
+        self.cells = cells
+        self.count = len(cells)
         self.weight = self.count / total_scenarios
         self.lower = 0.0
         self.upper = 0.0
@@ -270,32 +270,30 @@ class DespotTree:
                 self._gap_scale.append(np.inf)
         self.n_expansions = 0
         self.n_trials = 0
-        self.root, = self._nodes(0, np.arange(config.scenarios), starts, [0])
+        k = config.scenarios
+        self.root, = self._nodes(0, starts * k + np.arange(k), [k])
         # the default policy's action at the root's most common state
         counts = np.bincount(starts, minlength=model.n_states)
         self.default_action = int(model.rollout_policy[int(np.argmax(counts))])
 
-    def _nodes(self, depth: int, scenario_ids: np.ndarray, states: np.ndarray,
-               starts) -> list[DespotNode]:
-        """New nodes with their first bounds, one per slice of the scenarios
-        that begins at an entry of ``starts``, from each scenario's lower and
-        upper table entries at ``depth`` and its state in ``states``: the mean
-        default-policy return less the regularization is a node's default
-        value and lower bound, the mean clairvoyant return its upper bound.
-        One ``np.add.reduceat`` sums every slice, ``x[0] + pairwise(x[1:])``
-        (``np.mean`` sums ``0.0 + pairwise(x)``), and one division per row
-        takes the means."""
-        total = self.config.scenarios
-        cells = self.tables[:, depth].reshape(2, -1).take(states * total + scenario_ids, axis=1)
-        ends = [*starts[1:], len(scenario_ids)]
-        sums = np.add.reduceat(cells, starts, axis=1)
-        sums /= np.subtract(ends, starts)
-        sums[0] -= self.config.regularization
+    def _nodes(self, depth: int, cells: np.ndarray, counts: list[int]) -> list[DespotNode]:
+        """New nodes with their first bounds, one per consecutive slice of
+        ``cells`` of the lengths ``counts``, from their lower and upper table
+        entries at ``depth``: the mean default-policy return less the
+        regularization is a node's default value and lower bound, the mean
+        clairvoyant return its upper bound.  One ``np.add.reduceat`` sums
+        every slice, ``x[0] + pairwise(x[1:])`` (``np.mean`` sums ``0.0 +
+        pairwise(x)``); each mean and the subtraction are Python float
+        operations, the same IEEE operations as numpy's on float64."""
+        total, lam = self.config.scenarios, self.config.regularization
+        starts = [0, *itertools.accumulate(counts[:-1])]
+        sums = np.add.reduceat(self.tables[:, depth].reshape(2, -1).take(cells, axis=1),
+                               starts, axis=1)
         nodes = []
-        for lo, hi, low, up in zip(starts, ends, *sums.tolist()):
-            node = DespotNode(depth, scenario_ids[lo:hi], states[lo:hi], total)
-            node.default_value = node.lower = low
-            node.upper = up
+        for lo, n, low, up in zip(starts, counts, *sums.tolist()):
+            node = DespotNode(depth, cells[lo:lo + n], total)
+            node.default_value = node.lower = low / n - lam
+            node.upper = up / n
             nodes.append(node)
         return nodes
 
@@ -303,22 +301,26 @@ class DespotTree:
 
     def _expand(self, node: DespotNode):
         """Step every action from every scenario in one kernel call, then
-        group the (action, scenario) results by (action, observation) with
-        one stable sort, so that each child holds a contiguous slice in
-        scenario order."""
+        group the (action, scenario) results by (action, observation) key:
+        one stable sort puts each child's cells in a contiguous slice in
+        scenario order, and one ``bincount`` gives the present keys and
+        their slices' lengths."""
         model, config = self.model, self.config
-        d, m = node.depth, node.count
-        b1, b2 = self.buckets[d].take(node.scenario_ids, axis=1)
+        d, m, k = node.depth, node.count, config.scenarios
+        states, ids = np.divmod(node.cells, k)
+        b1, b2 = self.buckets[d].take(ids, axis=1)
         actions = np.arange(model.n_actions)[:, None]
-        s2, z, r = model.batch_step(node.states, b1, b2, config.mode)
+        s2, z, r = model.batch_step(states, b1, b2, config.mode)
         key = (actions * model.n_observations + z).astype(self._key_type).ravel()
-        order = np.argsort(key, kind="stable")
-        ids = np.concatenate((node.scenario_ids,) * model.n_actions).take(order)
-        key, s2 = key.take(order), s2.take(order)
+        # the step's fresh successors become the children's cells in place
+        s2 *= k
+        s2 += ids
+        counts = np.bincount(key)
+        present = np.flatnonzero(counts)
         edges = [ActionEdge(total / m) for total in np.add.reduce(r, axis=1).tolist()]
-        starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
-        children = self._nodes(d + 1, ids, s2, starts)
-        for ak, child in zip(key[starts].tolist(), children):
+        children = self._nodes(d + 1, s2.ravel().take(np.argsort(key, kind="stable")),
+                               counts.take(present).tolist())
+        for ak, child in zip(present.tolist(), children):
             a, obs = divmod(ak, model.n_observations)
             edges[a].children.append((obs, child))
         node.children = edges

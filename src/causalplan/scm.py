@@ -140,12 +140,15 @@ class CategoricalTable:
         in [0, 1): the number of breaks ``<= u``, read from a grid of
         ``2**12`` equal cells of [0, 1) (:func:`_bucket_grid`) that is built
         on the first call and kept on the table; only draws in a cell with a
-        break strictly inside it are looked up in the breaks themselves.  A
-        draw outside [0, 1), or NaN, is a ``UsageError``."""
+        break strictly inside it are looked up in the breaks themselves; a
+        table with no breaks builds none.  A draw outside [0, 1), or NaN, is
+        a ``UsageError``."""
         u = np.asarray(u, dtype=float)
         # min and max are NaN if any draw is, and both tests then fail
         if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
             raise UsageError("bucket draws must lie in [0, 1)")
+        if not len(self.buckets[0]):
+            return np.zeros(u.shape, dtype=np.intp)
         return _grid_lookup(self._grid, self.buckets[0], u)
 
     def __repr__(self) -> str:

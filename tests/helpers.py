@@ -395,6 +395,12 @@ def tree_nodes(tree):
                     stack.append(child)
 
 
+def node_scenarios(node, k):
+    """A search node's ``(states, scenario ids)``, decoded from its cells
+    ``state * k + scenario``; ``k`` is the search's scenario count."""
+    return divmod(node.cells, k)
+
+
 def watch_trials(monkeypatch, before=None, after=None) -> list:
     """Wrap ``DespotTree.run_trial`` for the rest of a test.  Each trial
     appends ``(root bounds before, root bounds after, expanded)`` to the

@@ -27,6 +27,7 @@ from helpers import (
     bound_tables,
     descent_target,
     free_roam_model,
+    node_scenarios,
     noisy_sensor_model,
     reach_mask,
     scalar_bounds,
@@ -100,7 +101,7 @@ class TestSampleScenarios:
 
 def make_node(truth, config, state, k=16, phi=0.5, depth=0):
     streams = np.full((k, config.depth, 2), phi)
-    node = DespotNode(depth, np.arange(k), np.full(k, state), k)
+    node = DespotNode(depth, np.full(k, state) * k + np.arange(k), k)
     return node, streams
 
 
@@ -108,8 +109,9 @@ def node_bounds(node, model, config, streams):
     """The node's default value and upper bound as the planner forms them:
     the means of its scenarios' table entries, the first minus the
     regularization penalty."""
-    lower, upper = bound_tables(model, config, node.states, streams)
-    ids, states, d = node.scenario_ids, node.states, node.depth
+    states, ids = node_scenarios(node, len(streams))
+    lower, upper = bound_tables(model, config, states, streams)
+    d = node.depth
     return (float(lower[d][states, ids].mean()) - config.regularization,
             float(upper[d][states, ids].mean()))
 
@@ -269,9 +271,10 @@ class TestSearchCounters:
 
 
 class TestBucketGridLifetime:
-    """Each of a model's tables, the two modes' laws and the sensor, builds
-    its bucket grid on its first lookup, keeps it, and drops it with itself
-    and so with the model."""
+    """Each of a model's tables with CDF breaks, the two modes' laws,
+    builds its bucket grid on its first lookup, keeps it, and drops it with
+    itself and so with the model; the shipped sensor has no breaks and
+    builds none."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -289,26 +292,27 @@ class TestBucketGridLifetime:
         assert cli.main(["tables", "--out", str(tmp_path / "t")]) == 0
         assert built == []
 
-    def test_searches_build_one_grid_per_mode_and_one_for_observations(self, built):
+    def test_searches_build_one_grid_per_mode_and_none_for_observations(self, built):
         model = gridworld.build_model(gridworld.default_map())
         config = PlannerConfig(scenarios=50, depth=5, budget_trials=20)
         grids = []
         for mode in (INT, OBS, INT, OBS):
             search(model.initial_belief, model, replace(config, mode=mode))
             grids.append(len(built))
-        assert grids == [2, 3, 3, 3]
+        assert grids == [1, 2, 2, 2]
 
     def test_grids_go_with_their_model(self):
         model = gridworld.build_model(gridworld.default_map())
         for mode in (INT, OBS):
             search(model.initial_belief, model,
                    PlannerConfig(scenarios=50, depth=5, budget_trials=20, mode=mode))
-        grids = [weakref.ref(table._grid) for table in (*model._laws, model._sensor)]
+        assert "_grid" not in vars(model._sensor)
+        grids = [weakref.ref(table._grid) for table in model._laws]
         ref = weakref.ref(model)
         del model
         gc.collect()
         assert ref() is None
-        assert [grid() for grid in grids] == [None] * 3
+        assert [grid() for grid in grids] == [None] * 2
 
 
 class TestNoisySensor:

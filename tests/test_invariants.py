@@ -35,6 +35,7 @@ from causalplan import gridworld
 from helpers import (
     brute_force_optimum,
     mutilate,
+    node_scenarios,
     permuted,
     slice_mean,
     specs_equal,
@@ -181,9 +182,9 @@ class TestModelInvariants:
 
 
 class TestPlannerInvariants:
-    def _searched_tree(self, model, belief, mode, trials, seed):
+    def _searched_tree(self, model, belief, mode, trials, seed, scenarios=200):
         config = PlannerConfig(
-            scenarios=200, depth=12, budget_trials=trials, mode=mode, seed=seed
+            scenarios=scenarios, depth=12, budget_trials=trials, mode=mode, seed=seed
         )
         tree = DespotTree(model, config, belief)
         lowers, uppers = [tree.root.lower], [tree.root.upper]
@@ -220,12 +221,13 @@ class TestPlannerInvariants:
 
     def test_scenario_subsets_partition_parent(self, truth):
         tree, _, _ = self._searched_tree(truth, truth.initial_belief, OBS, 300, 17)
+        k = tree.config.scenarios
         for node in tree_nodes(tree):
             if node.children is None:
                 continue
-            parent_ids = set(node.scenario_ids.tolist())
+            parent_ids = set(node_scenarios(node, k)[1].tolist())
             for edge in node.children:
-                child_ids = [set(c.scenario_ids.tolist()) for _, c in edge.children]
+                child_ids = [set(node_scenarios(c, k)[1].tolist()) for _, c in edge.children]
                 merged = set().union(*child_ids)
                 assert merged == parent_ids
                 assert sum(len(c) for c in child_ids) == len(parent_ids)
@@ -235,10 +237,19 @@ class TestPlannerInvariants:
     def test_expansions_and_stored_edge_bounds_match_loop_recomputation(
         self, truth, which, mode
     ):
-        # the per-action, per-observation expansion and the Q sums recomputed
-        # one child at a time, compared with exact ==
-        model = truth if which == "truth" else two_state_model()
-        # the start belief, then every point mass, until 20 nodes are expanded
+        self._assert_expansions_match_loop_recomputation(
+            truth if which == "truth" else two_state_model(), mode, 200)
+
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    def test_expansions_match_loop_recomputation_at_seven_scenarios(self, truth, mode):
+        # a cell stride of 7, away from the default K
+        self._assert_expansions_match_loop_recomputation(truth, mode, 7)
+
+    def _assert_expansions_match_loop_recomputation(self, model, mode, k):
+        """The per-action, per-observation expansion and the Q sums of K =
+        ``k`` searches, recomputed one child at a time and compared with
+        exact ==: from the start belief, then every point mass, until 20
+        nodes are expanded."""
         beliefs = [model.initial_belief] + [
             Belief.point_mass(model.n_states, s) for s in range(model.n_states - 2)
         ]
@@ -246,33 +257,35 @@ class TestPlannerInvariants:
         for belief in beliefs:
             if expanded >= 20:
                 break
-            tree, _, _ = self._searched_tree(model, belief, mode, 300, 3)
+            tree, _, _ = self._searched_tree(model, belief, mode, 300, 3, k)
             config, (lower, upper) = tree.config, tree.tables
             for node in tree_nodes(tree):
                 if node.children is None:
                     continue
                 expanded += 1
-                ids, n = node.scenario_ids, len(node.scenario_ids)
+                states, ids = node_scenarios(node, k)
+                n = len(ids)
                 b1, b2 = tree.buckets[node.depth][:, ids]
                 assert len(node.children) == model.n_actions
-                rows = model.batch_step(node.states, b1, b2, mode)
+                rows = model.batch_step(states, b1, b2, mode)
                 for a, edge in enumerate(node.children):
                     s2, z, r = (x[a] for x in rows)
                     assert edge.avg_reward == float(np.mean(r))
                     assert [obs for obs, _ in edge.children] == np.unique(z).tolist()
                     low = up = 0.0
                     for obs, child in edge.children:
-                        assert np.array_equal(child.scenario_ids, ids[z == obs])
-                        assert np.array_equal(child.states, s2[z == obs])
+                        child_states, child_ids = node_scenarios(child, k)
+                        assert np.array_equal(child_ids, ids[z == obs])
+                        assert np.array_equal(child_states, s2[z == obs])
                         d = child.depth
-                        cells = (child.states, child.scenario_ids)
+                        cells = (child_states, child_ids)
                         assert child.default_value == slice_mean(
                             lower[d][cells]) - config.regularization
                         if child.children is None:
                             assert child.upper == slice_mean(upper[d][cells])
                             assert child.lower == child.default_value
-                        low += len(child.scenario_ids) * child.lower
-                        up += len(child.scenario_ids) * child.upper
+                        low += len(child_ids) * child.lower
+                        up += len(child_ids) * child.upper
                     assert edge.q_lower == edge.avg_reward + model.discount * low / n
                     assert edge.q_upper == edge.avg_reward + model.discount * up / n
         assert expanded >= 20

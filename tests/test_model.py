@@ -463,6 +463,20 @@ class TestBucketGrid:
         assert np.array_equal(table.bucket_index([0.1, 0.4, 0.6]), first)
         assert table._grid is grid
 
+    @pytest.mark.parametrize("shape", [(0,), (7,), (2, 3)])
+    def test_a_breakless_table_has_one_bucket_and_builds_no_grid(self, shape):
+        table = CategoricalTable((3,), np.eye(3))
+        breaks, _ = table.buckets
+        assert len(breaks) == 0
+        u = np.random.default_rng(0).random(shape)
+        ids = table.bucket_index(u)
+        assert ids.shape == shape and not ids.any()
+        assert np.array_equal(ids, breaks.searchsorted(u, side="right"))
+        assert "_grid" not in vars(table)
+        for bad in (np.nan, -0.5, 1.0):
+            with pytest.raises(UsageError, match=r"must lie in \[0, 1\)"):
+                table.bucket_index([0.5, bad])
+
     @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.0])
     def test_bucket_index_rejects_draws_outside_the_unit_interval(self, bad):
         table = CategoricalTable((2,), [[0.3, 0.7], [0.5, 0.5]])

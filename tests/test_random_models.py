@@ -32,6 +32,7 @@ from helpers import (
     buckets_of,
     determinized_optimum,
     free_roam_model,
+    node_scenarios,
     reach_mask,
     scalar_bounds,
     transition_matrix,
@@ -109,7 +110,8 @@ def nan_outside_reach(tree):
     """Sets every bound-table cell that the root's start states cannot
     reach to NaN, so a search that reads one gets a NaN bound."""
     config = tree.config
-    reach = reach_mask(tree.model, tree.root.states, config.depth, config.mode)
+    starts, _ = node_scenarios(tree.root, config.scenarios)
+    reach = reach_mask(tree.model, starts, config.depth, config.mode)
     for rows in tree.tables:
         rows[np.broadcast_to(~reach[:, :, None], rows.shape)] = np.nan
 
@@ -121,7 +123,8 @@ def searched_tree(model, config, belief):
     move monotonically."""
     tree = DespotTree(model, config, belief)
     nan_outside_reach(tree)
-    optimum = determinized_optimum(model, tree.root.states, tree.streams, 0,
+    starts, _ = node_scenarios(tree.root, config.scenarios)
+    optimum = determinized_optimum(model, starts, tree.streams, 0,
                                    config.depth, config.mode)
     history = [tree.bounds()]
     for _ in range(config.budget_trials):
@@ -232,8 +235,8 @@ def test_every_node_holds_its_scenarios_optimum(model, seed, mode, k, depth, xi,
                            regularization=regularization, budget_trials=200)
     tree = searched_tree(model, config, model.initial_belief)
     for node in tree_nodes(tree):
-        optimum = determinized_optimum(model, node.states,
-                                       tree.streams[node.scenario_ids],
+        states, ids = node_scenarios(node, k)
+        optimum = determinized_optimum(model, states, tree.streams[ids],
                                        node.depth, depth, mode)
         assert node.lower <= optimum + 1e-9
         assert optimum <= node.upper + 1e-9
@@ -251,7 +254,8 @@ def test_root_sandwich_with_uninformative_observations(mode):
         "observation_table": CategoricalTable((2,), [[0.5, 0.5, 0.0]] * 2)})
     config = PlannerConfig(scenarios=4, depth=3, seed=0, regularization=0.0, mode=mode)
     tree = DespotTree(model, config, model.initial_belief)
-    optimum = determinized_optimum(model, tree.root.states, tree.streams, 0, 3, mode)
+    starts, _ = node_scenarios(tree.root, 4)
+    optimum = determinized_optimum(model, starts, tree.streams, 0, 3, mode)
     for trial in range(31):
         lower, upper = tree.bounds()
         assert lower <= optimum + 1e-9 and optimum <= upper + 1e-9, (trial, lower, upper)

@@ -42,8 +42,18 @@ MUTANTS = {
     ),
     "new_node_lambda_twice": (
         DESPOT,
-        "sums[0] -= self.config.regularization",
-        "sums[0] -= 2 * self.config.regularization",
+        "node.default_value = node.lower = low / n - lam",
+        "node.default_value = node.lower = low / n - 2 * lam",
+    ),
+    "child_cell_stride_short": (
+        DESPOT,
+        "s2 *= k\n        s2 += ids",
+        "s2 *= k - 1\n        s2 += ids",
+    ),
+    "children_keys_shifted": (
+        DESPOT,
+        "zip(present.tolist(), children)",
+        "zip((present + 1).tolist(), children)",
     ),
     "backup_lambda_dropped": (
         DESPOT,

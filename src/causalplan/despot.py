@@ -77,7 +77,9 @@ def sample_scenarios(
 
     Start states are i.i.d. from the belief, drawn by one generator seeded
     with ``(seed, 0)``; every stream comes from one generator seeded with
-    ``(seed, 1)``, filled in ``(scenario, depth, pair)`` order.
+    ``(seed, 1)``, filled in ``(scenario, depth, pair)`` order.  A point-mass
+    belief draws nothing from the first generator: its CDF is ``[0...0,
+    1...1]``, so every draw would map to its one state.
     """
     if count < 1:
         raise UsageError("scenario count must be >= 1")
@@ -85,8 +87,9 @@ def sample_scenarios(
         raise UsageError("depth must be >= 1")
     if count * depth * 16 > sys.maxsize:  # the streams' bytes; numpy's array limit
         raise CapacityError(f"{count} scenarios of depth {depth} exceed the largest array")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    starts = belief.sample(rng, count)
+    support = belief.probs.nonzero()[0]
+    starts = np.full(count, support[0]) if len(support) == 1 else belief.sample(
+        np.random.default_rng(np.random.SeedSequence((seed, 0))), count)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     return starts, rng.random((count, depth, 2))
 
@@ -257,9 +260,11 @@ class DespotTree:
             model.bucket_ids(self.streams, config.mode).transpose(1, 2, 0))
         # the lower and upper bound tables, (2, D+1, S, K)
         self.tables = _fill_bounds(model, config, self.buckets, starts)
-        # the smallest integer type of the (action, observation) sort keys,
-        # so the stable argsort of _expand is a radix sort
+        # the (action, observation) sort keys' smallest integer type, so the
+        # stable argsort of _expand is a radix sort, and their (A, 1) column a * |Z|
         self._key_type = np.min_scalar_type(model.n_actions * model.n_observations - 1)
+        self._key_column = (np.arange(model.n_actions)[:, None]
+                            * model.n_observations).astype(self._key_type)
         # per depth d, the share xi * discount ** -(d + 1) of the root gap a child
         # must exceed to be descended into; inf where the power overflows
         self._gap_scale = []
@@ -278,8 +283,8 @@ class DespotTree:
 
     def _nodes(self, depth: int, cells: np.ndarray, counts: list[int]) -> list[DespotNode]:
         """New nodes with their first bounds, one per consecutive slice of
-        ``cells`` of the lengths ``counts``, from their lower and upper table
-        entries at ``depth``: the mean default-policy return less the
+        ``cells`` of the lengths ``counts``, from one ``take`` of both tables
+        at ``cells + depth * S * K``: the mean default-policy return less the
         regularization is a node's default value and lower bound, the mean
         clairvoyant return its upper bound.  One ``np.add.reduceat`` sums
         every slice, ``x[0] + pairwise(x[1:])`` (``np.mean`` sums ``0.0 +
@@ -287,8 +292,8 @@ class DespotTree:
         operations, the same IEEE operations as numpy's on float64."""
         total, lam = self.config.scenarios, self.config.regularization
         starts = [0, *itertools.accumulate(counts[:-1])]
-        sums = np.add.reduceat(self.tables[:, depth].reshape(2, -1).take(cells, axis=1),
-                               starts, axis=1)
+        at = cells + depth * self.tables[0, 0].size
+        sums = np.add.reduceat(self.tables.reshape(2, -1).take(at, axis=1), starts, axis=1)
         nodes = []
         for lo, n, low, up in zip(starts, counts, *sums.tolist()):
             node = DespotNode(depth, cells[lo:lo + n], total)
@@ -309,14 +314,13 @@ class DespotTree:
         d, m, k = node.depth, node.count, config.scenarios
         states, ids = np.divmod(node.cells, k)
         b1, b2 = self.buckets[d].take(ids, axis=1)
-        actions = np.arange(model.n_actions)[:, None]
         s2, z, r = model.batch_step(states, b1, b2, config.mode)
-        key = (actions * model.n_observations + z).astype(self._key_type).ravel()
+        key = np.add(self._key_column, z, dtype=self._key_type, casting="unsafe").ravel()
         # the step's fresh successors become the children's cells in place
         s2 *= k
         s2 += ids
         counts = np.bincount(key)
-        present = np.flatnonzero(counts)
+        present = counts.nonzero()[0]
         edges = [ActionEdge(total / m) for total in np.add.reduce(r, axis=1).tolist()]
         children = self._nodes(d + 1, s2.ravel().take(np.argsort(key, kind="stable")),
                                counts.take(present).tolist())

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import tracemalloc
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -97,6 +98,44 @@ class TestSampleScenarios:
     def test_depth_must_be_positive(self, truth, depth):
         with pytest.raises(UsageError, match="depth must be >= 1"):
             sample_scenarios(truth.initial_belief, 10, 0, depth=depth)
+
+    @staticmethod
+    def drawn(belief, count, seed, depth):
+        """The starts and streams that the belief's CDF and the two
+        generators of ``seed`` give."""
+        starts = belief.sample(np.random.default_rng(np.random.SeedSequence((seed, 0))), count)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+        return starts, rng.random((count, depth, 2))
+
+    @pytest.mark.parametrize("seed", [0, 23])
+    def test_point_mass_starts_are_the_general_paths_starts(self, truth, seed):
+        for state in range(truth.n_states):   # the terminals included
+            belief = Belief.point_mass(truth.n_states, state)
+            starts, streams = sample_scenarios(belief, 64, seed=seed, depth=5)
+            want_starts, want_streams = self.drawn(belief, 64, seed, 5)
+            assert starts.dtype == want_starts.dtype
+            assert np.array_equal(starts, want_starts)
+            assert np.array_equal(streams, want_streams)
+
+    def test_only_a_point_mass_skips_the_start_generator(self, truth, monkeypatch):
+        calls = []
+        sample = Belief.sample
+
+        def counted(belief, rng, size=None):
+            calls.append(size)
+            return sample(belief, rng, size)
+
+        monkeypatch.setattr(Belief, "sample", counted)
+        sample_scenarios(Belief.point_mass(truth.n_states, 3), 64, seed=4, depth=5)
+        assert calls == []
+        probs = np.zeros(truth.n_states)
+        probs[[3, 5]] = 1 - 1e-12, 1e-12
+        belief = Belief(probs)
+        starts, streams = sample_scenarios(belief, 64, seed=4, depth=5)
+        assert calls == [64]
+        want_starts, want_streams = self.drawn(belief, 64, 4, 5)
+        assert np.array_equal(starts, want_starts)
+        assert np.array_equal(streams, want_streams)
 
 
 def make_node(truth, config, state, k=16, phi=0.5, depth=0):
@@ -363,6 +402,22 @@ class TestRunTrial:
         lower1, upper1 = tree.bounds()
         assert lower1 >= lower0 - 1e-12
         assert upper1 <= upper0 + 1e-12
+
+    def test_an_expansions_memory_does_not_grow_with_the_map(self):
+        # an open 30 x 30 map: 902 states, so one depth of the tables holds
+        # 2 * S * K floats while the root's expansion touches 2 * A * K
+        rows = ["G" + "." * 29, *["." * 30] * 28, "S" + "." * 29]
+        model = gridworld.build_model(gridworld.parse_map("\n".join(rows)))
+        config = PlannerConfig(scenarios=50, depth=4)
+        tree = DespotTree(model, config, model.initial_belief)
+        bound = tree.tables[:, 0].nbytes / 4
+        tracemalloc.start()
+        try:
+            assert tree.run_trial()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_one_step_problem_converges_to_exact_optimum(self):
         model = two_state_model()

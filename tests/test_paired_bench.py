@@ -47,7 +47,7 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
     assert summary["latency_ms.mean"]["base"] == pytest.approx((3.075, 3.15, 3.25))
     assert summary["latency_ms.mean"]["change"] == pytest.approx((2.875, 3.05, 3.225))
     # medians 0.1 apart, inside the base's IQR of 0.175
-    assert not summary["latency_ms.mean"]["clear"]
+    assert summary["latency_ms.mean"]["beyond"] == "no"
     # an unnamed metric counts lower as better
     assert paired_bench.summarize(pairs, {})["items_per_s"]["wins"] == 1
 
@@ -56,11 +56,26 @@ def test_summary_marks_a_clear_change_and_a_single_pair():
     pairs = [(run(3.0 + i / 100, 80), run(2.5 + i / 100, 80)) for i in range(5)]
     summary = paired_bench.summarize(pairs, BETTER)
     assert summary["latency_ms.mean"]["wins"] == 5
-    assert summary["latency_ms.mean"]["clear"]
+    assert summary["latency_ms.mean"]["beyond"] == "better"
     assert summary["items_per_s"]["wins"] == 0
-    assert not summary["items_per_s"]["clear"]
+    assert summary["items_per_s"]["beyond"] == "no"
     one = paired_bench.summarize(pairs[:1], BETTER)["latency_ms.mean"]
     assert one["base"] == (3.0, 3.0, 3.0)
+
+
+def test_summary_and_report_say_which_way_a_clear_change_moved():
+    # latency rises and throughput falls beyond the base's IQR: both worse
+    pairs = [(run(3.0 + i / 100, 80 + i / 10), run(3.5 + i / 100, 70 + i / 10))
+             for i in range(5)]
+    summary = paired_bench.summarize(pairs, BETTER)
+    assert summary["latency_ms.mean"]["beyond"] == "worse"
+    assert summary["items_per_s"]["beyond"] == "worse"
+    # the same pairs read with the directions swapped: both better
+    swapped = {"latency_ms.mean": "higher", "items_per_s": "lower"}
+    assert {s["beyond"] for s in paired_bench.summarize(pairs, swapped).values()} == {
+        "better"}
+    rows = paired_bench.report(summary, True, (0, 0)).splitlines()[1:3]
+    assert [row.split()[-1] for row in rows] == ["worse", "worse"]
 
 
 def test_report_states_whether_outputs_match():

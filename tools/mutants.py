@@ -55,6 +55,21 @@ MUTANTS = {
         "zip(present.tolist(), children)",
         "zip((present + 1).tolist(), children)",
     ),
+    "nodes_depth_offset_short": (
+        DESPOT,
+        "at = cells + depth * self.tables[0, 0].size",
+        "at = cells + (depth - 1) * self.tables[0, 0].size",
+    ),
+    "key_column_stride_short": (
+        DESPOT,
+        "* model.n_observations).astype(self._key_type)",
+        "* (model.n_observations - 1)).astype(self._key_type)",
+    ),
+    "point_mass_start_shifted": (
+        DESPOT,
+        "np.full(count, support[0])",
+        "np.full(count, support[0] + 1)",
+    ),
     "backup_lambda_dropped": (
         DESPOT,
         "max(node.default_value, best_low - self.config.regularization)",

@@ -10,8 +10,9 @@ every other pair, so a drift of the machine falls on both sides alike::
 Each pair runs both sides at one seed; ``--pairs`` pairs run per seed.  For
 every end-to-end metric the summary gives each side's median and quartiles
 over all pairs, the number of pairs the change won (ties count for neither
-side), and whether the medians lie further apart than the base's
-interquartile range.  The direction of each metric is read from the
+side), and whether the change's median lies beyond the base's
+interquartile range from the base's median: ``better`` or ``worse`` if it
+does, ``no`` if it does not.  The direction of each metric is read from the
 change's ``BENCHMARK.json`` (lower is better where it names none).  The last
 line says whether every run's ``output_sha256`` equals the other side's at
 the same seed.  Standard library only.
@@ -58,9 +59,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     """Per metric of the ``(base, change)`` run pairs: each side's
-    quartiles, the change's wins, and whether its median lies beyond the
-    base's interquartile range from the base median.  ``better`` maps a
-    metric to ``"lower"`` or ``"higher"``."""
+    quartiles, the change's wins, and ``beyond``: ``"better"`` or
+    ``"worse"`` if the change's median lies beyond the base's interquartile
+    range from the base median, else ``"no"``.  ``better`` maps a metric to
+    ``"lower"`` or ``"higher"``."""
     out = {}
     for name in pairs[0][0]["metrics"]:
         base = [b["metrics"][name] for b, _ in pairs]
@@ -68,8 +70,10 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
         sign = 1 if better.get(name, "lower") == "lower" else -1
         wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
         (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+        beyond = "no" if abs(cm - bm) <= b3 - b1 else (
+            "better" if sign * (bm - cm) > 0 else "worse")
         out[name] = {"base": (b1, bm, b3), "change": (c1, cm, c3), "wins": wins,
-                     "pairs": len(pairs), "clear": abs(cm - bm) > b3 - b1}
+                     "pairs": len(pairs), "beyond": beyond}
     return out
 
 
@@ -84,7 +88,7 @@ def report(summary: dict, same: bool, failed: tuple[int, int]) -> str:
         base = "/".join(f"{v:.4g}" for v in s["base"])
         change = "/".join(f"{v:.4g}" for v in s["change"])
         lines.append(f"{name:<18} {base:>30} {change:>30} "
-                     f"{s['wins']:>3}/{s['pairs']:<3} {'yes' if s['clear'] else 'no'}")
+                     f"{s['wins']:>3}/{s['pairs']:<3} {s['beyond']}")
     lines.append(f"failed operations: base {failed[0]}, change {failed[1]}")
     lines.append(f"output_sha256 equal: {'yes' if same else 'NO'}")
     return "\n".join(lines)

@@ -126,9 +126,8 @@ class ActionEdge:
 
 
 # Per planning model, kept as long as the model lives: the reach rows of the
-# fills, by (mode, depth, start states); and per mode the tail tables, entry
-# j the (2, S, B**j) lower and upper bounds of every state j steps before
-# the horizon over every suffix of j transition bucket ids (_tail_tables).
+# fills, by (mode, depth, start states); and the tail tables, by (mode, J),
+# built whole by _tail_tables.
 _MODEL_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -158,27 +157,22 @@ def _step_rows(prev, cells: np.ndarray, r: np.ndarray,
     return low, np.maximum.reduce(q, axis=0)
 
 
-def _tail_tables(model: UcPomdpModel, mode: TransitionMode, depth: int,
-                 tails: dict) -> list[np.ndarray]:
-    """The tail tables of ``mode`` through ``depth`` steps before the
-    horizon, extending the model's kept list.  Entry ``j`` is ``(2, S,
-    B**j)``, column ``b * B**(j-1) + t`` the bounds after bucket id ``b``
-    and then column ``t``'s suffix; entry 0 is the horizon.  Each entry is
-    one :func:`_step_rows` of every state at every bucket id."""
-    have = tails.get(mode) or [np.zeros((2, model.n_states, 1))]
-    if len(have) > depth:
-        return have
+def _tail_tables(model: UcPomdpModel, mode: TransitionMode, depth: int) -> list[np.ndarray]:
+    """The tail tables of ``mode``, entries 0 to ``depth``: entry ``j`` the
+    ``(2, S, B**j)`` lower and upper bounds of every state ``j`` steps
+    before the horizon over every suffix of ``j`` transition bucket ids,
+    column ``b * B**(j-1) + t`` the bounds after bucket id ``b`` and then
+    column ``t``'s suffix; entry 0 is the horizon.  Each later entry is one
+    :func:`_step_rows` of every state at every bucket id."""
     n = model.n_states
     s2, r = model.batch_policy_step(np.arange(n), np.arange(model.n_buckets(mode)), mode)
     policy = model.rollout_policy * n + np.arange(n)
-    # stored complete, so a concurrent search never sees a part
-    out = list(have)
-    for _ in range(len(have), depth + 1):
+    out = [np.zeros((2, n, 1))]
+    for _ in range(depth):
         c = out[-1].shape[2]
         cells = (s2[..., None] * c + np.arange(c)).reshape(*s2.shape[:2], -1)
         out.append(np.stack(_step_rows(out[-1], cells, r.repeat(c, axis=2), policy,
                                        model.discount)))
-    tails[mode] = out
     return out
 
 
@@ -225,7 +219,9 @@ def _fill_bounds(model: UcPomdpModel, config: PlannerConfig, buckets: np.ndarray
     while tail < depth and b ** (tail + 1) <= k:
         tail += 1
     if tail:
-        by_suffix = _tail_tables(model, config.mode, tail, tails)
+        by_suffix = tails.get((config.mode, tail))
+        if by_suffix is None:
+            by_suffix = tails[config.mode, tail] = _tail_tables(model, config.mode, tail)
         sid = 0   # each scenario's id of its last j bucket ids
         for j in range(1, tail + 1):
             d = depth - j

@@ -264,7 +264,7 @@ class UcPomdpModel:
         self._succ, self._rew = [], []
         states = np.arange(n)[:, None]
         for law in self._laws:
-            slot = np.ascontiguousarray(law.buckets[1].reshape(-1, n_a, n).transpose(1, 2, 0))
+            slot = law.buckets[1].reshape(n_a, n, -1)
             self._succ.append(self._slots[states, slot])
             self._rew.append(self._rewards[np.arange(n_a)[:, None, None], states, slot])
 
@@ -352,11 +352,11 @@ class UcPomdpModel:
         """Vectorized :func:`deterministic_step` of every action from each of
         the m ``states`` at its transition and observation bucket ids ``b1``,
         ``b2`` (:meth:`bucket_ids`), all vectors: ``(A, m)`` successors,
-        observations and rewards, the ``(A, S * B)`` rows taken at ``s * B + b1``."""
-        m = _MODE_INDEX[mode]
+        observations and rewards, each table's flat rows taken at ``s * B + b``."""
+        m, obs = _MODE_INDEX[mode], self._sensor.buckets[1]
         at = states * self._succ[m].shape[2] + b1
         s2 = self._succ[m].reshape(self.n_actions, -1).take(at, axis=1)
-        return (s2, self._sensor.buckets[1].take(b2 * self.n_states + s2),
+        return (s2, obs.take(s2 * obs.shape[1] + b2),
                 self._rew[m].reshape(self.n_actions, -1).take(at, axis=1))
 
     def batch_policy_step(self, states, b1, mode: TransitionMode):

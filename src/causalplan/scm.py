@@ -119,14 +119,14 @@ class CategoricalTable:
         """``(breaks, table)``: the sorted distinct CDF values below 1 at
         nonzero entries, which cut [0, 1) into buckets at edges
         ``[0, *breaks, 1]``, and each row's category per bucket,
-        ``table[bucket, row]``.  A unit draw's bucket is the number of
+        ``table[row, bucket]``.  A unit draw's bucket is the number of
         breaks ``<= u``; no CDF value lies between a bucket's lower edge and
         any draw in it, so every draw there selects the category
         :func:`cdf_index` returns at that edge, which the table holds."""
         cdf = self.cdf
         breaks = np.unique(cdf[(self.values > 0) & (cdf < 1.0)])
-        edges = np.concatenate(([0.0], breaks))[:, None, None]
-        table = np.minimum((cdf <= edges).sum(axis=-1), self.n_categories - 1)
+        edges = np.concatenate(([0.0], breaks))[:, None]
+        table = np.minimum((cdf[:, None] <= edges).sum(axis=-1), self.n_categories - 1)
         breaks.setflags(write=False)
         table.setflags(write=False)
         return breaks, table
@@ -224,7 +224,7 @@ def _desugar(table: CategoricalTable,
     widths = np.diff(np.concatenate(([0.0], breaks, [1.0])))
     noise = VariableId(noise_name, len(widths))
     prior = CategoricalTable((), widths / widths.sum())
-    rule = DeterministicRule(lookup.T.reshape(table.parent_arities + (len(widths),)))
+    rule = DeterministicRule(lookup.reshape(table.parent_arities + (len(widths),)))
     return noise, prior, rule
 
 

@@ -609,3 +609,38 @@ def generate_dataset_two_branch(model, n: int, seed: int) -> Dataset:
     )
     return Dataset(uc, u, a, ds, DatasetMeta(
         seed, model.name, n, model.n_confounder, n_a, model.n_ds))
+
+
+def exact_values(model, mode, depth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(V, Q, policy)`` of ``mode``'s law by dense value iteration over
+    :func:`transition_matrix` and :func:`reward_table`, ``Q = sum P (R +
+    gamma V)``, with the terminal rows held at zero: ``V[d]`` the optimal
+    expected discounted reward of each state with ``d`` steps to go,
+    ``Q[d - 1]`` the ``(A, S)`` action values and ``policy[d - 1]`` their
+    argmax, the first action of a receding horizon of ``d``; a tie goes to
+    the lowest action index, as ``np.argmax`` takes it."""
+    p, n = transition_matrix(model, mode), model.n_states
+    expected = (p * reward_table(model)).sum(axis=2)
+    values, qs = [np.zeros(n)], []
+    for _ in range(depth):
+        q = expected + model.discount * (p @ values[-1])
+        q[:, n - 2:] = 0.0
+        qs.append(q)
+        values.append(q.max(axis=0))
+    q = np.array(qs)
+    return np.array(values), q, q.argmax(axis=1)
+
+
+def exact_policy_value(model, policy, law_mode, steps) -> np.ndarray:
+    """Each state's expected discounted reward over ``steps`` steps of the
+    stationary ``policy`` (an action per state) under ``law_mode``'s law,
+    by dense evaluation over :func:`transition_matrix` and
+    :func:`reward_table`; zero at the terminals."""
+    p, n = transition_matrix(model, law_mode), model.n_states
+    rows = np.arange(n)
+    step, reward = p[policy, rows], (p * reward_table(model)).sum(axis=2)[policy, rows]
+    value = np.zeros(n)
+    for _ in range(steps):
+        value = reward + model.discount * (step @ value)
+        value[n - 2:] = 0.0
+    return value

@@ -263,13 +263,13 @@ class TestDefaultValueTable:
         model = gridworld.build_model(grid)
         config = PlannerConfig(scenarios=300, depth=5, budget_trials=5)
         search(model.initial_belief, model, config)
-        tails = despot._MODEL_CACHES[model][1][INT]
+        tails = despot._MODEL_CACHES[model][1][INT, 2]
         n = model.n_states
         assert [t.shape for t in tails] == [(2, n, 1), (2, n, 17), (2, n, 289)]
         # a copy with the same tables builds its own, equal tail tables
         other = model.with_tables(model.confounder_prior, model.p_uc, model.p_0)
         search(other.initial_belief, other, config)
-        own = despot._MODEL_CACHES[other][1][INT]
+        own = despot._MODEL_CACHES[other][1][INT, 2]
         assert all(a is not b and np.array_equal(a, b) for a, b in zip(own, tails, strict=True))
         refs = [weakref.ref(t) for t in tails]
         del model, tails
@@ -673,8 +673,8 @@ class TestBoundTableReuse:
     equal searches on fresh models, and a tree's tables are its own."""
 
     @staticmethod
-    def config(mode, seed, depth=10):
-        return PlannerConfig(scenarios=100, depth=depth, budget_trials=200,
+    def config(mode, seed, depth=10, scenarios=100):
+        return PlannerConfig(scenarios=scenarios, depth=depth, budget_trials=200,
                              mode=mode, seed=seed)
 
     def test_interleaved_searches_equal_searches_on_a_fresh_model(self, grid):
@@ -683,12 +683,17 @@ class TestBoundTableReuse:
         # reach sets of different sizes, so each search meets stale rows
         starts = [model.initial_belief.top_state, state_index(model, (0, 2)),
                   min(model.confounded_states), state_index(model, (3, 3))]
-        runs = [(mode, s, seed, 10) for seed in (0, 1) for s in starts
+        runs = [(mode, s, seed, 10, 100) for seed in (0, 1) for s in starts
                 for mode in (OBS, INT)]
-        runs.insert(5, (INT, starts[0], 2, 4))   # another table shape between
-        for mode, s, seed, depth in runs:
+        runs.insert(5, (INT, starts[0], 2, 4, 100))   # another table shape between
+        # J is 1 at K = 100, and 2 at K = 300 on the 17 interventional
+        # buckets and at K = 500 on the 18 observational ones: the model keeps
+        # two tail tables a mode, and the modes' J = 2 tables differ in shape
+        runs += [(mode, s, seed, 10, k) for seed in (3, 4) for s in starts[:2]
+                 for mode, k in ((INT, 300), (INT, 100), (OBS, 500), (OBS, 100))]
+        for mode, s, seed, depth, k in runs:
             belief = Belief.point_mass(model.n_states, s)
-            config = self.config(mode, seed, depth)
+            config = self.config(mode, seed, depth, k)
             fresh = search(belief, gridworld.build_model(grid), config)
             reused = search(belief, model, config)
             assert repr(reused) == repr(fresh)

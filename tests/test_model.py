@@ -33,6 +33,8 @@ from helpers import (
     assert_transition_rows_fold,
     buckets_of,
     dist_prob,
+    exact_policy_value,
+    exact_values,
     fold_loop,
     noisy_sensor_model,
     sample_reactive_action,
@@ -245,6 +247,31 @@ class TestReward:
         assert reward_table(truth)[DOWN, truth.collided_state, truth.collided_state] == 0.0
 
 
+class TestExactValues:
+    """The shipped map's exact values outside any determinization, by dense
+    value iteration over its written-out laws (``helpers.exact_values``) at
+    D = 15 and gamma = 0.95.  A tie between actions goes to the lowest
+    action index: state 10's Q values under UP and LEFT are equal, so its
+    receding-horizon action is UP."""
+
+    def test_start_values_and_first_actions(self, truth):
+        assert truth.discount == 0.95
+        start, tied = truth.initial_belief.top_state, 10
+        v_int, q_int, policy_int = exact_values(truth, INT, 15)
+        v_obs, q_obs, policy_obs = exact_values(truth, OBS, 15)
+        assert v_int[15, start] == pytest.approx(35.99776195548009, rel=0, abs=1e-9)
+        assert policy_int[14, start] == UP
+        assert v_obs[15, start] == pytest.approx(18.30813219655499, rel=0, abs=1e-9)
+        assert policy_obs[14, start] == RIGHT
+        # the OBS law's receding-horizon policy, run for 15 steps under the
+        # interventional (true) law
+        value = exact_policy_value(truth, policy_obs[14], INT, 15)
+        assert value[start] == pytest.approx(18.308113266983387, rel=0, abs=1e-9)
+        for q, policy in ((q_int, policy_int), (q_obs, policy_obs)):
+            assert q[14, UP, tied] == q[14, LEFT, tied] == q[14, :, tied].max()
+            assert policy[14, tied] == UP
+
+
 class TestReactiveAction:
     def test_region_minus_90_prefers_up(self, truth):
         s = state_index(truth, (0, 2))
@@ -388,7 +415,7 @@ class TestCdfInverters:
         assert len(breaks) <= ((table.values > 0).sum(axis=1) - 1).sum()
         unit = u < 1.0
         bucket = breaks.searchsorted(u[unit], side="right")
-        assert np.array_equal(scalar[unit], buckets[bucket, ids[unit]])
+        assert np.array_equal(scalar[unit], buckets[ids[unit], bucket])
 
 
 G = _GRID_CELLS

@@ -150,6 +150,23 @@ MUTANTS = {
         "at = states * self._succ[m].shape[2] + b1",
         "at = states * (self._succ[m].shape[2] - 1) + b1",
     ),
+    "sensor_stride_dropped": (
+        MODEL,
+        "obs.take(s2 * obs.shape[1] + b2)",
+        "obs.take(s2 + b2)",
+    ),
+    "tail_key_without_mode": (
+        DESPOT,
+        "by_suffix = tails.get((config.mode, tail))\n        if by_suffix is None:\n"
+        "            by_suffix = tails[config.mode, tail] =",
+        "by_suffix = tails.get(tail)\n        if by_suffix is None:\n"
+        "            by_suffix = tails[tail] =",
+    ),
+    "bucket_edge_strict": (
+        SCM,
+        "(cdf[:, None] <= edges)",
+        "(cdf[:, None] < edges)",
+    ),
     "budget_clock_after_setup": (
         DESPOT,
         "    start = time.perf_counter()\n    tree = DespotTree(model, config, belief)\n",

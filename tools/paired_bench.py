@@ -7,6 +7,14 @@ every other pair, so a drift of the machine falls on both sides alike::
     python3 tools/paired_bench.py BASE_DIR CHANGE_DIR --workload eval-int \\
         --seeds 11 23 --pairs 5 --seconds 10
 
+Both sides must be clean copies, each made from ``git ls-files`` into a
+fresh directory: what building and testing leave in a working tree moves
+the timings of code the change does not touch.  For a commit and for the
+tracked files of a working tree::
+
+    git archive PARENT | tar -x -C BASE_DIR
+    git ls-files -z | xargs -0 cp --parents -t CHANGE_DIR
+
 Each pair runs both sides at one seed; ``--pairs`` pairs run per seed.  For
 every end-to-end metric the summary gives each side's median and quartiles
 over all pairs, the number of pairs the change won (ties count for neither

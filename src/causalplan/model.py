@@ -4,9 +4,9 @@ A :class:`UcPomdpModel` carries a finite state space plus two absorbing
 terminal states (goal-reached, collided), a confounder with a prior, the
 agent's reactive action policy, and relative-transition tables partitioned
 into a confounded region and everywhere else.  Successor-state distributions
-are obtained by assembling the corresponding structural causal model and
-running exact inference on it, once per (region, action, mode), and folding
-the relative outcome through the deterministic successor assignment.
+are obtained by running exact inference on the structural causal model
+inside the confounded region, once per mode with a row per action, and
+folding the relative outcome through the deterministic successor assignment.
 
 Laws over successors are kept over **successor slots**, a layout only this
 module reads: slot ``j`` of state ``s`` holds the ``j``-th distinct entry of
@@ -221,27 +221,17 @@ class UcPomdpModel:
         return v
 
     def _build_caches(self):
-        u_var = VariableId("U", self.n_confounder)
-        a_var = VariableId("A", self.n_actions)
-        ds_var = VariableId("DS", self.n_ds)
         self._spec_region = ScmSpec(
-            exogenous=[(u_var, self.confounder_prior)],
+            exogenous=[(VariableId("U", self.n_confounder), self.confounder_prior)],
             endogenous=[
-                (a_var, ("U",), self.reactive_policy),
-                (ds_var, ("A", "U"), self.p_uc),
+                (VariableId("A", self.n_actions), ("U",), self.reactive_policy),
+                (VariableId("DS", self.n_ds), ("A", "U"), self.p_uc),
             ],
         )
-        self._spec_free = ScmSpec(
-            exogenous=[(u_var, self.confounder_prior)],
-            endogenous=[
-                (a_var, (), CategoricalTable.uniform((), self.n_actions)),
-                (ds_var, ("A",), self.p_0),
-            ],
-        )
-        # Relative-outcome rows per (mode, action) for both regions, one
-        # query per family with a row per action.  Outside the confounded
-        # region the action carries no information about the confounder, so
-        # one interventional query serves both modes.
+        # Relative-outcome rows per (mode, action) inside the confounded
+        # region, one query per mode with a row per action.  Outside it the
+        # action carries no information about the confounder, so the back-door
+        # criterion gives P(DS | do(a)) = P(DS | a) = p_0(a) in both modes.
         n, n_a = self.n_states, self.n_actions
         region, acts = self._spec_region, {"A": np.arange(n_a)}
         self._rel_region = np.empty((2, n_a, self.n_ds))
@@ -250,13 +240,12 @@ class UcPomdpModel:
         self._rel_region[_MODE_INDEX[TransitionMode.OBSERVATIONAL]] = exact_query(
             region, "DS", evidence=acts)
         self._rel_region.setflags(write=False)
-        self._rel_free = exact_query(self._spec_free, "DS", intervention=acts)
 
-        # rel[m, a, s]: the region's row inside it, the free row outside
+        # rel[m, a, s]: the region's row inside it, p_0's row outside
         in_region = np.isin(np.arange(n - 2), list(self.confounded_states))[:, None]
         trans = np.zeros((2, n_a, n, self.n_ds))
         trans[:, :, :-2] = self._fold(np.where(
-            in_region, self._rel_region[:, :, None], self._rel_free[:, None]))
+            in_region, self._rel_region[:, :, None], self.p_0.values[:, None]))
         trans[:, :, -2:, 0] = 1.0
         # per mode, the law over (action, state) rows and the kernels'
         # successor and reward per (action, state, bucket), buckets innermost

@@ -97,11 +97,6 @@ class CategoricalTable:
         vals.setflags(write=False)
         self.values = vals
 
-    @classmethod
-    def uniform(cls, parent_arities: Sequence[int], n_categories: int) -> "CategoricalTable":
-        return cls(parent_arities, np.full((math.prod(parent_arities), n_categories),
-                                           1.0 / n_categories))
-
     @property
     def n_categories(self) -> int:
         return self.values.shape[1]

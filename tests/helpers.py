@@ -10,11 +10,12 @@ import itertools
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from causalplan import despot, gridworld
 from causalplan.learning import Dataset, DatasetMeta
 from causalplan.model import _MODE_INDEX, TransitionMode, UcPomdpModel, deterministic_step
-from causalplan.scm import CategoricalTable, DeterministicRule, ScmSpec, cdf_index
+from causalplan.scm import CategoricalTable, DeterministicRule, ScmSpec, VariableId, cdf_index
 
 PRIOR = {-90: 0.10, 0: 0.80, 90: 0.10}
 REACTIVE = {
@@ -276,14 +277,27 @@ def fold_loop(model, s, rel):
 
 def assert_transition_rows_fold(model):
     """Every ordinary row of both modes' transition matrices equals its
-    relative row, the region's or the free one, folded by :func:`fold_loop`."""
+    relative row, the region's or ``p_0``'s, folded by :func:`fold_loop`."""
     for m, mode in enumerate((TransitionMode.OBSERVATIONAL, TransitionMode.INTERVENTIONAL)):
         matrix = transition_matrix(model, mode)
         for a in range(model.n_actions):
             for s in range(model.n_states - 2):
                 region = s in model.confounded_states
-                rel = model._rel_region[m, a] if region else model._rel_free[a]
+                rel = model._rel_region[m, a] if region else model.p_0.values[a]
                 assert np.array_equal(matrix[a, s], fold_loop(model, s, rel))
+
+
+def assert_free_rows_are_mechanism_rows(model):
+    """Outside the confounded region both modes' law rows equal
+    ``mechanism_rows[s, a, u]`` bit for bit, for every action and every
+    confounder value: the free rows have one source, ``p_0``."""
+    n = model.n_states
+    for law in model._laws:
+        rows = law.values.reshape(model.n_actions, n, -1)
+        for s, a, u in itertools.product(range(n - 2), range(model.n_actions),
+                                         range(model.n_confounder)):
+            if s not in model.confounded_states:
+                assert np.array_equal(rows[a, s], model.mechanism_rows[s, a, u])
 
 
 def assert_mechanism_rows_fold(model):
@@ -545,6 +559,19 @@ def serialize_map(grid) -> str:
                    for y in range(grid.height - 1, -1, -1))
 
 
+@st.composite
+def small_maps(draw):
+    """A grid map of 3-6 by 3-6 cells with 0-3 walls, a start and a
+    different goal, and no confounded cell, written out by
+    :func:`serialize_map` and read back by ``gridworld.parse_map``."""
+    width, height = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    start, goal, *walls = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=5,
+                                        unique=True))
+    grid = gridworld.GridMap(width, height, frozenset(walls), start, goal, frozenset())
+    return gridworld.parse_map(serialize_map(grid))
+
+
 def mutilate(spec, intervention) -> ScmSpec:
     """do(X=x) by graph surgery: each intervened rule becomes the constant
     ``x`` and loses its parents.  The reference for the queries of ``scm``,
@@ -554,6 +581,22 @@ def mutilate(spec, intervention) -> ScmSpec:
             if var.name in intervention else (var, parents, rule)
             for var, parents, rule in spec.endogenous]
     return ScmSpec(spec.exogenous, endo)
+
+
+def free_spec(model) -> ScmSpec:
+    """The causal spec of a cell outside the confounded region: the
+    confounder as in the region, an action uniform and parentless, and the
+    relative outcome drawn from ``p_0`` given the action alone.  Its do() and
+    conditional queries of DS both give ``p_0``, which is why the model
+    folds ``p_0`` outside the region without building it."""
+    n_a = model.n_actions
+    return ScmSpec(
+        exogenous=[(VariableId("U", model.n_confounder), model.confounder_prior)],
+        endogenous=[
+            (VariableId("A", n_a), (), CategoricalTable((), np.full(n_a, 1.0 / n_a))),
+            (VariableId("DS", model.n_ds), ("A",), model.p_0),
+        ],
+    )
 
 
 def exact_query_loop(spec, target, evidence=None, intervention=None) -> np.ndarray:

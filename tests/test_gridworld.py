@@ -5,6 +5,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from causalplan import gridworld
 from causalplan.gridworld import (
@@ -21,8 +22,10 @@ from causalplan.model import TransitionMode
 
 from helpers import (
     dist_prob,
+    exact_values,
     hand_confounded_tables,
     serialize_map,
+    small_maps,
     state_index,
     transition_matrix,
 )
@@ -220,6 +223,18 @@ class TestBuildModel:
         assert model.n_states == 902
         assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"
         assert retained < 32 * 2**20, f"retained {retained / 2**20:.1f} MiB"
+
+    @given(grid=small_maps())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_maps_without_a_confounded_cell_plan_alike_in_both_modes(self, grid):
+        # no action carries information about the confounder, so the two
+        # laws, and the exact receding-horizon policies, are one
+        model = gridworld.build_model(grid)
+        assert not model.confounded_states
+        laws = [transition_matrix(model, mode) for mode in TransitionMode]
+        assert np.array_equal(*laws)
+        policies = [exact_values(model, mode, 15)[2] for mode in TransitionMode]
+        assert np.array_equal(*policies)
 
     def test_state_count_matches_free_cells(self, grid, truth):
         assert truth.n_states == len(grid.free_cells) + 2

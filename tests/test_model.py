@@ -27,6 +27,7 @@ from causalplan.scm import (
 )
 
 from helpers import (
+    assert_free_rows_are_mechanism_rows,
     assert_kernels_equal_scalar_step,
     assert_mechanism_rows_fold,
     assert_successor_masks_equal_reach,
@@ -84,7 +85,8 @@ class TestConstruction:
         assert copy._rewards.flags.c_contiguous
 
     def test_one_enumeration_per_query_family(self, grid, monkeypatch):
-        # region do, region given and free do, each with a row per action
+        # region do and region given, each with a row per action; outside the
+        # region the law is p_0 and takes no query
         calls = []
         query = model_module.exact_query
 
@@ -94,9 +96,9 @@ class TestConstruction:
 
         monkeypatch.setattr(model_module, "exact_query", counted)
         truth = gridworld.build_model(grid)
-        assert len(calls) == 3
+        assert len(calls) == 2
         truth.with_tables(truth.confounder_prior, truth.p_uc, truth.p_0)
-        assert len(calls) == 6
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("build", [
         lambda p: CategoricalTable((), p),
@@ -150,6 +152,9 @@ class TestTransitionDist:
                 inter = transition_matrix(truth, INT)[a, s]
                 obser = transition_matrix(truth, OBS)[a, s]
                 assert obser == pytest.approx(inter, abs=1e-12)
+
+    def test_free_rows_are_the_mechanism_rows(self, truth):
+        assert_free_rows_are_mechanism_rows(truth)
 
     def test_importance_method_matches_exact(self, truth, rng):
         # the model's own causal spec, answered by sampling, folds into the

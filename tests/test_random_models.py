@@ -23,6 +23,7 @@ from causalplan.model import (
 from causalplan.scm import CategoricalTable, exact_query
 
 from helpers import (
+    assert_free_rows_are_mechanism_rows,
     assert_kernels_equal_scalar_step,
     assert_mechanism_rows_fold,
     assert_successor_masks_equal_reach,
@@ -32,6 +33,7 @@ from helpers import (
     buckets_of,
     determinized_optimum,
     free_roam_model,
+    free_spec,
     node_scenarios,
     reach_mask,
     scalar_bounds,
@@ -207,6 +209,7 @@ def test_folds_equal_the_entrywise_loop(model):
     # arbitrary successor tables: several outcomes often share a successor
     assert_transition_rows_fold(model)
     assert_mechanism_rows_fold(model)
+    assert_free_rows_are_mechanism_rows(model)
 
 
 @given(model=small_models(repeated_successors=True))
@@ -325,11 +328,12 @@ def test_belief_update_is_bayes_rule(model, seed, mode):
 @given(model=small_models())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_scm_queries_fold_into_the_transition_matrix(model):
-    # P(DS | do(A=a)) in INT and P(DS | A=a) in OBS of each state's SCM,
+    # P(DS | do(A=a)) in INT and P(DS | A=a) in OBS of the region's SCM,
     # added into successor states one relative outcome at a time; outside
-    # the confounded region the action says nothing about U, so conditioning
-    # on it and intervening agree to rounding there and the model uses one query
+    # the confounded region the action says nothing about U, so both queries
+    # of the free SCM give p_0 to rounding, and the model folds p_0 exactly
     n = model.n_states
+    free, p_0 = free_spec(model), model.p_0.values
     for mode in TransitionMode:
         query = "intervention" if mode is TransitionMode.INTERVENTIONAL else "evidence"
         expected = np.zeros((model.n_actions, n, n))
@@ -339,9 +343,10 @@ def test_scm_queries_fold_into_the_transition_matrix(model):
                 if s in model.confounded_states:
                     rel = exact_query(model._spec_region, "DS", **{query: act})
                 else:
-                    rel = exact_query(model._spec_free, "DS", intervention=act)
-                    assert exact_query(model._spec_free, "DS", evidence=act) == (
-                        pytest.approx(rel, abs=1e-12))
+                    rel = p_0[a]
+                    for kind in ("intervention", "evidence"):
+                        assert exact_query(free, "DS", **{kind: act}) == (
+                            pytest.approx(rel, abs=1e-12))
                 for ds, s2 in enumerate(model.successor_table[s]):
                     expected[a, s, s2] += rel[ds]
         expected[:, n - 2, n - 2] = expected[:, n - 1, n - 1] = 1.0

@@ -27,6 +27,7 @@ from causalplan.scm import (
 
 from helpers import (
     exact_query_loop,
+    free_spec,
     hand_confounded_tables,
     mutilate,
     specs_equal,
@@ -430,10 +431,10 @@ class TestDoViews:
         for value in intervention[name]:
             assert_do_views_agree(spec, target, evidence, {**intervention, name: value})
 
-    @pytest.mark.parametrize("which", ["_spec_region", "_spec_free"])
+    @pytest.mark.parametrize("which", ["region", "free"])
     @pytest.mark.parametrize("evidence", [{}, {"U": 0}, {"U": 2}])
     def test_shipped_model_specs(self, truth, which, evidence):
-        spec = getattr(truth, which)
+        spec = truth._spec_region if which == "region" else free_spec(truth)
         for do in [{"A": a} for a in range(truth.n_actions)] + [{"A": [3, 0, 1, 1]}]:
             assert_do_views_agree(spec, "DS", evidence, do)
 

@@ -140,6 +140,16 @@ MUTANTS = {
         "if not placed.issuperset(parents):",
         "if not placed.issuperset(parents[:-1]):",
     ),
+    "obs_law_is_interventional": (
+        MODEL,
+        'region, "DS", evidence=acts)',
+        'region, "DS", intervention=acts)',
+    ),
+    "region_takes_free_row": (
+        MODEL,
+        "in_region, self._rel_region[:, :, None], self.p_0.values[:, None]",
+        "in_region, self.p_0.values[:, None], self.p_0.values[:, None]",
+    ),
     "reach_one_action": (
         MODEL,
         "self._succ[_MODE_INDEX[mode]].compress(live, axis=1)",

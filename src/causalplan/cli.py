@@ -184,9 +184,17 @@ def _learned_model(options, truth: UcPomdpModel) -> UcPomdpModel:
     return learning.assemble_model(truth, learning.load_params(options["params"]))
 
 
+def _check_counts(options, *dests):
+    """A usage error naming the first of the count flags ``dests`` below 1."""
+    for dest in dests:
+        if options[dest] < 1:
+            raise UsageError(f"{FLAGS[dest][0]} must be >= 1")
+
+
 def _planning_setup(options):
     """``eval``'s and ``simulate``'s truth model, plan model, planner config
     and output directory, made in the order in which their inputs are checked."""
+    _check_counts(options, "steps")
     truth = _truth_model(_load_map(options), options["gamma"])
     plan = truth if options["plan_model"] == "truth" else _learned_model(options, truth)
     return truth, plan, _planner_config(options), _out_dir(options)
@@ -208,6 +216,7 @@ def _fmt(x: float) -> str:
 
 
 def _cmd_learn(options) -> int:
+    _check_counts(options, "dataset_n")
     grid = _load_map(options)
     truth = _truth_model(grid, options["gamma"])
     out = _out_dir(options)
@@ -258,8 +267,7 @@ def _cmd_tables(options) -> int:
 
 
 def _cmd_eval(options) -> int:
-    if options["episodes"] < 1:
-        raise UsageError("--episodes must be >= 1")
+    _check_counts(options, "episodes")
     truth, plan, config, out = _planning_setup(options)
 
     rows = ["episode,seed,reward,outcome,steps,actions"]

@@ -103,14 +103,14 @@ class DespotNode:
         "lower", "upper", "default_value", "children",
     )
 
-    def __init__(self, depth: int, cells: np.ndarray, total_scenarios: int):
+    def __init__(self, depth: int, cells: np.ndarray, count: int, weight: float,
+                 lower: float, upper: float):
         self.depth = depth
         self.cells = cells
-        self.count = len(cells)
-        self.weight = self.count / total_scenarios
-        self.lower = 0.0
-        self.upper = 0.0
-        self.default_value = 0.0
+        self.count = count
+        self.weight = weight
+        self.default_value = self.lower = lower
+        self.upper = upper
         self.children: list[ActionEdge] | None = None   # None = frontier
 
 
@@ -290,13 +290,8 @@ class DespotTree:
         starts = [0, *itertools.accumulate(counts[:-1])]
         at = cells + depth * self.tables[0, 0].size
         sums = np.add.reduceat(self.tables.reshape(2, -1).take(at, axis=1), starts, axis=1)
-        nodes = []
-        for lo, n, low, up in zip(starts, counts, *sums.tolist()):
-            node = DespotNode(depth, cells[lo:lo + n], total)
-            node.default_value = node.lower = low / n - lam
-            node.upper = up / n
-            nodes.append(node)
-        return nodes
+        return [DespotNode(depth, cells[lo:lo + n], n, n / total, low / n - lam, up / n)
+                for lo, n, low, up in zip(starts, counts, *sums.tolist())]
 
     # -- trial machinery --------------------------------------------------------
 
@@ -350,11 +345,13 @@ class DespotTree:
         node.upper = best_up
 
     def run_trial(self) -> bool:
-        """One descent-expand-backup pass; returns whether a node was expanded."""
+        """One descent-expand-backup pass; returns whether a node was
+        expanded.  A trial that expands nothing changes no bound."""
+        self.n_trials += 1
         root_gap = self.root.upper - self.root.lower
         node = self.root
         path = []   # (node, the edge the trial took from it)
-        while node.children is not None and node.depth < self.config.depth:
+        while node.children is not None:   # no node at depth D has children
             best_edge, best_q = None, -np.inf
             for edge in node.children:
                 if edge.q_upper > best_q:
@@ -370,16 +367,13 @@ class DespotTree:
                 break
             path.append((node, best_edge))
             node = best_child
-        expanded = False
-        if node.children is None and node.depth < self.config.depth:
-            self._expand(node)
-            expanded = True
-        if node.children is not None:
-            self._backup(node)
+        if node.children is not None or node.depth == self.config.depth:
+            return False
+        self._expand(node)
+        self._backup(node)
         for n, edge in reversed(path):
             self._backup(n, edge)
-        self.n_trials += 1
-        return expanded
+        return True
 
     # -- results ----------------------------------------------------------------
 
@@ -405,10 +399,10 @@ class DespotTree:
 def search(
     belief: Belief, model: UcPomdpModel, config: PlannerConfig
 ) -> tuple[int, tuple[float, float]]:
-    """Build a tree and run trials until the budget is spent or the root gap
-    shrinks to ``(1 - xi)`` of its initial value; returns the chosen action
-    and the final root bounds.  ``budget_ms`` counts from entry: a set-up
-    that spends it leaves no trial."""
+    """Build a tree and run trials until the budget is spent, the root gap
+    shrinks to ``(1 - xi)`` of its initial value or a trial expands nothing;
+    returns the chosen action and the final root bounds.  ``budget_ms``
+    counts from entry: a set-up that spends it leaves no trial."""
     start = time.perf_counter()
     tree = DespotTree(model, config, belief)
     gap0 = tree.root.upper - tree.root.lower
@@ -421,15 +415,16 @@ def search(
         if config.budget_ms is not None:
             if (time.perf_counter() - start) * 1e3 >= config.budget_ms:
                 break
-        before = (tree.root.lower, tree.root.upper)
-        expanded = tree.run_trial()
-        if not expanded and (tree.root.lower, tree.root.upper) == before:
+        if not tree.run_trial():
             break
     return tree.best_action(), tree.bounds()
 
 
 @dataclass
 class EpisodeStep:
+    """One executed step: the belief's most likely state, the action and its
+    search's root bounds, then the successor, observation and reward."""
+
     belief_state: int
     action: int
     lower: float
@@ -441,6 +436,9 @@ class EpisodeStep:
 
 @dataclass
 class EpisodeTrace:
+    """One episode's seed, steps, discounted return, outcome (``goal``,
+    ``collision`` or ``timeout``) and count of belief resets."""
+
     seed: int
     steps: list[EpisodeStep] = field(default_factory=list)
     total_discounted_reward: float = 0.0

@@ -59,6 +59,9 @@ class MapParseError(Exception):
 
 @dataclass(frozen=True)
 class GridMap:
+    """A parsed map: its size, the occupied, start and goal cells, the
+    confounded cells and the magnet's cell, if any, as ``(x, y)`` pairs."""
+
     width: int
     height: int
     occupied: frozenset

@@ -28,6 +28,9 @@ _BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class DatasetMeta:
+    """A dataset's generation seed, its source model's name, its record
+    count and the arities of its confounder, action and outcome columns."""
+
     seed: int
     model_name: str
     n_records: int
@@ -69,8 +72,11 @@ class Dataset:
         return self.meta.n_records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitMeta:
+    """A fit's record count, its smoothing and its counts per table row.
+    Equality is identity: its arrays have no truth value."""
+
     n_records: int
     smoothing: float
     u_count: np.ndarray          # total confounder draws
@@ -78,8 +84,12 @@ class FitMeta:
     free_row_counts: np.ndarray  # records per action row, outside the region
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LearnedParams:
+    """The three fitted tables, the confounder prior ``p_u``, the region's
+    ``p_uc`` per (action, confounder) and the free ``p_0`` per action, and
+    the fit's record.  Equality is identity, as for :class:`FitMeta`."""
+
     p_u: CategoricalTable
     p_uc: CategoricalTable
     p_0: CategoricalTable

@@ -52,9 +52,10 @@ class InconsistentObservationError(Exception):
     """A belief update saw an observation with zero predicted probability."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Belief:
-    """A normalized probability vector over all states including terminals."""
+    """A normalized probability vector over all states including terminals.
+    Equality is identity: an elementwise array comparison has no truth value."""
 
     probs: np.ndarray
 

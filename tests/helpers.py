@@ -438,14 +438,14 @@ def assert_stop_rule(log, config, bounds):
     """One search's trials, a :func:`watch_trials` log, against the stop
     rule: a trial ran only while the root gap was above ``(1 - xi) * gap0 +
     1e-12`` and the trial budget lasted, and the search stopped at that
-    target, at the budget, or after a trial that expanded nothing and left
-    the root bounds unchanged.  ``bounds`` are the returned root bounds."""
+    target, at the budget, or after a trial that expanded nothing.
+    ``bounds`` are the returned root bounds."""
     lower, upper = log[0][0] if log else bounds
     target = (1.0 - config.xi) * (upper - lower) + 1e-12
     stalled = False
     for before, after, expanded in log:
         assert not stalled and before[1] - before[0] > target
-        stalled = not expanded and after == before
+        stalled = not expanded
     assert config.budget_trials is None or len(log) <= config.budget_trials
     last = log[-1][1] if log else bounds
     assert bounds == last
@@ -453,14 +453,16 @@ def assert_stop_rule(log, config, bounds):
 
 
 def assert_backups_hold(tree):
-    """Every expanded node's bounds equal the backup rule, recomputed from
-    its children within 1e-12: ``lower = max(default value, max_a (r_a +
-    discount * sum_c n_c * l_c / n) - regularization)`` and ``upper = max_a
-    (r_a + discount * sum_c n_c * u_c / n)``, ``r_a`` the edge's mean
-    reward and ``n`` the node's scenario count."""
+    """Every expanded node lies above depth D, and its bounds equal the
+    backup rule, recomputed from its children within 1e-12: ``lower =
+    max(default value, max_a (r_a + discount * sum_c n_c * l_c / n) -
+    regularization)`` and ``upper = max_a (r_a + discount * sum_c n_c * u_c
+    / n)``, ``r_a`` the edge's mean reward and ``n`` the node's scenario
+    count."""
     gamma, lam = tree.model.discount, tree.config.regularization
     for node in tree_nodes(tree):
         if node.children is not None:
+            assert node.depth < tree.config.depth
             q = np.array([[e.avg_reward + gamma * sum(c.count * getattr(c, side)
                                                       for _, c in e.children) / node.count
                            for side in ("lower", "upper")] for e in node.children])

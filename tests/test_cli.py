@@ -363,11 +363,19 @@ class TestUsageErrors:
         self.expect_usage_error(
             capsys, ["simulate", "--budget-ms", "-5", "--out", str(tmp_path)], "budget_ms")
 
-    @pytest.mark.parametrize("episodes", ["0", "-3"])
-    def test_episode_count_below_one(self, tmp_path, capsys, episodes):
-        self.expect_usage_error(
-            capsys, ["eval", "--episodes", episodes, "--out", str(tmp_path)], "--episodes")
-        assert not (tmp_path / "summary.txt").exists()
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--episodes"), ("eval", "--steps"), ("simulate", "--steps"),
+        ("learn", "--dataset-n"),
+    ])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_episode_count_below_one(self, tmp_path, capsys, monkeypatch, command, flag,
+                                     count):
+        # checked before any model is built or any output written
+        monkeypatch.setattr(cli, "_truth_model", None)
+        out = tmp_path / "out"
+        self.expect_usage_error(capsys, [command, flag, count, "--out", str(out)],
+                                f"{flag} must be >= 1")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, config, fragment", [
         ("eval", {"episodes": "3"}, "episodes='3'"),

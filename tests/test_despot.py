@@ -141,7 +141,7 @@ class TestSampleScenarios:
 
 def make_node(truth, config, state, k=16, phi=0.5, depth=0):
     streams = np.full((k, config.depth, 2), phi)
-    node = DespotNode(depth, np.full(k, state) * k + np.arange(k), k)
+    node = DespotNode(depth, np.full(k, state) * k + np.arange(k), k, 1.0, 0.0, 0.0)
     return node, streams
 
 
@@ -612,6 +612,25 @@ class TestSearchRules:
         for model in (truth, noisy):
             for _ in self.searches(model, mode, lam, seeds=range(3), scenarios=100):
                 pass
+
+    @pytest.mark.parametrize("mode", [INT, OBS])
+    def test_a_trial_that_expands_nothing_changes_no_node(self, truth, noisy, monkeypatch,
+                                                          mode):
+        def snapshot(tree):
+            return [(n.lower, n.upper, n.default_value) for n in tree_nodes(tree)]
+
+        def unchanged(tree, expanded, seen):
+            assert expanded or snapshot(tree) == seen
+
+        # searches from every ordinary state, at the default horizon and at
+        # D = 2, where descents reach the horizon
+        log = watch_trials(monkeypatch, snapshot, unchanged)
+        for model in (truth, noisy):
+            for depth in (15, 2):
+                config = PlannerConfig(scenarios=100, depth=depth, mode=mode)
+                for state in range(model.n_states - 2):
+                    search(Belief.point_mass(model.n_states, state), model, config)
+        assert sum(not expanded for *_, expanded in log) >= 10
 
     @pytest.mark.parametrize("mode", [INT, OBS])
     @pytest.mark.parametrize("lam", [0.01, 0.5])

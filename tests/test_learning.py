@@ -19,7 +19,7 @@ from causalplan.learning import (
     save_dataset_csv,
     save_params,
 )
-from causalplan.model import TransitionMode, UcPomdpModel
+from causalplan.model import Belief, TransitionMode, UcPomdpModel
 from causalplan.scm import CategoricalTable, UsageError, cdf_index
 
 from helpers import (
@@ -193,6 +193,16 @@ class TestFit:
     def test_rejects_empty_or_bad_smoothing(self, dataset_100k):
         with pytest.raises(UsageError):
             fit(dataset_100k, smoothing=0.0)
+
+    def test_records_with_arrays_compare_and_hash_by_identity(self, dataset_100k):
+        # an elementwise array comparison has no truth value, so these
+        # records compare as objects and hash like them
+        params, again = fit(dataset_100k), fit(dataset_100k)
+        belief = Belief.point_mass(4, 1)
+        for record, twin in ((belief, Belief.point_mass(4, 1)), (params.meta, again.meta),
+                             (params, again)):
+            assert record == record and record != twin
+            assert {record: 0}[record] == 0
 
 
 class TestDatasetColumns:

@@ -42,8 +42,8 @@ MUTANTS = {
     ),
     "new_node_lambda_twice": (
         DESPOT,
-        "node.default_value = node.lower = low / n - lam",
-        "node.default_value = node.lower = low / n - 2 * lam",
+        "n / total, low / n - lam, up / n)",
+        "n / total, low / n - 2 * lam, up / n)",
     ),
     "child_cell_stride_short": (
         DESPOT,
